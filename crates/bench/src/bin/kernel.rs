@@ -1,7 +1,7 @@
 //! Kernel microbenches: the costs every experiment pays per tick.
 //!
-//! Measures the public kernel entry points (`Machine::step`, thermal
-//! stepping, leakage evaluation, field sampling, LinOpt's re-solve)
+//! Measures the public kernel entry points (`Machine::step`, thread
+//! profiling, thermal stepping, field sampling, LinOpt's re-solve)
 //! plus the in-place scratch-buffer APIs; writes
 //! `results/BENCH_kernel.json`. The committed pre-optimization run is
 //! `results/BENCH_kernel_baseline.json`; `check_bench --baseline`
@@ -13,7 +13,8 @@
 //!   committed baseline and exit non-zero unless the optimized kernels
 //!   hold their promised speedups ([`STEP_SPEEDUP_MIN`]× on
 //!   `machine/step_1ms_20t`, [`FIELD_SPEEDUP_MIN`]× on the large-grid
-//!   field cases).
+//!   field cases, [`PROFILE_SPEEDUP_MIN`]× on
+//!   `profile/thread_profiles_20t`).
 //! * `--cholesky-reference` — instead of benchmarking, time the
 //!   forced-Cholesky field path once per case and print ready-to-paste
 //!   baseline entries (a 64×64 dense factorization takes tens of
@@ -22,7 +23,6 @@
 use cmpsim::{app_pool, Machine, MachineConfig, StepPhaseTimes, Workload};
 use floorplan::paper_20_core;
 use linprog::{Problem, SolveWorkspace};
-use powermodel::{LeakageParams, LeakagePower};
 use std::hint::black_box;
 use std::time::Instant;
 use thermal::{ThermalModel, ThermalParams, ThermalScratch};
@@ -30,6 +30,7 @@ use varius::{DieGenerator, VariationConfig};
 use vasched::manager::linopt::{linopt_levels, LinOpt};
 use vasched::manager::{synthetic_core, PmView, PowerBudget, PowerManager};
 use vasched::obs::{parse_json, JsonValue};
+use vasched::profile::thread_profiles;
 use vasp_bench::json_report::BenchReport;
 use vasp_bench::timing::report_case;
 use vastats::{GaussianField, SimRng, SphericalCorrelogram};
@@ -43,6 +44,10 @@ const STEP_SPEEDUP_MIN: f64 = 8.0;
 /// `--gate`: required speedup of the `field/*_64x64` cases over the
 /// committed (forced-Cholesky) baseline.
 const FIELD_SPEEDUP_MIN: f64 = 10.0;
+
+/// `--gate`: required speedup of `profile/thread_profiles_20t` over the
+/// committed clone-per-thread baseline, from reusing one probe machine.
+const PROFILE_SPEEDUP_MIN: f64 = 3.0;
 
 /// The committed pre-optimization reference the gate reads.
 const BASELINE_PATH: &str = "results/BENCH_kernel_baseline.json";
@@ -118,6 +123,22 @@ fn bench_view(report: &mut BenchReport) {
     report.push_case("machine", "pm_view_from_machine", m);
 }
 
+/// One OS-epoch re-profile of a full chip: every thread probed for two
+/// ticks on a random core of a scratch copy of the machine.
+fn bench_profile(report: &mut BenchReport) {
+    // A chip that has been running, as at every reschedule but the
+    // first: its thermal step operator is built and its sensors read.
+    let mut machine = loaded_machine(20);
+    for _ in 0..50 {
+        machine.step(0.001);
+    }
+    let mut rng = SimRng::seed_from(10);
+    let m = report_case("profile", "thread_profiles_20t", || {
+        black_box(thread_profiles(&machine, &mut rng));
+    });
+    report.push_case("profile", "thread_profiles_20t", m);
+}
+
 fn bench_thermal(report: &mut BenchReport) {
     let fp = paper_20_core();
     let model = ThermalModel::new(&fp, ThermalParams::paper_default());
@@ -153,24 +174,6 @@ fn bench_thermal(report: &mut BenchReport) {
         black_box(&out);
     });
     report.push_case("thermal", "steady_state_into", m);
-}
-
-fn bench_leakage(report: &mut BenchReport) {
-    let machine = loaded_machine(20);
-    let leak = LeakagePower::new(LeakageParams::core_default());
-    let voltages = machine.config().voltages.clone();
-    let temp = machine.config().profile_temp_k;
-    let m = report_case("leakage", "block_static_20x9_sweep", || {
-        let mut acc = 0.0;
-        for core in 0..machine.core_count() {
-            let cells = machine.core_cells(core);
-            for &v in &voltages {
-                acc += leak.block_static(cells, 11.0, v, temp);
-            }
-        }
-        black_box(acc);
-    });
-    report.push_case("leakage", "block_static_20x9_sweep", m);
 }
 
 fn bench_field(report: &mut BenchReport) {
@@ -343,6 +346,7 @@ fn gate(report: &BenchReport) -> bool {
         ("machine/step_1ms_20t", STEP_SPEEDUP_MIN),
         ("field/build_64x64", FIELD_SPEEDUP_MIN),
         ("field/sample_pair_64x64", FIELD_SPEEDUP_MIN),
+        ("profile/thread_profiles_20t", PROFILE_SPEEDUP_MIN),
     ] {
         let Some(then) = baseline_median(&doc, id) else {
             eprintln!("GATE FAIL: baseline has no case '{id}'");
@@ -378,8 +382,8 @@ fn main() {
     let mut report = BenchReport::new();
     bench_step(&mut report);
     bench_view(&mut report);
+    bench_profile(&mut report);
     bench_thermal(&mut report);
-    bench_leakage(&mut report);
     bench_field(&mut report);
     bench_solver(&mut report);
     match report.write("kernel") {

@@ -1322,6 +1322,81 @@ impl Machine {
         }
         self.leak_memo.get_mut().invalidate();
     }
+
+    /// Overwrites this machine's run-time state with `src`'s through
+    /// `clone_from`, so this machine's buffers are reused. Afterwards it
+    /// steps and reads exactly as a fresh `src.clone()` would: the cheap
+    /// way to reset a scratch copy between probes.
+    ///
+    /// Only what the simulation mutates is copied. The per-die data
+    /// (cores, L2 strips, thermal model, frequency and leakage models,
+    /// configuration) is identical on every machine built from the same
+    /// die and configuration, and scratch buffers are overwritten before
+    /// every read, so both are left alone; the leakage memo is dropped,
+    /// as [`import_state`](Self::import_state) does. `src` must
+    /// therefore be this machine's origin or another clone of it
+    /// (debug-asserted).
+    pub fn copy_state_from(&mut self, src: &Machine) {
+        debug_assert!(
+            self.core_leak_models == src.core_leak_models
+                && self.l2_leak_models == src.l2_leak_models
+                && self.cores.iter().zip(&src.cores).all(|(a, b)| a.vf == b.vf),
+            "copy_state_from needs a machine built from the same die"
+        );
+        // Exhaustive on purpose: a new field does not compile until it
+        // is classified here as die data, scratch, or run-time state.
+        let Machine {
+            // Die data.
+            config: _,
+            cores: _,
+            l2: _,
+            thermal: _,
+            freq_model: _,
+            core_leak_models: _,
+            l2_leak_models: _,
+            // Scratch.
+            scratch_block_power: _,
+            scratch_core_leak: _,
+            scratch_l2_leak: _,
+            thermal_scratch: _,
+            l2_running: _,
+            l2_current: _,
+            l2_target: _,
+            l2_occupancy: _,
+            // Run-time state.
+            temps,
+            threads,
+            assignment,
+            levels,
+            freq_caps,
+            stall_s,
+            last_core_power,
+            last_core_ipc,
+            last_total_power,
+            dtm_events,
+            energy_j,
+            elapsed_s,
+            total_instructions,
+            faults,
+            leak_memo,
+        } = self;
+        temps.clone_from(&src.temps);
+        threads.clone_from(&src.threads);
+        assignment.clone_from(&src.assignment);
+        levels.clone_from(&src.levels);
+        freq_caps.clone_from(&src.freq_caps);
+        stall_s.clone_from(&src.stall_s);
+        last_core_power.clone_from(&src.last_core_power);
+        last_core_ipc.clone_from(&src.last_core_ipc);
+        *last_total_power = src.last_total_power;
+        *dtm_events = src.dtm_events;
+        *energy_j = src.energy_j;
+        *elapsed_s = src.elapsed_s;
+        *total_instructions = src.total_instructions;
+        faults.clone_from(&src.faults);
+        // A cache, not state: memoized readings equal fresh ones.
+        leak_memo.get_mut().invalidate();
+    }
 }
 
 #[cfg(test)]
@@ -1513,6 +1588,96 @@ mod tests {
         }
         m.assign(&mapping);
         m
+    }
+
+    /// A scratch copy reset by `copy_state_from` is indistinguishable
+    /// from a fresh clone, however far it drifted in between: same
+    /// state, same steps, same sensor readings and fault timeline.
+    #[test]
+    fn copy_state_from_matches_a_fresh_clone() {
+        // DTM just above ambient, so throttle events accumulate too.
+        let (die, fp) = test_die();
+        let config = MachineConfig {
+            dtm_limit_k: 318.2,
+            ..MachineConfig::paper_default()
+        };
+        let mut src = Machine::new(&die, &fp, config);
+        let pool = app_pool(&src.config().dynamic);
+        let mut rng = SimRng::seed_from(5);
+        let w = Workload::draw(&pool, 9, &mut rng);
+        src.load_threads(w.spawn_threads(&mut rng));
+        src.assign(
+            &(0..src.core_count())
+                .map(|c| (c < 9).then_some(c))
+                .collect::<Vec<_>>(),
+        );
+        let plan = FaultPlan::none()
+            .with_seed(4)
+            .with_sensor_noise(0.03)
+            .with_stuck_sensor(2, 6.0)
+            .with_core_failure(5, 12.0);
+        src.install_faults(&plan).unwrap();
+        for _ in 0..4 {
+            src.step(0.001);
+        }
+        src.set_level(1, 2);
+        src.charge_stall(3, 0.002);
+        src.predicted_core_power(0, 3); // fill the leakage memo
+
+        // Drift in every run-time field: new assignment, a capped
+        // frequency, a stall on an idle core (never drains), steps past
+        // both fault events and through DTM, a memo filled at other
+        // temperatures.
+        let mut scratch = src.clone();
+        let mut mapping = vec![None; scratch.core_count()];
+        mapping[7] = Some(0);
+        scratch.assign(&mapping);
+        scratch.set_uniform_frequency();
+        scratch.charge_stall(9, 0.05);
+        for _ in 0..12 {
+            scratch.step(0.001);
+        }
+        scratch.predicted_core_power(7, 1);
+        assert!(scratch.dtm_events() > src.dtm_events());
+        scratch.copy_state_from(&src);
+
+        let mut fresh = src.clone();
+        assert_eq!(scratch.export_state(), fresh.export_state());
+        for c in 0..fresh.core_count() {
+            for level in 0..fresh.vf_table(c).len() {
+                assert_eq!(
+                    fresh.predicted_core_power(c, level).map(f64::to_bits),
+                    scratch.predicted_core_power(c, level).map(f64::to_bits),
+                    "memoized reading of core {c} level {level} before any step"
+                );
+            }
+        }
+        for tick in 0..15 {
+            let a = fresh.step(0.001);
+            let b = scratch.step(0.001);
+            assert_eq!(
+                a.total_power_w.to_bits(),
+                b.total_power_w.to_bits(),
+                "tick {tick}"
+            );
+            assert_eq!(
+                a.instructions.to_bits(),
+                b.instructions.to_bits(),
+                "tick {tick}"
+            );
+            assert_eq!(fresh.take_fault_events(), scratch.take_fault_events());
+            for c in 0..fresh.core_count() {
+                assert_eq!(
+                    fresh.sensor_core_power(c).to_bits(),
+                    scratch.sensor_core_power(c).to_bits()
+                );
+                assert_eq!(
+                    fresh.predicted_core_power(c, 4).map(f64::to_bits),
+                    scratch.predicted_core_power(c, 4).map(f64::to_bits)
+                );
+            }
+        }
+        assert_eq!(scratch.export_state(), fresh.export_state());
     }
 
     /// A checkpointed machine restored onto a fresh instance (same die,

@@ -11,8 +11,8 @@
 //!   policies can be compared on aging spread as well as throughput.
 
 use crate::manager::{ManagerSpec, PowerBudget};
-use crate::profile::{core_profiles, thread_profiles};
-use crate::runtime::RuntimeConfig;
+use crate::profile::core_profiles;
+use crate::runtime::{plan_assignment, RuntimeConfig};
 use crate::sched::SchedulerSpec;
 use cmpsim::{Machine, Workload};
 use vastats::SimRng;
@@ -171,9 +171,7 @@ pub fn run_thermal_trial(
 
     for tick in 0..total_ticks {
         if tick % os_every == 0 {
-            let threads = thread_profiles(machine, rng);
-            scheduler.observe(machine);
-            let mapping = scheduler.assign(&cores, &threads, rng);
+            let (mapping, _parked) = plan_assignment(scheduler.as_mut(), &cores, machine, rng);
             machine.assign(&mapping);
             if power_manager.is_none() {
                 machine.set_all_levels_max();

@@ -20,7 +20,7 @@
 
 use crate::experiments::Context;
 use crate::manager::{DegradationEvent, HardenedManager, ManagerSpec, PowerBudget};
-use crate::profile::{core_profiles, thread_profiles, CoreProfile};
+use crate::profile::{core_profiles, CoreProfile};
 use crate::runtime::plan_assignment;
 use crate::sched::{Scheduler, SchedulerSpec};
 use cmpsim::{Machine, Thread};
@@ -312,11 +312,9 @@ impl ChipSim {
         if (os_due || membership_trigger) && resident > 0 {
             self.window_dirty = false;
             let prev = self.machine.assignment().to_vec();
-            let threads = thread_profiles(&self.machine, &mut self.rng);
             let (mapping, _parked) = plan_assignment(
                 self.scheduler.as_mut(),
                 &self.cores,
-                &threads,
                 &self.machine,
                 &mut self.rng,
             );

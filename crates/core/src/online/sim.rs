@@ -32,7 +32,7 @@ use super::snapshot::{SimCounters, Snapshot};
 use super::OnlineConfig;
 use crate::manager::{DegradationEvent, HardenedManager, ManagerSpec, PowerBudget};
 use crate::metrics::{ed2_index, weighted_mips};
-use crate::profile::{core_profiles, thread_profiles, CoreProfile};
+use crate::profile::{core_profiles, CoreProfile};
 use crate::runtime::{
     plan_assignment, FreqMode, NullObserver, RuntimeConfig, TrialError, TrialObserver, TrialOutcome,
 };
@@ -723,14 +723,8 @@ impl<'a> OnlineSim<'a> {
             self.fault_dirty = false;
             self.window_dirty = false;
             let prev = self.machine.assignment().to_vec();
-            let threads = thread_profiles(self.machine, self.rng);
-            let (mapping, parked) = plan_assignment(
-                self.scheduler.as_mut(),
-                &self.cores,
-                &threads,
-                self.machine,
-                self.rng,
-            );
+            let (mapping, parked) =
+                plan_assignment(self.scheduler.as_mut(), &self.cores, self.machine, self.rng);
             self.machine.assign(&mapping);
             self.power_manager.note_reschedule();
             observer.on_schedule(tick, &mapping);

@@ -79,8 +79,69 @@ pub fn core_profiles(machine: &Machine) -> Vec<CoreProfile> {
 ///
 /// # Panics
 ///
-/// Panics if the machine has no threads loaded.
+/// Panics if the machine has no threads loaded or every core has
+/// failed.
 pub fn thread_profiles(machine: &Machine, rng: &mut SimRng) -> Vec<ThreadProfile> {
+    let n_threads = machine.threads().len();
+    assert!(n_threads > 0, "no threads loaded to profile");
+    let n_cores = machine.core_count();
+    let f_ref = machine.config().dynamic.f_ref_hz();
+
+    // Probe on a scratch machine so profiling does not perturb the real
+    // run. One copy serves every thread: before each later probe it is
+    // reset to the real machine's run-time state, which is all a probe
+    // changes, so each probe sees exactly what a fresh clone would.
+    let mut probe = machine.clone();
+    let mut mapping = vec![None; n_cores];
+    let mut profiles = Vec::with_capacity(n_threads);
+    for thread in 0..n_threads {
+        if thread > 0 {
+            probe.copy_state_from(machine);
+        }
+        let mut core = rng.index(n_cores);
+        // Failed cores cannot host a probe; walk forward to the next
+        // live one without consuming further randomness, so fault-free
+        // runs and faulted runs draw identical RNG streams.
+        if !machine.core_alive(core) {
+            core = (1..n_cores)
+                .map(|d| (core + d) % n_cores)
+                .find(|&c| machine.core_alive(c))
+                .expect("all cores have failed; nothing left to profile on");
+        }
+        mapping[core] = Some(thread);
+        probe.assign(&mapping);
+        mapping[core] = None;
+        let level = probe.vf_table(core).max_level();
+        probe.set_level(core, level);
+        // A couple of ticks to populate the sensors.
+        probe.step(0.001);
+        probe.step(0.001);
+
+        let v = probe.vf_table(core).voltage_at(level);
+        let f = probe.vf_table(core).freq_at(level);
+        let total = probe.sensor_core_power(core);
+        let static_w = probe.manufacturer_static_power(core, v);
+        let dynamic = (total - static_w).max(0.0);
+        // Scale to reference conditions: dynamic power ~ V^2 * f.
+        let scaled = if f > 0.0 {
+            dynamic / (v * v) * (f_ref / f)
+        } else {
+            0.0
+        };
+        profiles.push(ThreadProfile {
+            thread,
+            dynamic_power_w: scaled,
+            ipc: probe.sensor_core_ipc(core),
+            profiled_on: core,
+        });
+    }
+    profiles
+}
+
+/// The clone-per-thread [`thread_profiles`], retained verbatim as the
+/// bit-identity oracle for the reused probe machine.
+#[cfg(test)]
+fn thread_profiles_reference(machine: &Machine, rng: &mut SimRng) -> Vec<ThreadProfile> {
     let n_threads = machine.threads().len();
     assert!(n_threads > 0, "no threads loaded to profile");
     let n_cores = machine.core_count();
@@ -135,7 +196,7 @@ pub fn thread_profiles(machine: &Machine, rng: &mut SimRng) -> Vec<ThreadProfile
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cmpsim::{app_pool, MachineConfig, Workload};
+    use cmpsim::{app_pool, FaultEvent, FaultPlan, MachineConfig, Workload};
     use floorplan::paper_20_core;
     use varius::{DieGenerator, VariationConfig};
 
@@ -154,6 +215,138 @@ mod tests {
         let w = Workload::draw(&pool, n, &mut rng);
         m.load_threads(w.spawn_threads(&mut rng));
         m
+    }
+
+    /// Profiles `m` with the reused probe and with the clone-per-thread
+    /// reference from the same RNG state; both the profiles and the RNG
+    /// state they leave behind must agree bit for bit.
+    fn assert_matches_reference(m: &Machine, seed: u64, case: &str) {
+        let mut fast_rng = SimRng::seed_from(seed);
+        let mut ref_rng = SimRng::seed_from(seed);
+        let fast = thread_profiles(m, &mut fast_rng);
+        let reference = thread_profiles_reference(m, &mut ref_rng);
+        assert_eq!(fast.len(), reference.len(), "{case}");
+        for (a, b) in fast.iter().zip(&reference) {
+            assert_eq!(a.thread, b.thread, "{case}");
+            assert_eq!(a.profiled_on, b.profiled_on, "{case}: thread {}", a.thread);
+            assert_eq!(
+                a.dynamic_power_w.to_bits(),
+                b.dynamic_power_w.to_bits(),
+                "{case}: thread {} power",
+                a.thread
+            );
+            assert_eq!(
+                a.ipc.to_bits(),
+                b.ipc.to_bits(),
+                "{case}: thread {} IPC",
+                a.thread
+            );
+        }
+        assert_eq!(fast_rng.state(), ref_rng.state(), "{case}: RNG diverged");
+    }
+
+    #[test]
+    fn reused_probe_matches_clone_per_thread_reference() {
+        for seed in 0..3u64 {
+            for n in [1usize, 4, 20] {
+                let mut m = machine_with(n, 100 + seed);
+                assert_matches_reference(&m, seed, &format!("seed {seed}, {n}t, fresh"));
+
+                // Threads placed (in reverse, so probes displace them)
+                // and a few ticks of thermal and phase history.
+                let cores = m.core_count();
+                let mapping: Vec<Option<usize>> = (0..cores)
+                    .map(|c| (cores - 1 - c < n).then(|| cores - 1 - c))
+                    .collect();
+                m.assign(&mapping);
+                for _ in 0..7 {
+                    m.step(0.001);
+                }
+                assert_matches_reference(&m, seed, &format!("seed {seed}, {n}t, warm"));
+
+                // Migration stalls pending on every occupied core.
+                for c in (0..cores).filter(|&c| mapping[c].is_some()) {
+                    m.charge_stall(c, 0.003);
+                }
+                assert_matches_reference(&m, seed, &format!("seed {seed}, {n}t, stalled"));
+
+                // An active plan that has already killed a core and
+                // stuck a sensor, with noise on every reading.
+                let plan = FaultPlan::none()
+                    .with_seed(seed)
+                    .with_sensor_noise(0.05)
+                    .with_sensor_drift(0.1)
+                    .with_core_failure(5, 1.0)
+                    .with_stuck_sensor(6, 1.0)
+                    .with_budget_drop(0.0, 50.0, 0.7);
+                m.install_faults(&plan).unwrap();
+                for _ in 0..3 {
+                    m.step(0.001);
+                }
+                m.take_fault_events();
+                assert_matches_reference(&m, seed, &format!("seed {seed}, {n}t, faulted"));
+            }
+        }
+    }
+
+    #[test]
+    fn faults_firing_inside_a_probe_match_reference_and_spare_the_plan() {
+        let mut m = machine_with(20, 11);
+        let mapping: Vec<Option<usize>> = (0..m.core_count()).map(Some).collect();
+        m.assign(&mapping);
+        for _ in 0..5 {
+            m.step(0.001);
+        }
+        // Faults do not change which cores are drawn while every core is
+        // still alive, so a fault-free pass names the probes' cores.
+        let probed = thread_profiles(&m, &mut SimRng::seed_from(12));
+        let (dying, sticking) = (probed[0].profiled_on, probed[1].profiled_on);
+        assert_ne!(dying, sticking);
+
+        // Both events fall inside the probes' two ticks, 0.5 ms and
+        // 1.5 ms after the plan goes in; noise distorts every reading.
+        let plan = FaultPlan::none()
+            .with_seed(13)
+            .with_sensor_noise(0.05)
+            .with_core_failure(dying, 0.5)
+            .with_stuck_sensor(sticking, 1.5);
+        m.install_faults(&plan).unwrap();
+        let untouched = m.clone();
+        assert_matches_reference(&m, 12, "faults inside the probe");
+        let mut fast_rng = SimRng::seed_from(12);
+        let _ = thread_profiles(&m, &mut fast_rng);
+        assert_eq!(m.export_state(), untouched.export_state());
+
+        // The real machine still owns the whole plan: both events fire
+        // on its own steps, with the same noisy readings as a machine
+        // that was never profiled.
+        let mut reference = untouched;
+        let mut events = Vec::new();
+        for _ in 0..2 {
+            m.step(0.001);
+            reference.step(0.001);
+            let fired = m.take_fault_events();
+            assert_eq!(fired, reference.take_fault_events());
+            events.extend(fired);
+            assert_eq!(
+                m.sensor_total_power().to_bits(),
+                reference.sensor_total_power().to_bits()
+            );
+            for c in 0..m.core_count() {
+                assert_eq!(
+                    m.sensor_core_power(c).to_bits(),
+                    reference.sensor_core_power(c).to_bits(),
+                    "core {c}"
+                );
+                assert_eq!(
+                    m.sensor_core_ipc(c).to_bits(),
+                    reference.sensor_core_ipc(c).to_bits(),
+                    "core {c}"
+                );
+            }
+        }
+        assert!(events.contains(&FaultEvent::CoreFailed { core: dying }));
+        assert!(events.contains(&FaultEvent::SensorStuck { core: sticking }));
     }
 
     #[test]

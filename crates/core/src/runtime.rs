@@ -8,7 +8,7 @@
 
 use crate::manager::{DegradationEvent, HardenedManager, ManagerSpec, PowerBudget, SolveReport};
 use crate::metrics::{ed2_index, weighted_mips};
-use crate::profile::{core_profiles, thread_profiles, CoreProfile, ThreadProfile};
+use crate::profile::{core_profiles, thread_profiles, CoreProfile};
 use crate::sched::{Scheduler, SchedulerSpec};
 use cmpsim::{FaultConfigError, FaultEvent, FaultPlan, Machine, StepStats, Workload};
 use std::fmt;
@@ -408,18 +408,20 @@ pub fn run_trial_observed(
     }
 }
 
-/// Plans the next thread-to-core assignment, working around dead cores.
+/// Re-profiles the resident threads and plans the next thread-to-core
+/// assignment, working around dead cores.
 ///
 /// With every core alive and enough capacity, this is a passthrough to
 /// the scheduler (byte-identical RNG consumption to the pre-fault code,
 /// which is what keeps zero-fault runs reproducible). Once cores have
 /// failed, the scheduler sees only the survivors; if more threads are
 /// live than cores, the lowest-IPC threads are parked for this epoch.
-/// Returns the full-machine mapping and the number of parked threads.
+/// With no core left alive, every resident thread is parked without
+/// profiling. Returns the full-machine mapping and the number of parked
+/// threads.
 pub(crate) fn plan_assignment(
     scheduler: &mut dyn Scheduler,
     cores: &[CoreProfile],
-    threads: &[ThreadProfile],
     machine: &Machine,
     rng: &mut SimRng,
 ) -> (Vec<Option<usize>>, usize) {
@@ -427,22 +429,23 @@ pub(crate) fn plan_assignment(
     // assignment; the default hook is a no-op and draws no RNG, so
     // machine-oblivious policies stay bit-identical to the pre-hook
     // code. This is the single choke point every execution path (batch,
-    // online, fleet) routes scheduling through.
+    // online, fleet, thermal) routes scheduling through.
     scheduler.observe(machine);
     let n_alive = cores.iter().filter(|c| machine.core_alive(c.core)).count();
+    if n_alive == 0 {
+        return (vec![None; cores.len()], machine.threads().len());
+    }
+    let threads = thread_profiles(machine, rng);
     if n_alive == cores.len() && threads.len() <= n_alive {
-        return (scheduler.assign(cores, threads, rng), 0);
+        return (scheduler.assign(cores, &threads, rng), 0);
     }
     let alive: Vec<CoreProfile> = cores
         .iter()
         .filter(|c| machine.core_alive(c.core))
         .cloned()
         .collect();
-    if alive.is_empty() {
-        return (vec![None; cores.len()], threads.len());
-    }
-    let mut runnable: Vec<ThreadProfile> = threads.to_vec();
     let parked = threads.len().saturating_sub(alive.len());
+    let mut runnable = threads;
     if parked > 0 {
         // Keep the highest-IPC threads (deterministic ties by index; a
         // NaN IPC ranks last, so it is parked first), then restore
@@ -532,9 +535,7 @@ pub fn run_trial_faulted(
         if tick % os_every == 0 || core_dirty {
             core_dirty = false;
             // OS scheduling epoch: re-profile threads and re-map.
-            let threads = thread_profiles(machine, rng);
-            let (mapping, parked) =
-                plan_assignment(scheduler.as_mut(), &cores, &threads, machine, rng);
+            let (mapping, parked) = plan_assignment(scheduler.as_mut(), &cores, machine, rng);
             machine.assign(&mapping);
             power_manager.note_reschedule();
             if !power_manager.is_managed() {

@@ -71,7 +71,8 @@ if [[ "$mode" == bench-smoke ]]; then
   # no case regressed >3x against the committed snapshot.
   # The kernel bin's --gate additionally enforces the optimized-kernel
   # speedups against results/BENCH_kernel_baseline.json (>=8x on
-  # machine/step_1ms_20t, >=10x on the large-grid field cases).
+  # machine/step_1ms_20t, >=10x on the large-grid field cases, >=3x on
+  # profile/thread_profiles_20t).
   cargo bench --offline -p vasp-bench
   cargo run -q --release --offline -p vasp-bench --bin kernel -- --gate
   cargo run -q --release --offline -p vasp-bench --bin all -- --scale smoke

@@ -10,7 +10,7 @@ use vasp::vasched::engine::{
 use vasp::vasched::experiments::{Context, Scale};
 use vasp::vasched::manager::{DegradationEvent, ManagerSpec, PowerBudget};
 use vasp::vasched::online::{
-    run_online, run_online_faulted, ArrivalConfig, OnlineConfig, ServicePolicy,
+    run_online, run_online_faulted, ArrivalConfig, OnlineConfig, OnlineEvent, ServicePolicy,
 };
 use vasp::vasched::runtime::{
     run_trial, run_trial_faulted, NullObserver, RuntimeConfig, TrialObserver,
@@ -338,5 +338,114 @@ fn core_failures_park_threads_and_clear_dead_cores() {
         audit.violations.is_empty(),
         "dead-core invariant violated: {:?}",
         audit.violations
+    );
+}
+
+/// Plan that kills every core of the 20-core die at 30 ms.
+fn every_core_fails_plan() -> FaultPlan {
+    (0..20).fold(FaultPlan::none(), |plan, core| {
+        plan.with_core_failure(core, 30.0)
+    })
+}
+
+/// Observer that records the size of every `ThreadsParked` event.
+#[derive(Default)]
+struct ParkedLog(Vec<usize>);
+
+impl TrialObserver for ParkedLog {
+    fn on_degradation(&mut self, _tick: usize, event: DegradationEvent) {
+        if let DegradationEvent::ThreadsParked { parked } = event {
+            self.0.push(parked);
+        }
+    }
+}
+
+/// Losing every core ends a batch trial's useful work, not the trial:
+/// the reschedule parks all resident threads without profiling.
+#[test]
+fn batch_trial_survives_every_core_failing() {
+    let ctx = Context::new(Scale::smoke().grid);
+    let pool = app_pool(&ctx.machine_config().dynamic);
+    let die = ctx.make_die(&mut SimRng::seed_from(51));
+    let workload = Workload::draw(&pool, 12, &mut SimRng::seed_from(52));
+    for manager in [
+        ManagerSpec::LinOpt,
+        ManagerSpec::FoxtonStar,
+        ManagerSpec::SAnn { evaluations: 2_000 },
+    ] {
+        let mut machine = ctx.make_machine(&die);
+        let mut parked = ParkedLog::default();
+        let outcome = run_trial_faulted(
+            &mut machine,
+            &workload,
+            SchedulerSpec::VarFAppIpc,
+            manager,
+            PowerBudget::cost_performance(12),
+            &runtime(),
+            &every_core_fails_plan(),
+            &mut SimRng::seed_from(53),
+            &mut parked,
+        )
+        .expect("the trial finishes with every core dead");
+        assert!(outcome.mips > 0.0, "{manager:?}: work before the failures");
+        assert_eq!(machine.alive_core_count(), 0);
+        assert!(
+            machine.assignment().iter().all(Option::is_none),
+            "{manager:?}: threads left on dead cores"
+        );
+        assert!(!parked.0.is_empty(), "{manager:?}: no parking reported");
+        assert!(
+            parked.0.iter().all(|&p| p == workload.len()),
+            "{manager:?}: every resident thread parks, got {:?}",
+            parked.0
+        );
+    }
+}
+
+/// The online loop survives the same plan and reports the parking as
+/// an event: nothing is admitted to a dead chip, so every job resident
+/// at the end is parked by the last reschedule.
+#[test]
+fn online_trial_survives_every_core_failing() {
+    let ctx = Context::new(Scale::smoke().grid);
+    let pool = app_pool(&ctx.machine_config().dynamic);
+    let die = ctx.make_die(&mut SimRng::seed_from(61));
+    let mut machine = ctx.make_machine(&die);
+    let config = OnlineConfig {
+        runtime: runtime(),
+        arrivals: ArrivalConfig::poisson(400.0, 20.0e6),
+        initial_jobs: 8,
+        migration_penalty_ms: 0.1,
+        service: ServicePolicy::default(),
+    };
+    let outcome = run_online_faulted(
+        &mut machine,
+        &pool,
+        Mix::Balanced,
+        SchedulerSpec::VarFAppIpc,
+        ManagerSpec::LinOpt,
+        PowerBudget::cost_performance(20),
+        &config,
+        &every_core_fails_plan(),
+        &mut SimRng::seed_from(62),
+    )
+    .expect("the online trial finishes with every core dead");
+    assert_eq!(machine.alive_core_count(), 0);
+    let resident = machine.threads().len();
+    assert!(resident > 0, "jobs were still resident when the chip died");
+    let parked: Vec<usize> = outcome
+        .events
+        .iter()
+        .filter_map(|r| match r.event {
+            OnlineEvent::Degraded {
+                event: DegradationEvent::ThreadsParked { parked },
+            } => Some(parked),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(
+        parked.last(),
+        Some(&resident),
+        "the last reschedule parks every resident thread"
     );
 }
