@@ -38,13 +38,21 @@
 #                               cost and budget-tracking gates) and
 #                               check_bench diffs BENCH_tournament.json
 #                               against the committed snapshot
+#   scripts/ci.sh results-check additionally rebuilds every committed
+#                               results/*.csv with the bin that writes
+#                               it (all, fig04, ablation, slo, fleet,
+#                               tournament) at paper scale and the
+#                               default seed, each in a temp directory
+#                               so results/ is never overwritten, and
+#                               cmp's it against the committed file;
+#                               fig15.csv (host timings) is skipped
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 mode="${1:-default}"
 case "$mode" in
-  default|bench-smoke|replay-smoke|fleet-smoke|tournament-smoke) ;;
-  *) echo "usage: $0 [bench-smoke|replay-smoke|fleet-smoke|tournament-smoke]" >&2; exit 2 ;;
+  default|bench-smoke|replay-smoke|fleet-smoke|tournament-smoke|results-check) ;;
+  *) echo "usage: $0 [bench-smoke|replay-smoke|fleet-smoke|tournament-smoke|results-check]" >&2; exit 2 ;;
 esac
 
 cargo fmt --check
@@ -123,4 +131,44 @@ if [[ "$mode" == tournament-smoke ]]; then
   cargo run -q --release --offline -p vasp-bench --bin tournament -- --scale smoke
   cargo run -q --release --offline -p vasp-bench --bin check_bench -- \
     results/BENCH_tournament.json --baseline "$baseline_dir"
+fi
+
+if [[ "$mode" == results-check ]]; then
+  # Results gate: every committed CSV must be reproducible from the
+  # source. Each bin runs once at paper scale in its own temp
+  # directory (the bins write results/ relative to their cwd). A CSV
+  # belongs to the bin named by owner_of; `all` owns the rest, because
+  # it offsets the seed per figure and the standalone figNN bins do
+  # not. ablation also writes ablation_granularity/transition.csv, but
+  # the committed copies come from `all`.
+  bin_dir="$PWD/target/release"
+  tmp="$(mktemp -d)"
+  trap 'rm -rf "$tmp"' EXIT
+  owner_of() {
+    case "$1" in
+      fig15.csv) ;; # host timings: never reproducible
+      fig04.csv) echo fig04 ;;
+      ablation_gain_vs_sigma.csv) echo ablation ;;
+      slo_*.csv) echo slo ;;
+      fleet_*.csv) echo fleet ;;
+      tournament_*.csv) echo tournament ;;
+      *) echo all ;;
+    esac
+  }
+  for bin in all fig04 ablation slo fleet tournament; do
+    mkdir -p "$tmp/$bin"
+    (cd "$tmp/$bin" && "$bin_dir/$bin" --scale paper > run.log)
+  done
+  failed=0
+  for committed in results/*.csv; do
+    name="$(basename "$committed")"
+    bin="$(owner_of "$name")"
+    [[ -n "$bin" ]] || continue
+    if ! cmp "$committed" "$tmp/$bin/results/$name"; then
+      echo "results-check: $name differs from a fresh $bin run" >&2
+      failed=1
+    fi
+  done
+  [[ "$failed" == 0 ]] || exit 1
+  echo "results-check: every committed CSV reproduces"
 fi
