@@ -23,11 +23,11 @@
 
 use std::time::Instant;
 
-use cmpsim::{app_pool, Workload};
+use cmpsim::{app_pool, FaultPlan, Workload};
 use vasched::experiments::{tournament, Context};
 use vasched::manager::{synthetic_core, ManagerSpec, PmView, PowerBudget};
 use vasched::obs::MetricsRegistry;
-use vasched::runtime::{run_trial, RuntimeConfig};
+use vasched::runtime::{run_trial, NullObserver, RuntimeConfig};
 use vasched::sched::SchedulerSpec;
 use vasp_bench::harness::Harness;
 use vasp_bench::json_report::BenchReport;
@@ -96,8 +96,11 @@ fn tracking_error(manager: ManagerSpec) -> f64 {
         manager,
         PowerBudget::cost_performance(16),
         &runtime,
+        &FaultPlan::none(),
         &mut rng,
-    );
+        &mut NullObserver,
+    )
+    .expect("valid trial");
     outcome.power_deviation_frac
 }
 

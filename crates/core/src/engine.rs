@@ -21,7 +21,7 @@
 //!   experiment (figure)          crates/core/src/experiments/*.rs
 //!        │  builds
 //!        ▼
-//!   TrialSpec ──► TrialRunner ──► run_trial_observed ──► Machine
+//!   TrialSpec ──► TrialRunner ──► run_trial ──► OnlineSim ──► Machine
 //!                     │                   │
 //!                     │                   └──► TrialObserver (telemetry, timing)
 //!                     └──► Vec<TrialResult> (ordered, deterministic)
@@ -29,9 +29,9 @@
 
 use crate::experiments::Context;
 use crate::manager::{ManagerSpec, PowerBudget};
-use crate::online::{run_online_observed, OnlineConfig, OnlineOutcome};
+use crate::online::{run_online, OnlineConfig, OnlineOutcome};
 use crate::runtime::{
-    run_trial_faulted, NullObserver, RuntimeConfig, TrialError, TrialObserver, TrialOutcome,
+    run_trial, NullObserver, RuntimeConfig, TrialError, TrialObserver, TrialOutcome,
 };
 use crate::sched::SchedulerSpec;
 use cmpsim::{FaultPlan, Machine, Mix, StepStats, Telemetry, Workload};
@@ -633,7 +633,7 @@ where
         let mut observer = make(ai);
         let start = Instant::now();
         let result = match arm.rng_salt {
-            Some(salt) => run_trial_faulted(
+            Some(salt) => run_trial(
                 &mut machine,
                 &workload,
                 arm.policy,
@@ -644,7 +644,7 @@ where
                 &mut SimRng::seed_from(trial_seed ^ salt),
                 &mut observer,
             ),
-            None => run_trial_faulted(
+            None => run_trial(
                 &mut machine,
                 &workload,
                 arm.policy,
@@ -709,7 +709,7 @@ where
         // an already-hot chip — an ordering artifact, not policy.
         let mut arm_machine = machine.clone();
         let result = match arm.rng_salt {
-            Some(salt) => run_online_observed(
+            Some(salt) => run_online(
                 &mut arm_machine,
                 spec.pool,
                 spec.mix,
@@ -721,7 +721,7 @@ where
                 &mut SimRng::seed_from(trial_seed ^ salt),
                 &mut observer,
             ),
-            None => run_online_observed(
+            None => run_online(
                 &mut arm_machine,
                 spec.pool,
                 spec.mix,

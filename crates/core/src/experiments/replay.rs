@@ -22,8 +22,7 @@ use super::ServingSite;
 use crate::manager::ManagerSpec;
 use crate::obs::TraceObserver;
 use crate::online::{
-    run_online_observed, ArrivalConfig, OnlineConfig, OnlineOutcome, OnlineSim, ServicePolicy,
-    Snapshot,
+    run_online, ArrivalConfig, OnlineConfig, OnlineOutcome, OnlineSim, ServicePolicy, Snapshot,
 };
 use crate::runtime::{NullObserver, RuntimeConfig};
 use crate::sched::SchedulerSpec;
@@ -109,7 +108,7 @@ pub fn run_scenario() -> ReplayArtifacts {
     let die = ctx.make_die(&mut rng);
     let mut machine = ctx.make_machine(&die);
     let mut observer = TraceObserver::new();
-    let outcome_full = run_online_observed(
+    let outcome_full = run_online(
         &mut machine,
         pool,
         Mix::Balanced,
@@ -130,8 +129,10 @@ pub fn run_scenario() -> ReplayArtifacts {
     let mut rng = SimRng::seed_from(REPLAY_SEED);
     let die = ctx.make_die(&mut rng);
     let mut machine = ctx.make_machine(&die);
+    let residents = config.draw_residents(pool, Mix::Balanced, &mut rng);
     let mut sim = OnlineSim::new(
         &mut machine,
+        residents.as_ref(),
         pool,
         Mix::Balanced,
         policy,

@@ -26,8 +26,8 @@ use crate::engine::{SeedPlan, TrialRunner};
 use crate::manager::{ManagerSpec, PowerBudget};
 use crate::obs::json::{push_json_f64, push_json_str};
 use crate::obs::MetricsRegistry;
-use crate::online::{run_online_faulted, ArrivalConfig, OnlineConfig, ServicePolicy};
-use crate::runtime::{run_trial_faulted, NullObserver, RuntimeConfig};
+use crate::online::{run_online, ArrivalConfig, OnlineConfig, ServicePolicy};
+use crate::runtime::{run_trial, NullObserver, RuntimeConfig};
 use crate::sched::SchedulerSpec;
 use cmpsim::{app_pool, AppSpec, FaultPlan, Mix, Workload};
 use floorplan::{paper_20_core, Floorplan, FloorplanBuilder};
@@ -94,10 +94,10 @@ pub fn contenders() -> Vec<Contender> {
 /// Execution mode axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// Fixed workload over the whole horizon ([`run_trial_faulted`]).
+    /// Fixed workload over the whole horizon ([`run_trial`]).
     Batch,
     /// Poisson arrivals with windowed rescheduling and deadline
-    /// shedding ([`run_online_faulted`]).
+    /// shedding ([`run_online`]).
     Online,
 }
 
@@ -377,7 +377,7 @@ fn run_cell(
     match scenario.mode {
         Mode::Batch => {
             let workload = Workload::draw(pool, threads, &mut rng);
-            let outcome = run_trial_faulted(
+            let outcome = run_trial(
                 &mut machine,
                 &workload,
                 contender.policy,
@@ -410,7 +410,7 @@ fn run_cell(
                     deadline_slack: 1.5,
                 },
             };
-            let outcome = run_online_faulted(
+            let outcome = run_online(
                 &mut machine,
                 pool,
                 Mix::Balanced,
@@ -420,6 +420,7 @@ fn run_cell(
                 &config,
                 &faults,
                 &mut rng,
+                &mut NullObserver,
             )
             .expect("tournament cell is a valid online run");
             TrialSample {

@@ -9,12 +9,8 @@ use vasp::vasched::engine::{
 };
 use vasp::vasched::experiments::{Context, Scale};
 use vasp::vasched::manager::{DegradationEvent, ManagerSpec, PowerBudget};
-use vasp::vasched::online::{
-    run_online, run_online_faulted, ArrivalConfig, OnlineConfig, OnlineEvent, ServicePolicy,
-};
-use vasp::vasched::runtime::{
-    run_trial, run_trial_faulted, NullObserver, RuntimeConfig, TrialObserver,
-};
+use vasp::vasched::online::{run_online, ArrivalConfig, OnlineConfig, OnlineEvent, ServicePolicy};
+use vasp::vasched::runtime::{run_trial, NullObserver, RuntimeConfig, TrialObserver};
 use vasp::vasched::sched::SchedulerSpec;
 use vasp::vastats::SimRng;
 
@@ -130,9 +126,10 @@ fn faulted_online_trials_are_bit_identical_across_worker_counts() {
     }
 }
 
-/// The bit-identity contract: a zero-fault plan runs the historical
-/// code path exactly — same outcomes as the legacy entry points, field
-/// for field, across policies, managers, and occupancies.
+/// The bit-identity contract: a zero-fault plan runs the fault-free
+/// path exactly, whatever seed it carries and whether or not an
+/// observer watches, field for field across policies, managers, and
+/// occupancies, and it reports no degradation.
 #[test]
 fn zero_fault_plan_matches_legacy_run_bit_for_bit() {
     let ctx = Context::new(Scale::smoke().grid);
@@ -150,40 +147,34 @@ fn zero_fault_plan_matches_legacy_run_bit_for_bit() {
             let budget = PowerBudget::cost_performance(threads);
             let mut wl_rng = SimRng::seed_from(100 + seed);
             let workload = Workload::draw(&pool, threads, &mut wl_rng);
-
-            let mut legacy_machine = machine.clone();
-            let legacy = run_trial(
-                &mut legacy_machine,
-                &workload,
-                policy,
-                manager,
-                budget,
-                &runtime(),
-                &mut SimRng::seed_from(9 * seed + 1),
-            );
-            let mut faulted_machine = machine.clone();
-            let faulted = run_trial_faulted(
-                &mut faulted_machine,
-                &workload,
-                policy,
-                manager,
-                budget,
-                &runtime(),
-                &FaultPlan::none(),
-                &mut SimRng::seed_from(9 * seed + 1),
-                &mut NullObserver,
-            )
-            .expect("valid spec");
+            let run = |plan: &FaultPlan, observer: &mut dyn TrialObserver| {
+                run_trial(
+                    &mut machine.clone(),
+                    &workload,
+                    policy,
+                    manager,
+                    budget,
+                    &runtime(),
+                    plan,
+                    &mut SimRng::seed_from(9 * seed + 1),
+                    observer,
+                )
+                .expect("valid spec")
+            };
+            let legacy = run(&FaultPlan::none(), &mut NullObserver);
+            let mut audit = DegradationAudit::default();
+            let seeded = run(&FaultPlan::none().with_seed(0xBAD ^ seed), &mut audit);
             assert_eq!(
-                legacy, faulted,
+                legacy, seeded,
                 "seed {seed}, {threads} threads, {policy:?}, {manager:?}"
             );
+            assert_eq!((audit.solver_fallbacks, audit.parked_events), (0, 0));
         }
     }
 }
 
-/// The online counterpart: zero-fault `run_online_faulted` reproduces
-/// `run_online` exactly, including the event trace.
+/// The online counterpart: a seeded zero-fault plan under an observer
+/// reproduces the plain run exactly, including the event trace.
 #[test]
 fn zero_fault_online_matches_legacy_run_bit_for_bit() {
     let ctx = Context::new(Scale::smoke().grid);
@@ -198,34 +189,27 @@ fn zero_fault_online_matches_legacy_run_bit_for_bit() {
     for seed in 0u64..4 {
         let die = ctx.make_die(&mut SimRng::seed_from(8_000 + seed));
         let machine = ctx.make_machine(&die);
-        let budget = PowerBudget::cost_performance(20);
-
-        let mut legacy_machine = machine.clone();
-        let legacy = run_online(
-            &mut legacy_machine,
-            &pool,
-            Mix::Balanced,
-            SchedulerSpec::VarFAppIpc,
-            ManagerSpec::LinOpt,
-            budget,
-            &config,
-            &mut SimRng::seed_from(77 * seed + 3),
-        );
-        let mut faulted_machine = machine.clone();
-        let faulted = run_online_faulted(
-            &mut faulted_machine,
-            &pool,
-            Mix::Balanced,
-            SchedulerSpec::VarFAppIpc,
-            ManagerSpec::LinOpt,
-            budget,
-            &config,
-            &FaultPlan::none(),
-            &mut SimRng::seed_from(77 * seed + 3),
-        )
-        .expect("valid spec");
-        assert_eq!(legacy, faulted, "seed {seed}");
-        assert_eq!(legacy.trace(), faulted.trace(), "seed {seed}");
+        let run = |plan: &FaultPlan, observer: &mut dyn TrialObserver| {
+            run_online(
+                &mut machine.clone(),
+                &pool,
+                Mix::Balanced,
+                SchedulerSpec::VarFAppIpc,
+                ManagerSpec::LinOpt,
+                PowerBudget::cost_performance(20),
+                &config,
+                plan,
+                &mut SimRng::seed_from(77 * seed + 3),
+                observer,
+            )
+            .expect("valid spec")
+        };
+        let legacy = run(&FaultPlan::none(), &mut NullObserver);
+        let mut audit = DegradationAudit::default();
+        let seeded = run(&FaultPlan::none().with_seed(0xBAD ^ seed), &mut audit);
+        assert_eq!(legacy, seeded, "seed {seed}");
+        assert_eq!(legacy.trace(), seeded.trace(), "seed {seed}");
+        assert_eq!((audit.solver_fallbacks, audit.parked_events), (0, 0));
     }
 }
 
@@ -281,7 +265,7 @@ fn deep_budget_drop_is_survived_via_visible_fallback() {
     let workload = Workload::draw(&pool, 20, &mut SimRng::seed_from(32));
     let plan = FaultPlan::none().with_budget_drop(20.0, 60.0, 0.2);
     let mut audit = DegradationAudit::default();
-    let outcome = run_trial_faulted(
+    let outcome = run_trial(
         &mut machine,
         &workload,
         SchedulerSpec::VarFAppIpc,
@@ -316,7 +300,7 @@ fn core_failures_park_threads_and_clear_dead_cores() {
         .with_core_failure(2, 15.0)
         .with_core_failure(9, 35.0);
     let mut audit = DegradationAudit::default();
-    let outcome = run_trial_faulted(
+    let outcome = run_trial(
         &mut machine,
         &workload,
         SchedulerSpec::VarFAppIpc,
@@ -375,7 +359,7 @@ fn batch_trial_survives_every_core_failing() {
     ] {
         let mut machine = ctx.make_machine(&die);
         let mut parked = ParkedLog::default();
-        let outcome = run_trial_faulted(
+        let outcome = run_trial(
             &mut machine,
             &workload,
             SchedulerSpec::VarFAppIpc,
@@ -418,7 +402,7 @@ fn online_trial_survives_every_core_failing() {
         migration_penalty_ms: 0.1,
         service: ServicePolicy::default(),
     };
-    let outcome = run_online_faulted(
+    let outcome = run_online(
         &mut machine,
         &pool,
         Mix::Balanced,
@@ -428,6 +412,7 @@ fn online_trial_survives_every_core_failing() {
         &config,
         &every_core_fails_plan(),
         &mut SimRng::seed_from(62),
+        &mut NullObserver,
     )
     .expect("the online trial finishes with every core dead");
     assert_eq!(machine.alive_core_count(), 0);

@@ -9,7 +9,7 @@
 //! Regenerate after an intentional engine change with
 //! `UPDATE_GOLDENS=1 cargo test --test obs`.
 
-use vasp::cmpsim::{app_pool, Mix};
+use vasp::cmpsim::{app_pool, FaultPlan, Mix};
 use vasp::vasched::engine::{SeedPlan, TelemetryObserver, TrialArm, TrialRunner, TrialSpec};
 use vasp::vasched::experiments::Context;
 use vasp::vasched::manager::{ManagerSpec, PowerBudget};
@@ -17,7 +17,7 @@ use vasp::vasched::obs::{parse_json, JsonValue, TraceObserver, TRACE_SCHEMA};
 use vasp::vasched::online::{
     run_online, ArrivalConfig, OnlineConfig, OnlineOutcome, ServicePolicy,
 };
-use vasp::vasched::runtime::RuntimeConfig;
+use vasp::vasched::runtime::{NullObserver, RuntimeConfig};
 use vasp::vasched::sched::SchedulerSpec;
 use vasp::vastats::SimRng;
 
@@ -100,8 +100,11 @@ fn golden_online_outcome() -> OnlineOutcome {
         ManagerSpec::LinOpt,
         PowerBudget::cost_performance(20),
         &config,
+        &FaultPlan::none(),
         &mut rng,
+        &mut NullObserver,
     )
+    .expect("valid trial")
 }
 
 /// Compares `actual` against `tests/golden/<name>`, or rewrites the

@@ -3,12 +3,12 @@
 //! and the determinism contract the engine guarantees across worker
 //! counts.
 
-use vasp::cmpsim::{app_pool, Mix};
+use vasp::cmpsim::{app_pool, FaultPlan, Mix};
 use vasp::vasched::engine::{OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
 use vasp::vasched::experiments::{Context, Scale};
 use vasp::vasched::manager::{ManagerSpec, PowerBudget};
 use vasp::vasched::online::{run_online, ArrivalConfig, OnlineConfig, ServicePolicy};
-use vasp::vasched::runtime::RuntimeConfig;
+use vasp::vasched::runtime::{NullObserver, RuntimeConfig};
 use vasp::vasched::sched::SchedulerSpec;
 use vasp::vastats::SimRng;
 
@@ -43,8 +43,11 @@ fn open_system_serves_jobs_end_to_end() {
         ManagerSpec::LinOpt,
         PowerBudget::cost_performance(20),
         &serving_config(400.0),
+        &FaultPlan::none(),
         &mut rng,
-    );
+        &mut NullObserver,
+    )
+    .expect("valid trial");
     assert!(outcome.arrived > 0, "jobs must arrive");
     assert!(outcome.completed > 0, "jobs must complete");
     assert!(outcome.completed <= outcome.arrived);

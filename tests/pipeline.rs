@@ -163,8 +163,11 @@ fn uniform_and_nonuniform_regimes_differ_as_expected() {
             ManagerSpec::None,
             budget,
             &runtime,
+            &FaultPlan::none(),
             &mut SimRng::seed_from(11),
+            &mut NullObserver,
         )
+        .expect("valid trial")
     };
     let uni = run(FreqMode::Uniform);
     let non = run(FreqMode::NonUniform);
@@ -190,8 +193,11 @@ fn trials_are_reproducible_across_machine_rebuilds() {
             ManagerSpec::LinOpt,
             budget,
             &runtime,
+            &FaultPlan::none(),
             &mut SimRng::seed_from(14),
+            &mut NullObserver,
         )
+        .expect("valid trial")
     };
     assert_eq!(run(), run());
 }

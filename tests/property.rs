@@ -359,7 +359,7 @@ fn random_fault_plans_keep_threads_off_dead_cores() {
     use vasp::floorplan::paper_20_core;
     use vasp::varius::{DieGenerator, VariationConfig};
     use vasp::vasched::manager::{DegradationEvent, ManagerSpec};
-    use vasp::vasched::runtime::{run_trial_faulted, RuntimeConfig, TrialObserver};
+    use vasp::vasched::runtime::{run_trial, RuntimeConfig, TrialObserver};
 
     #[derive(Default)]
     struct Audit {
@@ -423,7 +423,7 @@ fn random_fault_plans_keep_threads_off_dead_cores() {
 
         let run = |observer: &mut Audit| {
             let mut m = machine.clone();
-            run_trial_faulted(
+            run_trial(
                 &mut m,
                 &workload,
                 SchedulerSpec::VarFAppIpc,
@@ -462,7 +462,7 @@ fn thermal_mapper_keeps_threads_off_dead_cores() {
     use vasp::floorplan::paper_20_core;
     use vasp::varius::{DieGenerator, VariationConfig};
     use vasp::vasched::manager::{DegradationEvent, ManagerSpec};
-    use vasp::vasched::runtime::{run_trial_faulted, RuntimeConfig, TrialObserver};
+    use vasp::vasched::runtime::{run_trial, RuntimeConfig, TrialObserver};
 
     #[derive(Default)]
     struct Audit {
@@ -524,7 +524,7 @@ fn thermal_mapper_keeps_threads_off_dead_cores() {
 
         let run = |observer: &mut Audit| {
             let mut m = machine.clone();
-            run_trial_faulted(
+            run_trial(
                 &mut m,
                 &workload,
                 SchedulerSpec::ThermalMap,
@@ -556,12 +556,12 @@ fn thermal_mapper_keeps_threads_off_dead_cores() {
 /// across a grid of seeds, occupancies, and control policies.
 #[test]
 fn zero_arrival_online_equals_batch_trial() {
-    use vasp::cmpsim::{app_pool, Machine, MachineConfig, Mix, Workload};
+    use vasp::cmpsim::{app_pool, FaultPlan, Machine, MachineConfig, Mix, Workload};
     use vasp::floorplan::paper_20_core;
     use vasp::varius::{DieGenerator, VariationConfig};
     use vasp::vasched::manager::ManagerSpec;
     use vasp::vasched::online::{run_online, ArrivalConfig, OnlineConfig, ServicePolicy};
-    use vasp::vasched::runtime::{run_trial, RuntimeConfig};
+    use vasp::vasched::runtime::{run_trial, NullObserver, RuntimeConfig};
 
     let cfg = VariationConfig {
         grid: 20,
@@ -596,8 +596,11 @@ fn zero_arrival_online_equals_batch_trial() {
                 manager,
                 budget,
                 &runtime,
+                &FaultPlan::none(),
                 &mut batch_rng,
-            );
+                &mut NullObserver,
+            )
+            .expect("valid trial");
 
             let config = OnlineConfig {
                 runtime,
@@ -615,8 +618,11 @@ fn zero_arrival_online_equals_batch_trial() {
                 manager,
                 budget,
                 &config,
+                &FaultPlan::none(),
                 &mut SimRng::seed_from(31 * seed + 7),
-            );
+                &mut NullObserver,
+            )
+            .expect("valid trial");
 
             assert_eq!(
                 online.chip, batch,

@@ -134,8 +134,11 @@ fn homogeneous_mix_reduces_appipc_advantage() {
                 ManagerSpec::None,
                 budget,
                 &runtime,
+                &FaultPlan::none(),
                 &mut SimRng::seed_from(seed + 1),
+                &mut NullObserver,
             )
+            .expect("valid trial")
         };
         run(SchedulerSpec::VarFAppIpc).mips / run(SchedulerSpec::VarF).mips
     };
