@@ -159,7 +159,7 @@ fn bench_thermal(report: &mut BenchReport) {
 
     // In-place variants: what Machine::step actually pays in steady
     // state, with the scratch and output buffers reused across calls.
-    let mut scratch = ThermalScratch::new();
+    let mut scratch = ThermalScratch::for_model(&model);
     let mut t = temps.clone();
     let m = report_case("thermal", "transient_step_into_1ms", || {
         t.copy_from_slice(&temps);

@@ -79,27 +79,12 @@ impl ThermalParams {
     }
 }
 
-/// One lateral edge as seen from a single node's CSR row.
-///
-/// `a`/`b` are the edge's original endpoints in floorplan order (so the
-/// heat flow `g·(T[a] − T[b])` is evaluated with exactly the operand
-/// order of the edge-list formulation), and `sub` records whether this
-/// node is the `a` side (flow leaves: subtract) or the `b` side (flow
-/// arrives: add).
-#[derive(Debug, Clone, Copy)]
-#[cfg_attr(not(test), allow(dead_code))]
-struct CsrEdge {
-    a: u32,
-    b: u32,
-    g: f64,
-    sub: bool,
-}
-
 /// Reusable buffers for the in-place thermal APIs.
 ///
-/// Owned by the caller (one per `Machine`), resized lazily on first
-/// use, and never read before being fully overwritten — so a scratch
-/// can be shared across models of the same size or recreated freely.
+/// Owned by the caller (one per `Machine`). [`ThermalScratch::for_model`]
+/// pre-sizes it; a `Default` one is resized lazily on first use. Never
+/// read before being fully overwritten, so a scratch can be shared
+/// across models of the same size or recreated freely.
 #[derive(Debug, Clone, Default)]
 pub struct ThermalScratch {
     /// Net heat flow per node within one Euler sub-step.
@@ -109,11 +94,6 @@ pub struct ThermalScratch {
 }
 
 impl ThermalScratch {
-    /// An empty scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// A scratch pre-sized for `model`, so the in-place entry points
     /// never touch buffer lengths on the hot path.
     pub fn for_model(model: &ThermalModel) -> Self {
@@ -160,14 +140,6 @@ pub struct ThermalModel {
     /// Lateral conductances: (i, j, g) with i < j. Feeds the step-
     /// operator build and the reference tests.
     g_lateral: Vec<(usize, usize, f64)>,
-    /// CSR adjacency: `csr_edges[csr_ptr[i]..csr_ptr[i+1]]` are node
-    /// `i`'s incident lateral edges, in `g_lateral` order. Superseded
-    /// by the dense step operator for production stepping; retained as
-    /// the `cfg(test)` sub-step reference path.
-    #[cfg_attr(not(test), allow(dead_code))]
-    csr_ptr: Vec<usize>,
-    #[cfg_attr(not(test), allow(dead_code))]
-    csr_edges: Vec<CsrEdge>,
     /// Total conductance per node (vertical + incident lateral), W/K.
     g_total: Vec<f64>,
     /// Smallest node time constant `C/G` (seconds); bounds the stable
@@ -248,55 +220,13 @@ impl ThermalModel {
             .cholesky()
             .expect("conductance matrix is positive definite by construction");
 
-        // CSR adjacency: each node's incident edges in g_lateral order,
-        // keeping the original (a, b) endpoint order so the in-place
-        // stepper replays the edge-list flow accumulation bit for bit.
-        let mut csr_ptr = vec![0usize; n + 1];
-        for &(i, j, _) in &g_lateral {
-            csr_ptr[i + 1] += 1;
-            csr_ptr[j + 1] += 1;
-        }
-        for i in 0..n {
-            csr_ptr[i + 1] += csr_ptr[i];
-        }
-        let mut cursor = csr_ptr.clone();
-        let mut csr_edges = vec![
-            CsrEdge {
-                a: 0,
-                b: 0,
-                g: 0.0,
-                sub: false
-            };
-            2 * g_lateral.len()
-        ];
-        for &(i, j, gl) in &g_lateral {
-            let (a, b) = (i as u32, j as u32);
-            csr_edges[cursor[i]] = CsrEdge {
-                a,
-                b,
-                g: gl,
-                sub: true,
-            };
-            cursor[i] += 1;
-            csr_edges[cursor[j]] = CsrEdge {
-                a,
-                b,
-                g: gl,
-                sub: false,
-            };
-            cursor[j] += 1;
-        }
-
         // Per-node total conductance and the smallest time constant,
         // accumulated in exactly the order the per-call scan used to
         // (vertical first, then incident edges in g_lateral order).
-        let mut g_total = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut g = g_vertical[i];
-            for e in &csr_edges[csr_ptr[i]..csr_ptr[i + 1]] {
-                g += e.g;
-            }
-            g_total.push(g);
+        let mut g_total = g_vertical.clone();
+        for &(i, j, gl) in &g_lateral {
+            g_total[i] += gl;
+            g_total[j] += gl;
         }
         let min_tau = (0..n)
             .map(|i| capacity[i] / g_total[i])
@@ -307,14 +237,12 @@ impl ThermalModel {
             g_vertical,
             capacity,
             g_lateral,
-            csr_ptr,
-            csr_edges,
             g_total,
             min_tau,
             factor,
             n,
             step_ops: RefCell::new(Vec::new()),
-            wrap_scratch: RefCell::new(ThermalScratch::new()),
+            wrap_scratch: RefCell::new(ThermalScratch::default()),
         }
     }
 
@@ -349,7 +277,7 @@ impl ThermalModel {
     /// Panics if `powers.len()` does not match the block count.
     pub fn steady_state(&self, powers: &[f64]) -> Vec<f64> {
         let mut out = vec![0.0; self.n];
-        let mut scratch = ThermalScratch::new();
+        let mut scratch = ThermalScratch::for_model(self);
         self.steady_state_into(powers, &mut out, &mut scratch);
         out
     }
@@ -612,44 +540,6 @@ impl ThermalModel {
 
 #[cfg(test)]
 impl ThermalModel {
-    /// The pre-operator CSR sub-step loop, retained verbatim as the
-    /// reference the dense step operator is equivalence-swept against
-    /// (and itself still pinned bit-identical to the edge-list
-    /// formulation below).
-    fn transient_step_csr(&self, temps: &[f64], powers: &[f64], dt_s: f64) -> Vec<f64> {
-        assert_eq!(temps.len(), self.n, "temperature vector length mismatch");
-        assert_eq!(powers.len(), self.n, "power vector length mismatch");
-        assert!(dt_s > 0.0, "time step must be positive");
-
-        let sub_steps = (dt_s / (0.5 * self.min_tau)).ceil().max(1.0) as usize;
-        let h = dt_s / sub_steps as f64;
-
-        let mut t = temps.to_vec();
-        let mut flow = vec![0.0; self.n];
-        for _ in 0..sub_steps {
-            // All flows are computed from the pre-step temperatures.
-            // Each node folds its incident edges in g_lateral order,
-            // with the edge's original (a, b) operand order — the same
-            // sequence of additions the edge-list loop performs.
-            for i in 0..self.n {
-                let mut acc = powers[i] - self.g_vertical[i] * (t[i] - self.params.ambient_k);
-                for e in &self.csr_edges[self.csr_ptr[i]..self.csr_ptr[i + 1]] {
-                    let q = e.g * (t[e.a as usize] - t[e.b as usize]);
-                    if e.sub {
-                        acc -= q;
-                    } else {
-                        acc += q;
-                    }
-                }
-                flow[i] = acc;
-            }
-            for i in 0..self.n {
-                t[i] += h * flow[i] / self.capacity[i];
-            }
-        }
-        t
-    }
-
     /// The original edge-list `transient_step`, retained verbatim:
     /// per-call `min_tau` scan, edge-list flow accumulation, fresh
     /// allocations.
@@ -855,34 +745,6 @@ mod tests {
         m.steady_state(&[1.0, 2.0]);
     }
 
-    /// The retained CSR sub-step path must still replay the edge-list
-    /// formulation's arithmetic bit for bit (the pre-operator
-    /// contract, kept as the bridge between the two references).
-    #[test]
-    fn csr_substeps_bit_identical_to_edge_list_reference() {
-        let (_, m) = model();
-        let n = m.node_count();
-        for seed in 0..4u64 {
-            let powers: Vec<f64> = (0..n)
-                .map(|i| 0.3 * ((i as u64 * 7 + seed * 13) % 29) as f64)
-                .collect();
-            let temps: Vec<f64> = (0..n)
-                .map(|i| 318.15 + ((i as u64 * 11 + seed * 5) % 17) as f64)
-                .collect();
-            for &dt in &[1e-4, 1e-3, 0.01, 0.1] {
-                let reference = m.transient_step_reference(&temps, &powers, dt);
-                let csr = m.transient_step_csr(&temps, &powers, dt);
-                for i in 0..n {
-                    assert_eq!(
-                        csr[i].to_bits(),
-                        reference[i].to_bits(),
-                        "CSR node {i} diverges at dt={dt}"
-                    );
-                }
-            }
-        }
-    }
-
     /// The tolerance contract of the tentpole: the dense affine step
     /// operator must stay within 1e-9 K of the explicit sub-step
     /// reference over random-ish temps, powers, and tick lengths
@@ -950,7 +812,7 @@ mod tests {
     fn steady_state_paths_bit_identical_to_reference() {
         let (_, m) = model();
         let n = m.node_count();
-        let mut scratch = ThermalScratch::new();
+        let mut scratch = ThermalScratch::for_model(&m);
         for seed in 0..8u64 {
             let powers: Vec<f64> = (0..n)
                 .map(|i| 0.3 * ((i as u64 * 7 + seed * 13) % 29) as f64)
