@@ -37,28 +37,12 @@
 
 use vastats::rng::SimRng;
 
-/// Cooling schedule for the annealing temperature.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Cooling {
-    /// `T_k = T₀ / ln(k + e)` — Belisle's schedule, as in R's SANN and
-    /// the paper's SAnn. Guarantees asymptotic convergence but cools
-    /// very slowly.
-    Logarithmic,
-    /// `T_k = T₀ · α^k` — faster practical cooling; `α` just below 1.
-    Geometric {
-        /// Per-evaluation decay factor in `(0, 1)`.
-        alpha: f64,
-    },
-}
-
-impl Cooling {
-    /// Temperature after `k` evaluations from initial `t0`.
-    pub fn temperature(&self, t0: f64, k: usize) -> f64 {
-        match *self {
-            Cooling::Logarithmic => t0 / ((k as f64) + std::f64::consts::E).ln(),
-            Cooling::Geometric { alpha } => t0 * alpha.powi(k as i32),
-        }
-    }
+/// Annealing temperature after `k` evaluations from initial `t0`:
+/// `T_k = T₀ / ln(k + e)`, Belisle's logarithmic schedule as in R's
+/// SANN and the paper's SAnn. It guarantees asymptotic convergence but
+/// cools very slowly.
+fn temperature(t0: f64, k: usize) -> f64 {
+    t0 / ((k as f64) + std::f64::consts::E).ln()
 }
 
 /// Configuration of the annealing run.
@@ -74,8 +58,6 @@ pub struct AnnealConfig {
     /// Proposal kernel scale at the initial temperature, in *levels*.
     /// The kernel shrinks proportionally as the temperature cools.
     pub kernel_scale: f64,
-    /// Cooling schedule.
-    pub cooling: Cooling,
 }
 
 impl Default for AnnealConfig {
@@ -86,7 +68,6 @@ impl Default for AnnealConfig {
             initial_temp: 10.0,
             evaluations: 20_000,
             kernel_scale: 3.0,
-            cooling: Cooling::Logarithmic,
         }
     }
 }
@@ -209,7 +190,7 @@ impl Annealer {
         let mut proposal = current.clone();
 
         while evals < self.config.evaluations {
-            let temp = self.config.cooling.temperature(t0, evals);
+            let temp = temperature(t0, evals);
 
             // Gaussian Markov kernel on one random dimension.
             proposal.copy_from_slice(&current);
@@ -287,7 +268,6 @@ mod tests {
             initial_temp: 20.0,
             evaluations: 50_000,
             kernel_scale: 4.0,
-            cooling: Cooling::Logarithmic,
         });
         let mut rng = SimRng::seed_from(3);
         let cost = |x: &[usize]| -> f64 {
@@ -376,35 +356,13 @@ mod tests {
 
     #[test]
     fn cooling_schedules_decrease() {
-        for cooling in [Cooling::Logarithmic, Cooling::Geometric { alpha: 0.999 }] {
-            let mut prev = f64::INFINITY;
-            for k in [1usize, 10, 100, 1000, 10000] {
-                let t = cooling.temperature(10.0, k);
-                assert!(t < prev, "{cooling:?} at k={k}");
-                assert!(t > 0.0);
-                prev = t;
-            }
+        let mut prev = f64::INFINITY;
+        for k in [1usize, 10, 100, 1000, 10000] {
+            let t = temperature(10.0, k);
+            assert!(t < prev, "at k={k}");
+            assert!(t > 0.0);
+            prev = t;
         }
-        // Geometric cools much faster than logarithmic.
-        let log_t = Cooling::Logarithmic.temperature(10.0, 10_000);
-        let geo_t = Cooling::Geometric { alpha: 0.999 }.temperature(10.0, 10_000);
-        assert!(geo_t < log_t / 100.0);
-    }
-
-    #[test]
-    fn geometric_cooling_still_finds_minimum() {
-        let annealer = Annealer::new(AnnealConfig {
-            cooling: Cooling::Geometric { alpha: 0.9995 },
-            ..AnnealConfig::default()
-        });
-        let mut rng = SimRng::seed_from(31);
-        let result = annealer.minimize(
-            &[20, 20],
-            &[0, 0],
-            |x| ((x[0] as f64) - 6.0).powi(2) + ((x[1] as f64) - 15.0).powi(2),
-            &mut rng,
-        );
-        assert_eq!(result.point, vec![6, 15]);
     }
 
     #[test]
