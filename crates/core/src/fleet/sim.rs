@@ -116,6 +116,25 @@ impl FleetOutcome {
     }
 }
 
+/// Checks everything [`run_fleet`] documents as an error, once, so
+/// `ChipSim::new` (which runs on worker threads and cannot surface a
+/// `Result`) can rely on the specs. Every chip is an open system that
+/// manages all of its cores.
+fn validate(spec: &FleetSpec<'_>) -> Result<(), TrialError> {
+    spec.config.validate()?;
+    if spec.chips == 0 || spec.chips_per_rack == 0 {
+        return Err(TrialError::Config(ConfigError::BadFleet));
+    }
+    let ctx = spec.site.ctx();
+    spec.policy.build(&spec.config.runtime)?;
+    spec.manager.validate_for(
+        &spec.config.runtime,
+        ctx.machine_config().voltages.len(),
+        ctx.floorplan().core_count(),
+    )?;
+    Ok(())
+}
+
 /// Runs one fleet trial across `workers` threads. Bit-identical for
 /// every `workers` value — chips communicate only at sequential epoch
 /// boundaries and own all of their state and randomness.
@@ -123,17 +142,10 @@ impl FleetOutcome {
 /// # Errors
 ///
 /// Returns [`TrialError::Config`] when the configuration fails
-/// [`FleetConfig::validate`] or the fleet has zero chips or zero chips
-/// per rack.
+/// [`FleetConfig::validate`], the fleet has zero chips or zero chips
+/// per rack, or a chip's scheduler or manager spec is invalid.
 pub fn run_fleet(spec: &FleetSpec<'_>, workers: usize) -> Result<FleetOutcome, TrialError> {
-    spec.config.validate()?;
-    if spec.chips == 0 || spec.chips_per_rack == 0 {
-        return Err(TrialError::Config(ConfigError::BadFleet));
-    }
-    // Pre-validate the specs once here so `ChipSim::new` (which runs on
-    // worker threads and cannot surface a `Result`) can rely on them.
-    spec.policy.build(&spec.config.runtime)?;
-    spec.manager.validate(&spec.config.runtime)?;
+    validate(spec)?;
     let cfg = &spec.config;
     let tick_ms = cfg.runtime.tick_ms;
     let total_ticks = (cfg.runtime.duration_ms / tick_ms).round() as usize;
@@ -381,12 +393,7 @@ fn manufacture_chips(
 /// Returns [`TrialError::Config`] for the same configuration errors as
 /// [`run_fleet`].
 pub fn build_fleet_chips(spec: &FleetSpec<'_>, workers: usize) -> Result<Vec<ChipSim>, TrialError> {
-    spec.config.validate()?;
-    if spec.chips == 0 || spec.chips_per_rack == 0 {
-        return Err(TrialError::Config(ConfigError::BadFleet));
-    }
-    spec.policy.build(&spec.config.runtime)?;
-    spec.manager.validate(&spec.config.runtime)?;
+    validate(spec)?;
     let hierarchy = BudgetHierarchy::new(
         spec.config.datacenter_budget_w,
         spec.config.budget_gain,
