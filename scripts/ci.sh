@@ -6,9 +6,10 @@
 # Modes:
 #   scripts/ci.sh               the standard gates (fmt, build, test,
 #                               clippy, rustdoc)
-#   scripts/ci.sh bench-smoke   additionally runs the timing benches
-#                               and the smoke-scale trace/figure bins,
-#                               then validates every BENCH_*.json with
+#   scripts/ci.sh bench-smoke   additionally runs the timing benches,
+#                               the kernel bench with its speedup gate
+#                               and the smoke-scale all/trace bins,
+#                               then validates their BENCH_*.json with
 #                               the check_bench bin
 #   scripts/ci.sh replay-smoke  additionally runs the deterministic-
 #                               replay gate: re-run the committed
@@ -25,7 +26,7 @@
 #                               then the fleet bench runs at smoke
 #                               scale and check_bench diffs its
 #                               BENCH_fleet.json against the committed
-#                               snapshot
+#                               results/BENCH_fleet.json
 #   scripts/ci.sh tournament-smoke
 #                               additionally runs the tournament gates:
 #                               the tournament_gate bin replays the
@@ -37,7 +38,8 @@
 #                               scale (which also enforces the solver
 #                               cost and budget-tracking gates) and
 #                               check_bench diffs BENCH_tournament.json
-#                               against the committed snapshot
+#                               against the committed
+#                               results/BENCH_tournament.json
 #   scripts/ci.sh results-check additionally rebuilds every committed
 #                               results/*.csv with the bin that writes
 #                               it (all, fig04, ablation, slo, fleet,
@@ -46,6 +48,12 @@
 #                               so results/ is never overwritten, and
 #                               cmp's it against the committed file;
 #                               fig15.csv (host timings) is skipped
+#
+# The bins write results/ relative to their working directory, so every
+# mode runs them in a temp directory: no mode rewrites the committed
+# paper-scale results/ (CSVs, REPORT.md, BENCH_*.json) with smoke-scale
+# or host-dependent numbers. Regenerate those by running the owning bin
+# from the repository root.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -61,31 +69,32 @@ cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
-if [[ "$mode" == bench-smoke ]]; then
-  # Snapshot the committed BENCH_*.json files before the benches
-  # overwrite them: check_bench --baseline diffs the fresh run against
-  # this snapshot and fails on >3x per-case median regressions.
-  baseline_dir=target/bench-baseline
-  rm -rf "$baseline_dir"
-  mkdir -p "$baseline_dir"
-  cp results/BENCH_*.json "$baseline_dir"/ 2>/dev/null || true
+# Release bins of the workspace (built above) and a scratch working
+# directory for the modes that run them.
+bin_dir="$PWD/target/release"
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
 
+if [[ "$mode" == bench-smoke ]]; then
   # Machine-readable bench output: the benches write
-  # results/BENCH_{optimizers,substrates}.json, the kernel bin writes
-  # the per-tick microbench medians to results/BENCH_kernel.json, the
-  # all bin writes per-stage wall-times to results/BENCH_all.json, and
-  # the trace bin exports JSONL run traces. check_bench exits non-zero
-  # unless every BENCH_*.json is well-formed with positive timings and
-  # no case regressed >3x against the committed snapshot.
+  # crates/bench/results/BENCH_{optimizers,substrates}.json (untracked);
+  # in the temp directory the kernel bin writes the per-tick microbench
+  # medians to results/BENCH_kernel.json, the all bin writes per-stage
+  # wall-times to results/BENCH_all.json, and the trace bin exports
+  # JSONL run traces. check_bench exits non-zero unless every committed
+  # and fresh BENCH_*.json is well-formed with positive timings and no
+  # fresh case regressed >3x against its committed results/ copy.
   # The kernel bin's --gate additionally enforces the optimized-kernel
   # speedups against results/BENCH_kernel_baseline.json (>=8x on
   # machine/step_1ms_20t, >=10x on the large-grid field cases, >=3x on
-  # profile/thread_profiles_20t).
+  # profile/thread_profiles_20t, >=1.3x on solver/sann_20c).
   cargo bench --offline -p vasp-bench
-  cargo run -q --release --offline -p vasp-bench --bin kernel -- --gate
-  cargo run -q --release --offline -p vasp-bench --bin all -- --scale smoke
-  cargo run -q --release --offline -p vasp-bench --bin trace -- --scale smoke
-  cargo run -q --release --offline -p vasp-bench --bin check_bench -- --baseline "$baseline_dir"
+  (cd "$tmp" && "$bin_dir/kernel" --gate)
+  (cd "$tmp" && "$bin_dir/all" --scale smoke)
+  (cd "$tmp" && "$bin_dir/trace" --scale smoke)
+  cargo run -q --release --offline -p vasp-bench --bin check_bench -- \
+    results/BENCH_*.json crates/bench/results/BENCH_*.json "$tmp"/results/BENCH_*.json \
+    --baseline results
 fi
 
 if [[ "$mode" == replay-smoke ]]; then
@@ -100,17 +109,12 @@ if [[ "$mode" == fleet-smoke ]]; then
   # Fleet determinism gate: replay the committed 8-chip cluster
   # scenario at two worker counts and byte-compare against the golden
   # (see crates/core/src/experiments/fleet.rs), then run the fleet
-  # bench at smoke scale and diff its BENCH_fleet.json medians against
-  # the committed snapshot.
-  baseline_dir=target/bench-baseline
-  rm -rf "$baseline_dir"
-  mkdir -p "$baseline_dir"
-  cp results/BENCH_*.json "$baseline_dir"/ 2>/dev/null || true
-
+  # bench at smoke scale in the temp directory and diff its
+  # BENCH_fleet.json medians against the committed copy.
   cargo run -q --release --offline -p vasp-bench --bin fleet_gate
-  cargo run -q --release --offline -p vasp-bench --bin fleet -- --scale smoke
+  (cd "$tmp" && "$bin_dir/fleet" --scale smoke)
   cargo run -q --release --offline -p vasp-bench --bin check_bench -- \
-    results/BENCH_fleet.json --baseline "$baseline_dir"
+    "$tmp/results/BENCH_fleet.json" --baseline results
 fi
 
 if [[ "$mode" == tournament-smoke ]]; then
@@ -118,19 +122,14 @@ if [[ "$mode" == tournament-smoke ]]; then
   # scenario grid at three worker counts and byte-compare the ranked
   # report against the golden (see
   # crates/core/src/experiments/tournament.rs), then run the
-  # tournament bench at smoke scale — which itself fails on a solver
-  # cost ratio under 10x or a budget-tracking gap over 2 points — and
-  # diff its BENCH_tournament.json medians against the committed
-  # snapshot.
-  baseline_dir=target/bench-baseline
-  rm -rf "$baseline_dir"
-  mkdir -p "$baseline_dir"
-  cp results/BENCH_*.json "$baseline_dir"/ 2>/dev/null || true
-
+  # tournament bench at smoke scale in the temp directory — which
+  # itself fails on a solver cost ratio under 10x or a budget-tracking
+  # gap over 2 points — and diff its BENCH_tournament.json medians
+  # against the committed copy.
   cargo run -q --release --offline -p vasp-bench --bin tournament_gate
-  cargo run -q --release --offline -p vasp-bench --bin tournament -- --scale smoke
+  (cd "$tmp" && "$bin_dir/tournament" --scale smoke)
   cargo run -q --release --offline -p vasp-bench --bin check_bench -- \
-    results/BENCH_tournament.json --baseline "$baseline_dir"
+    "$tmp/results/BENCH_tournament.json" --baseline results
 fi
 
 if [[ "$mode" == results-check ]]; then
@@ -141,9 +140,6 @@ if [[ "$mode" == results-check ]]; then
   # it offsets the seed per figure and the standalone figNN bins do
   # not. ablation also writes ablation_granularity/transition.csv, but
   # the committed copies come from `all`.
-  bin_dir="$PWD/target/release"
-  tmp="$(mktemp -d)"
-  trap 'rm -rf "$tmp"' EXIT
   owner_of() {
     case "$1" in
       fig15.csv) ;; # host timings: never reproducible
