@@ -169,6 +169,17 @@ impl OnlineConfig {
         }
     }
 
+    /// The most cores a run with `residents` initial jobs on a
+    /// `cores`-core machine manages at once: its residents' cores when
+    /// the system is closed, every core once jobs arrive.
+    pub(crate) fn managed_cores(&self, residents: usize, cores: usize) -> usize {
+        if self.arrivals.rate_per_s > 0.0 {
+            cores
+        } else {
+            residents
+        }
+    }
+
     /// Draws the [`OnlineConfig::initial_jobs`] residents from `pool`
     /// under `mix`, exactly as the batch engine draws a workload (`None`
     /// and no RNG draw when the system starts empty).
