@@ -1,15 +1,15 @@
 //! Benches of the power-management optimizers.
 //!
 //! The headline comparison backing Figure 15 and the "orders of
-//! magnitude" claim of §4.3.2: LinOpt (Simplex) vs Foxton* vs SAnn vs
-//! exhaustive search, on identical sensor views of various sizes.
+//! magnitude" claim of §4.3.2: LinOpt (Simplex) vs Foxton* vs SAnn, on
+//! identical sensor views of various sizes.
 //! Plain `harness = false` binary (no crates.io access in this build
 //! environment), timed via `vasp_bench::timing`.
 
 use std::hint::black_box;
 use vasched::manager::{
-    exhaustive::exhaustive_levels, foxton::foxton_star_levels, linopt::linopt_levels,
-    sann::sann_levels, synthetic_core, PmView, PowerBudget,
+    foxton::foxton_star_levels, linopt::linopt_levels, sann::sann_levels, synthetic_core, PmView,
+    PowerBudget,
 };
 use vasp_bench::json_report::BenchReport;
 use vasp_bench::timing::report_case;
@@ -72,24 +72,10 @@ fn bench_manager_comparison(report: &mut BenchReport) {
     report.push_case("managers_20_threads", "sann_20k_evals", m);
 }
 
-/// Exhaustive search cost blow-up on small configurations (why the
-/// paper cannot use it beyond 4 threads).
-fn bench_exhaustive(report: &mut BenchReport) {
-    for &threads in &[2usize, 3, 4] {
-        let view = view_of(threads);
-        let budget = mid_budget(&view);
-        let m = report_case("exhaustive", &threads.to_string(), || {
-            black_box(exhaustive_levels(black_box(&view), &budget));
-        });
-        report.push_case("exhaustive", &threads.to_string(), m);
-    }
-}
-
 fn main() {
     let mut report = BenchReport::new();
     bench_linopt_fig15(&mut report);
     bench_manager_comparison(&mut report);
-    bench_exhaustive(&mut report);
     match report.write("optimizers") {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write BENCH_optimizers.json: {e}"),

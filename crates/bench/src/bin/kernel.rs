@@ -1,8 +1,8 @@
 //! Kernel microbenches: the costs every experiment pays per tick.
 //!
 //! Measures the public kernel entry points (`Machine::step`, thread
-//! profiling, thermal stepping, field sampling, LinOpt's re-solve,
-//! SAnn's annealing walk) plus the in-place scratch-buffer APIs; writes
+//! profiling, thermal stepping, field sampling, LinOpt, SAnn and the
+//! exact solver) plus the in-place scratch-buffer APIs; writes
 //! `results/BENCH_kernel.json`. The committed pre-optimization run is
 //! `results/BENCH_kernel_baseline.json`; `check_bench --baseline`
 //! diffs the two.
@@ -28,6 +28,7 @@ use std::hint::black_box;
 use std::time::Instant;
 use thermal::{ThermalModel, ThermalParams, ThermalScratch};
 use varius::{DieGenerator, VariationConfig};
+use vasched::manager::exhaustive::exhaustive_levels;
 use vasched::manager::linopt::{linopt_levels, LinOpt};
 use vasched::manager::sann::sann_levels;
 use vasched::manager::{synthetic_core, PmView, PowerBudget, PowerManager};
@@ -299,7 +300,7 @@ fn bench_solver(report: &mut BenchReport) {
 
 /// One SAnn invocation at 20k evaluations on a real 20-thread view
 /// under the Cost-Performance budget: the annealing walk every SAnn
-/// arm pays per DVFS interval.
+/// arm pays per DVFS interval; beside it, the exact solver (ungated).
 fn bench_sann(report: &mut BenchReport) {
     let mut machine = loaded_machine(20);
     for _ in 0..50 {
@@ -312,6 +313,10 @@ fn bench_sann(report: &mut BenchReport) {
         black_box(sann_levels(black_box(&view), &budget, 20_000, &mut rng));
     });
     report.push_case("solver", "sann_20c", m);
+    let m = report_case("solver", "exact_20c", || {
+        black_box(exhaustive_levels(black_box(&view), &budget));
+    });
+    report.push_case("solver", "exact_20c", m);
 }
 
 /// Times the forced-Cholesky field path once per case and prints the

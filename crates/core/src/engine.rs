@@ -236,19 +236,16 @@ impl<'a> OnlineTrialSpecBuilder<'a> {
         self
     }
 
-    /// Validates every arm's configuration and manager spec (an open
-    /// run manages every core, a closed one its residents') and the
+    /// Validates every arm's configuration and manager spec and the
     /// fault plan against the context's machine, and returns the spec.
     pub fn build(self) -> Result<OnlineTrialSpec<'a>, TrialError> {
-        let cores = self.inner.ctx.floorplan().core_count();
-        let levels = self.inner.ctx.machine_config().voltages.len();
         for arm in &self.inner.arms {
             arm.config.validate()?;
-            let managed = arm.config.managed_cores(arm.config.initial_jobs, cores);
-            arm.manager
-                .validate_for(&arm.config.runtime, levels, managed)?;
+            arm.manager.validate(&arm.config.runtime)?;
         }
-        self.inner.fault_plan.validate(cores)?;
+        self.inner
+            .fault_plan
+            .validate(self.inner.ctx.floorplan().core_count())?;
         Ok(self.inner)
     }
 }
@@ -389,10 +386,9 @@ impl<'a> TrialSpecBuilder<'a> {
         self
     }
 
-    /// Validates every arm's runtime configuration and manager spec (a
-    /// batch run manages one core per thread), the workload size, and
-    /// the fault plan against the context's machine, and returns the
-    /// spec.
+    /// Validates every arm's runtime configuration and manager spec, the
+    /// workload size, and the fault plan against the context's machine,
+    /// and returns the spec.
     pub fn build(self) -> Result<TrialSpec<'a>, TrialError> {
         let cores = self.inner.ctx.floorplan().core_count();
         if self.inner.threads > cores {
@@ -401,11 +397,9 @@ impl<'a> TrialSpecBuilder<'a> {
                 cores,
             });
         }
-        let levels = self.inner.ctx.machine_config().voltages.len();
         for arm in &self.inner.arms {
             arm.runtime.validate()?;
-            arm.manager
-                .validate_for(&arm.runtime, levels, self.inner.threads)?;
+            arm.manager.validate(&arm.runtime)?;
         }
         self.inner.fault_plan.validate(cores)?;
         Ok(self.inner)

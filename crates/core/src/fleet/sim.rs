@@ -118,20 +118,14 @@ impl FleetOutcome {
 
 /// Checks everything [`run_fleet`] documents as an error, once, so
 /// `ChipSim::new` (which runs on worker threads and cannot surface a
-/// `Result`) can rely on the specs. Every chip is an open system that
-/// manages all of its cores.
+/// `Result`) can rely on the specs.
 fn validate(spec: &FleetSpec<'_>) -> Result<(), TrialError> {
     spec.config.validate()?;
     if spec.chips == 0 || spec.chips_per_rack == 0 {
         return Err(TrialError::Config(ConfigError::BadFleet));
     }
-    let ctx = spec.site.ctx();
     spec.policy.build(&spec.config.runtime)?;
-    spec.manager.validate_for(
-        &spec.config.runtime,
-        ctx.machine_config().voltages.len(),
-        ctx.floorplan().core_count(),
-    )?;
+    spec.manager.validate(&spec.config.runtime)?;
     Ok(())
 }
 

@@ -119,7 +119,7 @@ pub mod prelude {
         run_trial, ConfigError, NullObserver, RuntimeConfig, TrialError, TrialObserver,
         TrialOutcome,
     };
-    pub use crate::sched::{SchedPolicy, Scheduler, SchedulerSpec};
+    pub use crate::sched::{Scheduler, SchedulerSpec};
     pub use cmpsim::{
         app_pool, FaultConfigError, FaultEvent, FaultPlan, Machine, MachineConfig, Mix, Thread,
         Workload,

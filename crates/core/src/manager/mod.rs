@@ -13,8 +13,8 @@
 //!   the Simplex method every DVFS interval.
 //! * [`sann`] — **SAnn**: simulated annealing with exact per-level
 //!   power; near-optimal but orders of magnitude slower.
-//! * [`exhaustive`] — brute-force search, feasible only for tiny
-//!   configurations; used to validate SAnn as in §6.5.
+//! * [`exhaustive`] — the exact optimum, by a Pareto-frontier search
+//!   instead of brute force; validates SAnn as in §6.5, at any size.
 //!
 //! All of them consume only the sensor snapshot in [`PmView`], never
 //! the simulator's internals.
@@ -76,7 +76,8 @@ impl std::error::Error for SolverError {}
 /// How a manager arrived at its level assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SolveStatus {
-    /// A mathematical optimum from a real solver (LinOpt's LP).
+    /// A mathematical optimum from a real solver (LinOpt's LP,
+    /// Exhaustive's frontier search).
     Optimal,
     /// A search heuristic's best-effort assignment (Foxton*, SAnn,
     /// chip-wide stepping, …).
@@ -136,7 +137,7 @@ impl SolveReport {
 /// checkpoint.
 ///
 /// Control components are rebuilt from their serializable spec
-/// ([`ManagerSpec`], [`crate::sched::SchedPolicy`]) on restore; this
+/// ([`ManagerSpec`], [`crate::sched::SchedulerSpec`]) on restore; this
 /// enum carries only what the spec cannot: the mutable state a live
 /// instance accumulated across intervals. Every shipped component's
 /// state is one of these small shapes, so the snapshot codec stays
@@ -317,7 +318,8 @@ pub enum ManagerSpec {
         /// Cost-function evaluations per invocation.
         evaluations: usize,
     },
-    /// Exhaustive search (tiny configurations only).
+    /// The exact per-interval optimum ([`exhaustive`]), for validation:
+    /// milliseconds per 20-core interval.
     Exhaustive,
     /// One (V, f) level for the whole chip (Li & Martinez-style global
     /// DVFS; Table 2's `UniFreq+DVFS` quadrant).
@@ -408,30 +410,6 @@ impl ManagerSpec {
         }
     }
 
-    /// [`ManagerSpec::validate`] for a run that manages `active_cores`
-    /// cores of `levels` (V, f) levels each. [`ManagerSpec::Exhaustive`]
-    /// also needs its `levels^active_cores` search space within
-    /// [`exhaustive::MAX_POINTS`]; larger spaces return
-    /// [`ConfigError::BadManager`] here instead of panicking at the first
-    /// DVFS interval.
-    pub(crate) fn validate_for(
-        &self,
-        rt: &RuntimeConfig,
-        levels: usize,
-        active_cores: usize,
-    ) -> Result<(), ConfigError> {
-        self.validate(rt)?;
-        if *self == ManagerSpec::Exhaustive {
-            let space = u32::try_from(active_cores)
-                .ok()
-                .and_then(|cores| (levels as u128).checked_pow(cores));
-            if space.is_none_or(|points| points > exhaustive::MAX_POINTS) {
-                return Err(ConfigError::BadManager);
-            }
-        }
-        Ok(())
-    }
-
     /// The single registry from spec to instance: constructs the boxed
     /// [`PowerManager`] this spec describes, or `Ok(None)` for
     /// [`ManagerSpec::None`] (the runtime then pins every core to its
@@ -450,7 +428,7 @@ impl ManagerSpec {
             ManagerSpec::FoxtonStar => Some(Box::new(foxton::FoxtonStar::new())),
             ManagerSpec::LinOpt => Some(Box::new(linopt::LinOpt::new())),
             ManagerSpec::SAnn { evaluations } => Some(Box::new(sann::SAnn::new(*evaluations))),
-            ManagerSpec::Exhaustive => Some(Box::new(exhaustive::Exhaustive)),
+            ManagerSpec::Exhaustive => Some(Box::<exhaustive::Exhaustive>::default()),
             ManagerSpec::ChipWide => Some(Box::new(chipwide::ChipWide)),
             ManagerSpec::DomainLinOpt { cores_per_domain } => {
                 Some(Box::new(chipwide::DomainLinOpt::new(*cores_per_domain)))
@@ -561,24 +539,6 @@ mod tests {
         for kind in bad {
             assert!(matches!(kind.build(&rt), Err(ConfigError::BadManager)));
         }
-    }
-
-    #[test]
-    fn exhaustive_search_space_is_validated() {
-        let rt = RuntimeConfig::paper_default();
-        // 9^8 = 43 046 721 points fit MAX_POINTS; 9^9 do not.
-        assert_eq!(ManagerSpec::Exhaustive.validate_for(&rt, 9, 8), Ok(()));
-        for cores in [9, 20, usize::MAX] {
-            assert_eq!(
-                ManagerSpec::Exhaustive.validate_for(&rt, 9, cores),
-                Err(ConfigError::BadManager)
-            );
-        }
-        assert_eq!(ManagerSpec::LinOpt.validate_for(&rt, 9, 20), Ok(()));
-        assert_eq!(
-            ManagerSpec::SAnn { evaluations: 0 }.validate_for(&rt, 9, 1),
-            Err(ConfigError::BadManager)
-        );
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use arrivals::{generate_arrivals, ArrivalConfig, JobSpec};
 pub use metrics::{percentile, LatencyStats};
 pub use queue::{Event, EventKind, EventQueue};
 pub use sim::{run_online, EventRecord, JobRecord, OnlineEvent, OnlineOutcome, OnlineSim};
-pub use snapshot::{SimCounters, Snapshot, SnapshotError, SNAPSHOT_SCHEMA};
+pub use snapshot::{SimCounters, Snapshot, SnapshotError, SnapshotGuard, SNAPSHOT_SCHEMA};
 
 use crate::runtime::{ConfigError, RuntimeConfig};
 use cmpsim::{AppSpec, Mix, Workload};
@@ -166,17 +166,6 @@ impl OnlineConfig {
             initial_jobs: 0,
             migration_penalty_ms: 0.1,
             service: ServicePolicy::default(),
-        }
-    }
-
-    /// The most cores a run with `residents` initial jobs on a
-    /// `cores`-core machine manages at once: its residents' cores when
-    /// the system is closed, every core once jobs arrive.
-    pub(crate) fn managed_cores(&self, residents: usize, cores: usize) -> usize {
-        if self.arrivals.rate_per_s > 0.0 {
-            cores
-        } else {
-            residents
         }
     }
 

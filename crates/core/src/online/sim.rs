@@ -30,7 +30,7 @@
 use super::arrivals::{generate_arrivals, JobSpec};
 use super::metrics::LatencyStats;
 use super::queue::{EventKind, EventQueue};
-use super::snapshot::{SimCounters, Snapshot};
+use super::snapshot::{SimCounters, Snapshot, SnapshotGuard};
 use super::{ArrivalConfig, OnlineConfig, ServicePolicy};
 use crate::extensions::{try_migrate, MigrationConfig};
 use crate::manager::{DegradationEvent, HardenedManager, ManagerSpec, PowerBudget};
@@ -293,11 +293,7 @@ impl<'a> OnlineSim<'a> {
         // Build the scheduler (and validate the manager spec) before
         // touching the machine, so degenerate specs fail cleanly.
         let scheduler = policy.build(&rt)?;
-        manager.validate_for(
-            &rt,
-            machine.config().voltages.len(),
-            config.managed_cores(resident_count, machine.core_count()),
-        )?;
+        manager.validate(&rt)?;
 
         machine.load_threads(residents.map_or_else(Vec::new, |w| w.spawn_threads(rng)));
         machine.install_faults(fault_plan)?;
@@ -415,11 +411,12 @@ impl<'a> OnlineSim<'a> {
     /// caller's `rng` is overwritten with the checkpointed stream
     /// position.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the snapshot's structural guards (core count, timeline
-    /// length, job-table consistency) do not match the supplied machine
-    /// and configuration.
+    /// Returns [`TrialError::SnapshotMismatch`] naming the structural
+    /// guard (core count, timeline length, tick within the horizon,
+    /// job-table consistency) the snapshot fails against the supplied
+    /// machine and configuration, before touching the machine.
     #[allow(clippy::too_many_arguments)] // mirrors OnlineSim::new
     pub fn resume(
         machine: &'a mut Machine,
@@ -441,28 +438,20 @@ impl<'a> OnlineSim<'a> {
             config.service.reschedule_window_ms,
         );
         let total_ticks = cadence.total_ticks;
-        assert_eq!(
-            snapshot.core_count,
-            machine.core_count(),
-            "snapshot was taken on a {}-core machine, not {} cores",
-            snapshot.core_count,
-            machine.core_count()
-        );
-        assert_eq!(
-            snapshot.total_ticks, total_ticks,
-            "snapshot belongs to a {}-tick timeline, configuration implies {total_ticks}",
-            snapshot.total_ticks
-        );
-        assert!(
-            snapshot.tick <= total_ticks,
-            "snapshot tick {} is beyond the {total_ticks}-tick horizon",
-            snapshot.tick
-        );
-        assert_eq!(
-            snapshot.pending_completion.len(),
-            snapshot.jobs.len(),
-            "snapshot job tables disagree"
-        );
+        let failed = if snapshot.core_count != machine.core_count() {
+            Some(SnapshotGuard::CoreCount)
+        } else if snapshot.total_ticks != total_ticks {
+            Some(SnapshotGuard::TimelineLength)
+        } else if snapshot.tick > total_ticks {
+            Some(SnapshotGuard::TickBeyondHorizon)
+        } else if snapshot.pending_completion.len() != snapshot.jobs.len() {
+            Some(SnapshotGuard::JobTables)
+        } else {
+            None
+        };
+        if let Some(guard) = failed {
+            return Err(TrialError::SnapshotMismatch(guard));
+        }
 
         machine.load_threads(Vec::new());
         machine.install_faults(fault_plan)?;
@@ -1391,7 +1380,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "core")]
     fn resume_rejects_a_mismatched_machine() {
         let pool = pool();
         let config = open_config(250.0, 50.0e6);
@@ -1410,23 +1398,37 @@ mod tests {
             &mut rng,
         )
         .unwrap();
-        let mut snapshot = sim.checkpoint();
+        let snapshot = sim.checkpoint();
         drop(sim);
-        snapshot.core_count = 4; // claims a 4-core machine
-        let mut m2 = machine(3);
-        let mut rng2 = SimRng::seed_from(9);
-        let _ = OnlineSim::resume(
-            &mut m2,
-            &pool,
-            Mix::Balanced,
-            SchedulerSpec::VarFAppIpc,
-            ManagerSpec::LinOpt,
-            PowerBudget::cost_performance(20),
-            &config,
-            &FaultPlan::none(),
-            &mut rng2,
-            &snapshot,
-        );
+        for guard in [
+            SnapshotGuard::CoreCount,
+            SnapshotGuard::TimelineLength,
+            SnapshotGuard::TickBeyondHorizon,
+            SnapshotGuard::JobTables,
+        ] {
+            let mut bad = snapshot.clone();
+            match guard {
+                SnapshotGuard::CoreCount => bad.core_count = 4,
+                SnapshotGuard::TimelineLength => bad.total_ticks += 1,
+                SnapshotGuard::TickBeyondHorizon => bad.tick = bad.total_ticks + 1,
+                SnapshotGuard::JobTables => bad.pending_completion.push(false),
+            }
+            let mut m2 = machine(3);
+            let mut rng2 = SimRng::seed_from(9);
+            let resumed = OnlineSim::resume(
+                &mut m2,
+                &pool,
+                Mix::Balanced,
+                SchedulerSpec::VarFAppIpc,
+                ManagerSpec::LinOpt,
+                PowerBudget::cost_performance(20),
+                &config,
+                &FaultPlan::none(),
+                &mut rng2,
+                &bad,
+            );
+            assert_eq!(resumed.err(), Some(TrialError::SnapshotMismatch(guard)));
+        }
     }
 
     // ----------------------------------------------------------------

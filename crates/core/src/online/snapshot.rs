@@ -157,6 +157,19 @@ impl From<JsonError> for SnapshotError {
     }
 }
 
+/// The structural guard a snapshot failed in [`super::OnlineSim::resume`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotGuard {
+    /// The snapshot was taken on a machine with another core count.
+    CoreCount,
+    /// The snapshot belongs to a timeline of another length.
+    TimelineLength,
+    /// The snapshot's tick lies beyond the configured horizon.
+    TickBeyondHorizon,
+    /// The snapshot's job tables have different lengths.
+    JobTables,
+}
+
 // ---------------------------------------------------------------------
 // Writer
 // ---------------------------------------------------------------------

@@ -12,7 +12,7 @@
 //! run over a fixed workload.
 
 use crate::manager::{DegradationEvent, HardenedManager, ManagerSpec, PowerBudget, SolveReport};
-use crate::online::OnlineSim;
+use crate::online::{OnlineSim, SnapshotGuard};
 use crate::profile::{thread_profiles, CoreProfile};
 use crate::sched::{Scheduler, SchedulerSpec};
 use cmpsim::{FaultConfigError, FaultPlan, Machine, StepStats, Workload};
@@ -213,6 +213,9 @@ pub enum TrialError {
         /// Cores on the machine.
         cores: usize,
     },
+    /// A checkpoint does not fit the machine or configuration it was
+    /// resumed on.
+    SnapshotMismatch(SnapshotGuard),
 }
 
 impl fmt::Display for TrialError {
@@ -226,6 +229,7 @@ impl fmt::Display for TrialError {
                     "workload has {threads} threads but machine has {cores} cores"
                 )
             }
+            Self::SnapshotMismatch(guard) => write!(f, "snapshot fails its {guard:?} guard"),
         }
     }
 }
@@ -235,7 +239,7 @@ impl std::error::Error for TrialError {
         match self {
             Self::Config(e) => Some(e),
             Self::Fault(e) => Some(e),
-            Self::WorkloadTooLarge { .. } => None,
+            Self::WorkloadTooLarge { .. } | Self::SnapshotMismatch(_) => None,
         }
     }
 }

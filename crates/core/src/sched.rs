@@ -1,7 +1,8 @@
 //! Variation-aware application scheduling (paper §4, Table 1).
 //!
 //! All policies produce a thread→core mapping for `N ≤ cores` threads.
-//! The variation-aware policies consume only profile data (Table 3):
+//! The variation-aware policies consume only profile data (Table 3).
+//! Each picks the cores to use and the order to place threads on them:
 //!
 //! | Policy | Cores chosen | Threads placed |
 //! |---|---|---|
@@ -10,6 +11,9 @@
 //! | `VarP&AppP` | N lowest-static-power cores | highest dynamic power → lowest static power |
 //! | `VarF` | N highest-frequency cores | random order |
 //! | `VarF&AppIPC` | N highest-frequency cores | highest IPC → highest frequency |
+//!
+//! [`SchedulerSpec`] names these five and the thermal-aware mapper;
+//! [`SchedulerSpec::build`] turns a name into a [`Scheduler`].
 
 use crate::manager::ControlState;
 use crate::profile::{CoreProfile, ThreadProfile};
@@ -17,54 +21,15 @@ use crate::runtime::{ConfigError, RuntimeConfig};
 use cmpsim::Machine;
 use vastats::SimRng;
 
-/// The scheduling policies of Table 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SchedPolicy {
-    /// Map threads on cores randomly (the baseline).
-    Random,
-    /// Map threads randomly on the cores with lowest static power.
-    VarP,
-    /// Map the highest-dynamic-power threads on the lowest-static-power
-    /// cores.
-    VarPAppP,
-    /// Map threads randomly on the cores with highest frequency.
-    VarF,
-    /// Map the highest-IPC threads on the highest-frequency cores.
-    VarFAppIpc,
-}
-
-impl SchedPolicy {
-    /// Human-readable name as used in the paper's figures.
-    pub fn name(&self) -> &'static str {
-        match self {
-            SchedPolicy::Random => "Random",
-            SchedPolicy::VarP => "VarP",
-            SchedPolicy::VarPAppP => "VarP&AppP",
-            SchedPolicy::VarF => "VarF",
-            SchedPolicy::VarFAppIpc => "VarF&AppIPC",
-        }
-    }
-
-    /// Constructs the boxed [`Scheduler`] this policy describes.
-    ///
-    /// The paper's five profile-only policies need no runtime context,
-    /// so this is infallible; schedulers with parameters live on
-    /// [`SchedulerSpec`], whose registry validates them.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        Box::new(PolicyScheduler { policy: *self })
-    }
-}
-
 /// Which application scheduler to run: the declarative spec side of
 /// the scheduling half of the control plane, mirroring
 /// [`crate::manager::ManagerSpec`].
 ///
-/// The first five variants are Table 1's profile-only policies
-/// (identical to [`SchedPolicy`], which remains the low-level selector
-/// for the [`schedule`] free function); [`SchedulerSpec::ThermalMap`]
-/// is the PCGov-style thermal-aware mapper the tournament fields. The
-/// enum is `#[non_exhaustive]`: downstream matches must carry a
-/// wildcard so new schedulers can join without breaking them.
+/// The first five variants are Table 1's profile-only policies;
+/// [`SchedulerSpec::ThermalMap`] is the PCGov-style thermal-aware
+/// mapper the tournament fields. The enum is `#[non_exhaustive]`:
+/// downstream matches must carry a wildcard so new schedulers can join
+/// without breaking them.
 #[non_exhaustive]
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SchedulerSpec {
@@ -86,8 +51,8 @@ pub enum SchedulerSpec {
 }
 
 impl SchedulerSpec {
-    /// Name as used in traces and reports. Stable across releases; the
-    /// Table 1 names match [`SchedPolicy::name`].
+    /// Name as used in the paper's figures, traces and reports. Stable
+    /// across releases.
     pub fn name(&self) -> &'static str {
         match self {
             SchedulerSpec::Random => "Random",
@@ -104,28 +69,54 @@ impl SchedulerSpec {
     /// [`crate::manager::ManagerSpec::build`]. Infallible today (no
     /// shipped scheduler has degenerate parameters), but the signature
     /// reserves [`ConfigError::BadManager`] for ones that will.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use vasched::profile::{CoreProfile, ThreadProfile};
+    /// use vasched::runtime::RuntimeConfig;
+    /// use vasched::sched::SchedulerSpec;
+    /// use vastats::SimRng;
+    ///
+    /// // Two cores: core 1 is faster. One high-IPC thread.
+    /// let cores = vec![
+    ///     CoreProfile { core: 0, static_power_w: vec![1.0], max_freq_hz: 3.0e9 },
+    ///     CoreProfile { core: 1, static_power_w: vec![1.2], max_freq_hz: 4.0e9 },
+    /// ];
+    /// let threads = vec![ThreadProfile {
+    ///     thread: 0,
+    ///     dynamic_power_w: 3.0,
+    ///     ipc: 1.1,
+    ///     profiled_on: 0,
+    /// }];
+    /// let mut scheduler = SchedulerSpec::VarFAppIpc
+    ///     .build(&RuntimeConfig::paper_default())
+    ///     .unwrap();
+    /// let mapping = scheduler.assign(&cores, &threads, &mut SimRng::seed_from(1));
+    /// assert_eq!(mapping[1], Some(0), "the thread lands on the fast core");
+    /// ```
     pub fn build(&self, rt: &RuntimeConfig) -> Result<Box<dyn Scheduler>, ConfigError> {
         let _ = rt;
+        let table1 = |cores, order| -> Box<dyn Scheduler> {
+            Box::new(Table1 {
+                name: self.name(),
+                cores,
+                order,
+            })
+        };
         Ok(match self {
-            SchedulerSpec::Random => SchedPolicy::Random.build(),
-            SchedulerSpec::VarP => SchedPolicy::VarP.build(),
-            SchedulerSpec::VarPAppP => SchedPolicy::VarPAppP.build(),
-            SchedulerSpec::VarF => SchedPolicy::VarF.build(),
-            SchedulerSpec::VarFAppIpc => SchedPolicy::VarFAppIpc.build(),
+            SchedulerSpec::Random => table1(CoreChoice::Random, ThreadOrder::Random),
+            SchedulerSpec::VarP => table1(CoreChoice::LowestStaticPower, ThreadOrder::Random),
+            SchedulerSpec::VarPAppP => table1(
+                CoreChoice::LowestStaticPower,
+                ThreadOrder::HighestDynamicPower,
+            ),
+            SchedulerSpec::VarF => table1(CoreChoice::HighestFrequency, ThreadOrder::Random),
+            SchedulerSpec::VarFAppIpc => {
+                table1(CoreChoice::HighestFrequency, ThreadOrder::HighestIpc)
+            }
             SchedulerSpec::ThermalMap => Box::new(crate::manager::ThermalMapper::new()),
         })
-    }
-}
-
-impl From<SchedPolicy> for SchedulerSpec {
-    fn from(p: SchedPolicy) -> Self {
-        match p {
-            SchedPolicy::Random => SchedulerSpec::Random,
-            SchedPolicy::VarP => SchedulerSpec::VarP,
-            SchedPolicy::VarPAppP => SchedulerSpec::VarPAppP,
-            SchedPolicy::VarF => SchedulerSpec::VarF,
-            SchedPolicy::VarFAppIpc => SchedulerSpec::VarFAppIpc,
-        }
     }
 }
 
@@ -150,7 +141,14 @@ pub trait Scheduler: Send {
     }
 
     /// Computes `mapping[core] = Some(thread)` for every scheduled
-    /// thread.
+    /// thread. `cores` and `threads` are the profile data of Table 3;
+    /// Table 1's policies read only the fields the paper allows them
+    /// (e.g. `Random` reads nothing).
+    ///
+    /// # Panics
+    ///
+    /// Table 1's policies panic if there are more threads than cores or
+    /// either slice is empty.
     fn assign(
         &mut self,
         cores: &[CoreProfile],
@@ -174,15 +172,36 @@ pub trait Scheduler: Send {
     fn restore(&mut self, _state: &ControlState) {}
 }
 
-/// The [`Scheduler`] implementation backing all of Table 1's policies.
+/// Which N cores a Table 1 policy uses (the table's second column;
+/// static power is taken at maximum voltage).
 #[derive(Debug, Clone, Copy)]
-struct PolicyScheduler {
-    policy: SchedPolicy,
+enum CoreChoice {
+    Random,
+    LowestStaticPower,
+    HighestFrequency,
 }
 
-impl Scheduler for PolicyScheduler {
+/// The order a Table 1 policy places threads on its cores in, best
+/// core first (the table's third column).
+#[derive(Debug, Clone, Copy)]
+enum ThreadOrder {
+    Random,
+    HighestDynamicPower,
+    HighestIpc,
+}
+
+/// The [`Scheduler`] behind each of Table 1's policies: one row of the
+/// table.
+#[derive(Debug, Clone, Copy)]
+struct Table1 {
+    name: &'static str,
+    cores: CoreChoice,
+    order: ThreadOrder,
+}
+
+impl Scheduler for Table1 {
     fn name(&self) -> &'static str {
-        self.policy.name()
+        self.name
     }
 
     fn assign(
@@ -191,116 +210,79 @@ impl Scheduler for PolicyScheduler {
         threads: &[ThreadProfile],
         rng: &mut SimRng,
     ) -> Vec<Option<usize>> {
-        schedule(self.policy, cores, threads, rng)
-    }
-}
+        assert!(!cores.is_empty(), "no cores to schedule on");
+        assert!(!threads.is_empty(), "no threads to schedule");
+        assert!(
+            threads.len() <= cores.len(),
+            "more threads ({}) than cores ({})",
+            threads.len(),
+            cores.len()
+        );
+        let n = threads.len();
 
-/// Computes a mapping `mapping[core] = Some(thread)` for every scheduled
-/// thread under the given policy.
-///
-/// `cores` and `threads` are the profile data of Table 3; policies only
-/// read the fields the paper allows them (e.g. `Random` reads nothing).
-///
-/// # Panics
-///
-/// Panics if there are more threads than cores or either slice is empty.
-///
-/// # Example
-///
-/// ```
-/// use vasched::profile::{CoreProfile, ThreadProfile};
-/// use vasched::sched::{schedule, SchedPolicy};
-/// use vastats::SimRng;
-///
-/// // Two cores: core 1 is faster. One high-IPC thread.
-/// let cores = vec![
-///     CoreProfile { core: 0, static_power_w: vec![1.0], max_freq_hz: 3.0e9 },
-///     CoreProfile { core: 1, static_power_w: vec![1.2], max_freq_hz: 4.0e9 },
-/// ];
-/// let threads = vec![ThreadProfile {
-///     thread: 0,
-///     dynamic_power_w: 3.0,
-///     ipc: 1.1,
-///     profiled_on: 0,
-/// }];
-/// let mut rng = SimRng::seed_from(1);
-/// let mapping = schedule(SchedPolicy::VarFAppIpc, &cores, &threads, &mut rng);
-/// assert_eq!(mapping[1], Some(0), "the thread lands on the fast core");
-/// ```
-pub fn schedule(
-    policy: SchedPolicy,
-    cores: &[CoreProfile],
-    threads: &[ThreadProfile],
-    rng: &mut SimRng,
-) -> Vec<Option<usize>> {
-    assert!(!cores.is_empty(), "no cores to schedule on");
-    assert!(!threads.is_empty(), "no threads to schedule");
-    assert!(
-        threads.len() <= cores.len(),
-        "more threads ({}) than cores ({})",
-        threads.len(),
-        cores.len()
-    );
-    let n = threads.len();
+        let selected: Vec<usize> = match self.cores {
+            CoreChoice::Random => rng.sample_indices(cores.len(), n),
+            CoreChoice::LowestStaticPower => {
+                let mut ranked: Vec<usize> = (0..cores.len()).collect();
+                ranked.sort_by(|&a, &b| {
+                    cores[a]
+                        .static_at_max_voltage()
+                        .total_cmp(&cores[b].static_at_max_voltage())
+                });
+                ranked.truncate(n);
+                ranked
+            }
+            CoreChoice::HighestFrequency => {
+                let mut ranked: Vec<usize> = (0..cores.len()).collect();
+                ranked.sort_by(|&a, &b| cores[b].max_freq_hz.total_cmp(&cores[a].max_freq_hz));
+                ranked.truncate(n);
+                ranked
+            }
+        };
 
-    // Select which cores participate.
-    let selected: Vec<usize> = match policy {
-        SchedPolicy::Random => rng.sample_indices(cores.len(), n),
-        SchedPolicy::VarP | SchedPolicy::VarPAppP => {
-            // Lowest static power at maximum voltage first.
-            let mut ranked: Vec<usize> = (0..cores.len()).collect();
-            ranked.sort_by(|&a, &b| {
-                cores[a]
-                    .static_at_max_voltage()
-                    .total_cmp(&cores[b].static_at_max_voltage())
-            });
-            ranked.truncate(n);
-            ranked
-        }
-        SchedPolicy::VarF | SchedPolicy::VarFAppIpc => {
-            // Highest rated frequency first.
-            let mut ranked: Vec<usize> = (0..cores.len()).collect();
-            ranked.sort_by(|&a, &b| cores[b].max_freq_hz.total_cmp(&cores[a].max_freq_hz));
-            ranked.truncate(n);
-            ranked
-        }
-    };
-
-    // Decide the thread order over the selected cores.
-    let thread_order: Vec<usize> = match policy {
-        SchedPolicy::Random | SchedPolicy::VarP | SchedPolicy::VarF => {
-            let mut order: Vec<usize> = (0..n).collect();
-            rng.shuffle(&mut order);
-            order
-        }
-        SchedPolicy::VarPAppP => {
-            // Highest dynamic power first → onto lowest-static cores.
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| {
+        let mut thread_order: Vec<usize> = (0..n).collect();
+        match self.order {
+            ThreadOrder::Random => rng.shuffle(&mut thread_order),
+            ThreadOrder::HighestDynamicPower => thread_order.sort_by(|&a, &b| {
                 threads[b]
                     .dynamic_power_w
                     .total_cmp(&threads[a].dynamic_power_w)
-            });
-            order
+            }),
+            ThreadOrder::HighestIpc => {
+                thread_order.sort_by(|&a, &b| threads[b].ipc.total_cmp(&threads[a].ipc))
+            }
         }
-        SchedPolicy::VarFAppIpc => {
-            // Highest IPC first → onto highest-frequency cores.
-            let mut order: Vec<usize> = (0..n).collect();
-            order.sort_by(|&a, &b| threads[b].ipc.total_cmp(&threads[a].ipc));
-            order
-        }
-    };
 
-    let mut mapping = vec![None; cores.len()];
-    for (slot, &thread_idx) in thread_order.iter().enumerate() {
-        mapping[selected[slot]] = Some(thread_idx);
+        let mut mapping = vec![None; cores.len()];
+        for (slot, &thread_idx) in thread_order.iter().enumerate() {
+            mapping[selected[slot]] = Some(thread_idx);
+        }
+        mapping
     }
-    mapping
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    const TABLE1: [SchedulerSpec; 5] = [
+        SchedulerSpec::Random,
+        SchedulerSpec::VarP,
+        SchedulerSpec::VarPAppP,
+        SchedulerSpec::VarF,
+        SchedulerSpec::VarFAppIpc,
+    ];
+
+    fn schedule(
+        spec: SchedulerSpec,
+        cores: &[CoreProfile],
+        threads: &[ThreadProfile],
+        rng: &mut SimRng,
+    ) -> Vec<Option<usize>> {
+        spec.build(&RuntimeConfig::paper_default())
+            .expect("valid spec")
+            .assign(cores, threads, rng)
+    }
 
     fn fake_cores(n: usize) -> Vec<CoreProfile> {
         // Core i: static power i+1 watts, frequency (4.0 - 0.1*i) GHz.
@@ -346,15 +328,9 @@ mod tests {
     fn all_policies_produce_valid_mappings() {
         let cores = fake_cores(10);
         let threads = fake_threads(6);
-        for policy in [
-            SchedPolicy::Random,
-            SchedPolicy::VarP,
-            SchedPolicy::VarPAppP,
-            SchedPolicy::VarF,
-            SchedPolicy::VarFAppIpc,
-        ] {
+        for spec in TABLE1 {
             let mut rng = SimRng::seed_from(11);
-            let mapping = schedule(policy, &cores, &threads, &mut rng);
+            let mapping = schedule(spec, &cores, &threads, &mut rng);
             is_valid(&mapping, 6);
         }
     }
@@ -364,7 +340,7 @@ mod tests {
         let cores = fake_cores(10);
         let threads = fake_threads(4);
         let mut rng = SimRng::seed_from(1);
-        let mapping = schedule(SchedPolicy::VarP, &cores, &threads, &mut rng);
+        let mapping = schedule(SchedulerSpec::VarP, &cores, &threads, &mut rng);
         assert_eq!(scheduled_cores(&mapping), vec![0, 1, 2, 3]);
     }
 
@@ -373,7 +349,7 @@ mod tests {
         let cores = fake_cores(10);
         let threads = fake_threads(3);
         let mut rng = SimRng::seed_from(2);
-        let mapping = schedule(SchedPolicy::VarF, &cores, &threads, &mut rng);
+        let mapping = schedule(SchedulerSpec::VarF, &cores, &threads, &mut rng);
         // Fastest cores are the lowest indices in the fake data.
         assert_eq!(scheduled_cores(&mapping), vec![0, 1, 2]);
     }
@@ -383,7 +359,7 @@ mod tests {
         let cores = fake_cores(8);
         let threads = fake_threads(4);
         let mut rng = SimRng::seed_from(3);
-        let mapping = schedule(SchedPolicy::VarPAppP, &cores, &threads, &mut rng);
+        let mapping = schedule(SchedulerSpec::VarPAppP, &cores, &threads, &mut rng);
         // Hottest thread (3) on coolest core (0), next (2) on core 1, ...
         assert_eq!(mapping[0], Some(3));
         assert_eq!(mapping[1], Some(2));
@@ -396,7 +372,7 @@ mod tests {
         let cores = fake_cores(8);
         let threads = fake_threads(4);
         let mut rng = SimRng::seed_from(4);
-        let mapping = schedule(SchedPolicy::VarFAppIpc, &cores, &threads, &mut rng);
+        let mapping = schedule(SchedulerSpec::VarFAppIpc, &cores, &threads, &mut rng);
         // Highest-IPC thread (3) on fastest core (0).
         assert_eq!(mapping[0], Some(3));
         assert_eq!(mapping[1], Some(2));
@@ -409,13 +385,13 @@ mod tests {
         let cores = fake_cores(20);
         let threads = fake_threads(5);
         let a = schedule(
-            SchedPolicy::Random,
+            SchedulerSpec::Random,
             &cores,
             &threads,
             &mut SimRng::seed_from(5),
         );
         let b = schedule(
-            SchedPolicy::Random,
+            SchedulerSpec::Random,
             &cores,
             &threads,
             &mut SimRng::seed_from(6),
@@ -428,7 +404,7 @@ mod tests {
         let cores = fake_cores(6);
         let threads = fake_threads(6);
         let mut rng = SimRng::seed_from(7);
-        let mapping = schedule(SchedPolicy::VarFAppIpc, &cores, &threads, &mut rng);
+        let mapping = schedule(SchedulerSpec::VarFAppIpc, &cores, &threads, &mut rng);
         assert!(mapping.iter().all(|m| m.is_some()));
         is_valid(&mapping, 6);
     }
@@ -439,7 +415,7 @@ mod tests {
         let cores = fake_cores(2);
         let threads = fake_threads(3);
         schedule(
-            SchedPolicy::Random,
+            SchedulerSpec::Random,
             &cores,
             &threads,
             &mut SimRng::seed_from(0),
@@ -448,26 +424,11 @@ mod tests {
 
     #[test]
     fn policy_names_match_paper() {
-        assert_eq!(SchedPolicy::VarPAppP.name(), "VarP&AppP");
-        assert_eq!(SchedPolicy::VarFAppIpc.name(), "VarF&AppIPC");
-    }
-
-    #[test]
-    fn built_scheduler_matches_free_function() {
-        let cores = fake_cores(10);
-        let threads = fake_threads(6);
-        for policy in [
-            SchedPolicy::Random,
-            SchedPolicy::VarP,
-            SchedPolicy::VarPAppP,
-            SchedPolicy::VarF,
-            SchedPolicy::VarFAppIpc,
-        ] {
-            let mut boxed = policy.build();
-            assert_eq!(boxed.name(), policy.name());
-            let from_trait = boxed.assign(&cores, &threads, &mut SimRng::seed_from(9));
-            let from_free = schedule(policy, &cores, &threads, &mut SimRng::seed_from(9));
-            assert_eq!(from_trait, from_free);
+        assert_eq!(SchedulerSpec::VarPAppP.name(), "VarP&AppP");
+        assert_eq!(SchedulerSpec::VarFAppIpc.name(), "VarF&AppIPC");
+        let rt = RuntimeConfig::paper_default();
+        for spec in TABLE1.into_iter().chain([SchedulerSpec::ThermalMap]) {
+            assert_eq!(spec.build(&rt).expect("valid spec").name(), spec.name());
         }
     }
 }

@@ -14,7 +14,8 @@ use vasp::floorplan::paper_20_core;
 use vasp::varius::{DieGenerator, VariationConfig};
 use vasp::vasched::manager::{apply_manager, ManagerSpec, PowerBudget};
 use vasp::vasched::profile::{core_profiles, thread_profiles};
-use vasp::vasched::sched::{schedule, SchedPolicy};
+use vasp::vasched::runtime::RuntimeConfig;
+use vasp::vasched::sched::SchedulerSpec;
 use vasp::vastats::SimRng;
 
 const THREADS: usize = 20;
@@ -40,7 +41,10 @@ fn main() {
     // One scheduling pass (VarF&AppIPC), then LinOpt every 10 ms.
     let cores = core_profiles(&machine);
     let threads = thread_profiles(&machine, &mut rng);
-    let mapping = schedule(SchedPolicy::VarFAppIpc, &cores, &threads, &mut rng);
+    let mapping = SchedulerSpec::VarFAppIpc
+        .build(&RuntimeConfig::paper_default())
+        .expect("valid spec")
+        .assign(&cores, &threads, &mut rng);
     machine.assign(&mapping);
 
     let budget = PowerBudget::cost_performance(THREADS);

@@ -2,20 +2,19 @@
 //! results bit-identical to a sequential run. Every trial derives all
 //! of its randomness from its own seed, so thread scheduling can never
 //! leak into outcomes — this test is the regression gate for that
-//! property. It also checks that spec builders and entry points reject
-//! a manager spec that cannot run before any worker starts.
+//! property. It also checks that the spec builders reject a degenerate
+//! manager spec before any worker starts, and that Exhaustive arms of
+//! any size run.
 
-use cmpsim::{FaultPlan, Mix, Workload};
+use cmpsim::Mix;
 use vasp::vasched::engine::{
     OnlineArm, OnlineTrialSpec, SeedPlan, TrialArm, TrialRunner, TrialSpec,
 };
-use vasp::vasched::experiments::fleet::golden_spec;
-use vasp::vasched::experiments::{Context, Scale, ServingSite};
-use vasp::vasched::fleet::{run_fleet, FleetSpec};
+use vasp::vasched::experiments::{Context, Scale};
 use vasp::vasched::manager::{ManagerSpec, PowerBudget};
-use vasp::vasched::online::{run_online, ArrivalConfig, OnlineConfig, OnlineSim};
+use vasp::vasched::online::{ArrivalConfig, OnlineConfig};
 use vasp::vasched::prelude::*;
-use vasp::vasched::runtime::{run_trial, ConfigError, FreqMode, NullObserver, TrialError};
+use vasp::vasched::runtime::{ConfigError, FreqMode, TrialError};
 
 fn smoke_spec<'a>(ctx: &'a Context, pool: &'a [cmpsim::AppSpec]) -> TrialSpec<'a> {
     let scale = Scale::smoke();
@@ -172,82 +171,32 @@ fn builders_reject_zero_evaluation_sann() {
     assert_eq!(built.err(), Some(BAD_MANAGER));
 }
 
-/// Exhaustive search over 9 levels per core fits `MAX_POINTS` up to 8
-/// active cores. A 12-thread batch arm (9^12 points) used to build and
-/// then panic at the first DVFS interval. The builders, every entry
-/// point and `OnlineSim::new` now reject it, and reject Exhaustive
-/// outright for open runs, which manage all 20 cores.
+/// The exact solver has no search-space limit. The 12-thread batch
+/// arm (9^12 level vectors) and an open online arm, which manages all
+/// 20 cores, build and run to completion.
 #[test]
-fn oversized_exhaustive_search_is_rejected_before_running() {
+fn exhaustive_arms_run_to_completion() {
     let ctx = Context::new(Scale::smoke().grid);
     let pool = app_pool(&ctx.machine_config().dynamic);
-    let (batch, closed) = arms_with(ManagerSpec::Exhaustive);
-    let spec = |threads: usize| {
-        TrialSpec::builder(&ctx, &pool)
-            .threads(threads)
-            .arm(batch.clone())
-            .build()
-    };
-    assert_eq!(spec(12).err(), Some(BAD_MANAGER));
-    assert!(spec(8).is_ok());
-    let online_spec = |arm: &OnlineArm| {
-        OnlineTrialSpec::builder(&ctx, &pool)
-            .arm(arm.clone())
-            .build()
-    };
-    // A closed online arm manages only its residents (none here).
-    assert!(online_spec(&closed).is_ok());
-    let mut online = closed;
+    let (batch, mut online) = arms_with(ManagerSpec::Exhaustive);
     online.config.arrivals = ArrivalConfig::poisson(100.0, 1e7);
-    assert_eq!(online_spec(&online).err(), Some(BAD_MANAGER));
+    let runner = TrialRunner::with_workers(1);
 
-    let mut rng = SimRng::seed_from(5);
-    let die = ctx.make_die(&mut rng);
-    let mut machine = ctx.make_machine(&die);
-    let workload = Workload::draw(&pool, 12, &mut rng);
-    let trial = run_trial(
-        &mut machine,
-        &workload,
-        batch.policy,
-        batch.manager,
-        batch.budget,
-        &batch.runtime,
-        &FaultPlan::none(),
-        &mut rng,
-        &mut NullObserver,
-    );
-    assert_eq!(trial.err(), Some(BAD_MANAGER));
-    let served = run_online(
-        &mut machine,
-        &pool,
-        Mix::Balanced,
-        online.policy,
-        online.manager,
-        online.budget,
-        &online.config,
-        &FaultPlan::none(),
-        &mut rng,
-        &mut NullObserver,
-    );
-    assert_eq!(served.err(), Some(BAD_MANAGER));
-    let sim = OnlineSim::new(
-        &mut machine,
-        None,
-        &pool,
-        Mix::Balanced,
-        online.policy,
-        online.manager,
-        online.budget,
-        &online.config,
-        &FaultPlan::none(),
-        &mut rng,
-    );
-    assert_eq!(sim.err(), Some(BAD_MANAGER));
+    let spec = TrialSpec::builder(&ctx, &pool)
+        .threads(12)
+        .arm(batch)
+        .build()
+        .expect("valid spec");
+    let trial = &runner.run(&spec)[0].arms[0].outcome;
+    assert_eq!(trial.manager_runs, 6);
+    assert_eq!(trial.per_thread_mips.len(), 12);
+    assert!(trial.mips > 0.0);
 
-    let site = ServingSite::at_grid(Scale::smoke().grid);
-    let fleet = FleetSpec {
-        manager: ManagerSpec::Exhaustive,
-        ..golden_spec(&site)
-    };
-    assert_eq!(run_fleet(&fleet, 1).err(), Some(BAD_MANAGER));
+    let spec = OnlineTrialSpec::builder(&ctx, &pool)
+        .arm(online)
+        .build()
+        .expect("valid spec");
+    let served = &runner.run_online(&spec)[0].arms[0].outcome;
+    assert!(served.arrived > 0 && served.completed > 0);
+    assert!(served.chip.manager_runs > 0);
 }

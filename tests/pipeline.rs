@@ -5,7 +5,6 @@ use vasp::vasched::manager::{apply_manager, ManagerSpec, PmView, PowerBudget};
 use vasp::vasched::prelude::*;
 use vasp::vasched::profile::{core_profiles, thread_profiles};
 use vasp::vasched::runtime::FreqMode;
-use vasp::vasched::sched::schedule;
 
 fn make_machine(seed: u64) -> Machine {
     let cfg = VariationConfig {
@@ -16,6 +15,17 @@ fn make_machine(seed: u64) -> Machine {
         .unwrap()
         .generate(&mut SimRng::seed_from(seed));
     Machine::new(&die, &paper_20_core(), MachineConfig::paper_default())
+}
+
+fn var_f_app_ipc(
+    cores: &[CoreProfile],
+    threads: &[ThreadProfile],
+    rng: &mut SimRng,
+) -> Vec<Option<usize>> {
+    SchedulerSpec::VarFAppIpc
+        .build(&RuntimeConfig::paper_default())
+        .expect("valid spec")
+        .assign(cores, threads, rng)
 }
 
 #[test]
@@ -33,7 +43,7 @@ fn full_pipeline_produces_consistent_state() {
     assert_eq!(threads.len(), 10);
 
     // Schedule.
-    let mapping = schedule(SchedPolicy::VarFAppIpc, &cores, &threads, &mut rng);
+    let mapping = var_f_app_ipc(&cores, &threads, &mut rng);
     machine.assign(&mapping);
     let active = mapping.iter().flatten().count();
     assert_eq!(active, 10);
@@ -66,7 +76,7 @@ fn varf_appipc_places_high_ipc_threads_on_fast_cores() {
 
     let cores = core_profiles(&machine);
     let threads = thread_profiles(&machine, &mut rng);
-    let mapping = schedule(SchedPolicy::VarFAppIpc, &cores, &threads, &mut rng);
+    let mapping = var_f_app_ipc(&cores, &threads, &mut rng);
 
     let core_of = |tid: usize| {
         mapping

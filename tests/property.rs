@@ -12,11 +12,11 @@ use vasp::varius::CoreCells;
 use vasp::vasched::extensions::WearoutTracker;
 use vasp::vasched::manager::{
     foxton::foxton_star_levels, linopt::linopt_levels, sann::greedy_levels, synthetic_core,
-    ManagerSpec, PmView, PowerBudget,
+    ManagerSpec, PmView, PowerBudget, SolveStatus,
 };
 use vasp::vasched::metrics::ed2_index;
 use vasp::vasched::profile::{CoreProfile, ThreadProfile};
-use vasp::vasched::sched::{schedule, SchedPolicy, SchedulerSpec};
+use vasp::vasched::sched::SchedulerSpec;
 use vasp::vastats::{LineFit, SimRng};
 
 /// Simplex: on random feasible, bounded LPs, the solution is feasible
@@ -50,12 +50,13 @@ fn simplex_solution_is_feasible() {
 /// Schedulers: every policy maps each thread to exactly one core.
 #[test]
 fn schedulers_produce_valid_assignments() {
+    let rt = vasp::vasched::runtime::RuntimeConfig::paper_default();
     let policies = [
-        SchedPolicy::Random,
-        SchedPolicy::VarP,
-        SchedPolicy::VarPAppP,
-        SchedPolicy::VarF,
-        SchedPolicy::VarFAppIpc,
+        SchedulerSpec::Random,
+        SchedulerSpec::VarP,
+        SchedulerSpec::VarPAppP,
+        SchedulerSpec::VarF,
+        SchedulerSpec::VarFAppIpc,
     ];
     for seed in 0u64..40 {
         for &policy in &policies {
@@ -76,7 +77,10 @@ fn schedulers_produce_valid_assignments() {
                     profiled_on: 0,
                 })
                 .collect();
-            let mapping = schedule(policy, &cores, &threads, &mut rng);
+            let mapping = policy
+                .build(&rt)
+                .expect("valid spec")
+                .assign(&cores, &threads, &mut rng);
             let mut seen = vec![false; n_threads];
             for t in mapping.iter().flatten() {
                 assert!(*t < n_threads, "seed {seed} {policy:?}");
@@ -129,15 +133,9 @@ fn managers_never_exceed_feasible_budget() {
     }
 }
 
-/// Every `PowerManager` implementation (built from its `ManagerSpec`
-/// spec) respects both the per-core cap and the chip budget after
-/// repair, across random views, budgets, and repeated invocations —
-/// repeated because stateful managers (Foxton* cursor, LinOpt
-/// warm-start) must hold the invariant from any carried state, and the
-/// `repair_to_budget`/`greedy_fill` pipeline must never overshoot.
-#[test]
-fn trait_managers_respect_budgets_post_repair() {
-    let kinds = [
+/// Every shipped manager except the exact solver.
+fn shipped_managers() -> [ManagerSpec; 6] {
+    [
         ManagerSpec::FoxtonStar,
         ManagerSpec::LinOpt,
         ManagerSpec::sann_fast(),
@@ -146,9 +144,16 @@ fn trait_managers_respect_budgets_post_repair() {
             cores_per_domain: 2,
         },
         ManagerSpec::integral_regulator(),
-    ];
-    let rt = vasp::vasched::runtime::RuntimeConfig::paper_default();
-    for seed in 0u64..20 {
+    ]
+}
+
+/// The sweep of the manager properties: random views of 2–10 cores
+/// under chip budgets from 10% to 86% of the way from the all-minimum
+/// to the all-maximum power, and per-core caps that may bind. Yields
+/// each case's seed, view, budget and the stream the managers draw
+/// from.
+fn manager_sweep() -> impl Iterator<Item = (u64, PmView, PowerBudget, SimRng)> {
+    (0u64..20).map(|seed| {
         let mut rng = SimRng::seed_from(0x9_11C0 + seed);
         let n = 2 + (seed as usize % 9);
         let view = random_view(n, &mut rng);
@@ -158,14 +163,33 @@ fn trait_managers_respect_budgets_post_repair() {
             chip_w: min_p + (0.1 + 0.8 * (seed as f64 / 20.0)) * (max_p - min_p),
             per_core_w: rng.uniform(4.0, 12.0),
         };
-        for kind in &kinds {
+        (seed, view, budget, rng)
+    })
+}
+
+/// Every `PowerManager` implementation (built from its `ManagerSpec`
+/// spec) respects both the per-core cap and the chip budget after
+/// repair, across random views, budgets, and repeated invocations —
+/// repeated because stateful managers (Foxton* cursor, LinOpt
+/// warm-start) must hold the invariant from any carried state, and the
+/// `repair_to_budget`/`greedy_fill` pipeline must never overshoot.
+#[test]
+fn trait_managers_respect_budgets_post_repair() {
+    let rt = vasp::vasched::runtime::RuntimeConfig::paper_default();
+    for (seed, view, budget, mut rng) in manager_sweep() {
+        for kind in shipped_managers().iter().chain([&ManagerSpec::Exhaustive]) {
             let mut manager = kind
                 .build(&rt)
                 .expect("valid spec")
                 .expect("not ManagerSpec::None");
             for round in 0..3 {
                 let levels = manager.levels(&view, &budget, &mut rng);
-                assert_eq!(levels.len(), n, "seed {seed} {} round {round}", kind.name());
+                assert_eq!(
+                    levels.len(),
+                    view.len(),
+                    "seed {seed} {} round {round}",
+                    kind.name()
+                );
                 for (c, &l) in view.cores().iter().zip(&levels) {
                     assert!(
                         l < c.level_count(),
@@ -181,6 +205,40 @@ fn trait_managers_respect_budgets_post_repair() {
                 assert!(
                     view.total_power(&levels) <= budget.chip_w + 1e-6,
                     "seed {seed} {} round {round}: chip budget exceeded",
+                    kind.name()
+                );
+            }
+        }
+    }
+}
+
+/// No shipped manager finds a feasible point with more throughput than
+/// the exact solver's optimum of the same view.
+#[test]
+fn no_manager_beats_the_exact_optimum() {
+    let rt = vasp::vasched::runtime::RuntimeConfig::paper_default();
+    for (seed, view, budget, mut rng) in manager_sweep() {
+        let mut exact = ManagerSpec::Exhaustive
+            .build(&rt)
+            .expect("valid spec")
+            .expect("a manager");
+        let optimum = view.throughput_mips(&exact.levels(&view, &budget, &mut rng));
+        assert_eq!(
+            exact.last_solve().map(|r| r.status),
+            Some(SolveStatus::Optimal),
+            "seed {seed}"
+        );
+        for kind in shipped_managers() {
+            let mut manager = kind
+                .build(&rt)
+                .expect("valid spec")
+                .expect("not ManagerSpec::None");
+            for round in 0..3 {
+                let levels = manager.levels(&view, &budget, &mut rng);
+                let mips = view.throughput_mips(&levels);
+                assert!(
+                    !view.feasible(&levels, &budget) || mips <= optimum,
+                    "seed {seed} {} round {round}: {mips} MIPS beats the optimum {optimum}",
                     kind.name()
                 );
             }
