@@ -127,7 +127,8 @@ mod tests {
         let path = h.artifact("harness_test.txt", "hello\n");
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body, "hello\n");
+        // Only this test's own file: other tests write under the same
+        // (gitignored) `results/` concurrently.
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir("results");
     }
 }

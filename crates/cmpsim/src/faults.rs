@@ -369,6 +369,16 @@ impl SensorFaults {
         }
     }
 
+    /// Whether `state` is progress of a plan shaped like this one (same
+    /// core count and event lists), so importing it cannot index out of
+    /// range.
+    pub(crate) fn fits(&self, state: &FaultState) -> bool {
+        state.alive.len() == self.alive.len()
+            && state.stuck.len() == self.stuck.len()
+            && state.fired_failures.len() == self.fired_failures.len()
+            && state.fired_stuck.len() == self.fired_stuck.len()
+    }
+
     /// Replays checkpointed progress on top of a freshly installed plan.
     pub(crate) fn import_state(&mut self, state: &FaultState) {
         self.now_s = state.now_s;

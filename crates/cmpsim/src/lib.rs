@@ -42,7 +42,7 @@ pub use faults::{
     BudgetDrop, CoreFailure, FaultConfigError, FaultEvent, FaultPlan, FaultState, StuckSensor,
 };
 pub use machine::{
-    DvfsTransition, Machine, MachineConfig, MachineState, StepPhaseTimes, StepStats,
+    DvfsTransition, Machine, MachineConfig, MachineState, StateMismatch, StepPhaseTimes, StepStats,
 };
 pub use telemetry::Telemetry;
 pub use thread::Thread;

@@ -231,6 +231,21 @@ pub struct MachineState {
     pub faults: Option<FaultState>,
 }
 
+/// Why [`Machine::import_state`] rejected a [`MachineState`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StateMismatch {
+    /// A per-core vector's length is not the machine's core count.
+    CoreCount,
+    /// The temperatures do not match the floorplan's block count.
+    Floorplan,
+    /// The state holds more threads than the machine has cores, or a
+    /// core runs a thread the state does not hold.
+    Threads,
+    /// Fault progress is present but no plan is installed, the reverse,
+    /// or the progress belongs to a plan of another shape.
+    FaultPlan,
+}
+
 /// Statistics from one simulation step.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StepStats {
@@ -1286,24 +1301,38 @@ impl Machine {
     /// must have been re-installed via [`Machine::install_faults`]
     /// first; the plan is configuration and is not part of the state.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the state's core-indexed vectors do not match this
-    /// machine's core count, or if fault progress is present but no
-    /// plan is installed (or vice versa).
-    pub fn import_state(&mut self, state: &MachineState) {
+    /// Returns the [`StateMismatch`] the state fails against this
+    /// machine and its installed plan, before changing anything.
+    pub fn import_state(&mut self, state: &MachineState) -> Result<(), StateMismatch> {
         let n = self.cores.len();
-        assert_eq!(state.levels.len(), n, "state is for a different machine");
-        assert_eq!(state.temps.len(), self.temps.len(), "floorplan mismatch");
-        assert!(
-            state.threads.len() <= n,
-            "state has more threads than cores"
-        );
-        assert_eq!(
-            state.faults.is_some(),
-            self.faults.is_some(),
-            "fault plan must be (re)installed before importing fault state"
-        );
+        let per_core = [
+            state.assignment.len(),
+            state.levels.len(),
+            state.freq_caps.len(),
+            state.stall_s.len(),
+            state.last_core_power.len(),
+            state.last_core_ipc.len(),
+        ];
+        if per_core.iter().any(|&len| len != n) {
+            return Err(StateMismatch::CoreCount);
+        }
+        if state.temps.len() != self.temps.len() {
+            return Err(StateMismatch::Floorplan);
+        }
+        let threads = state.threads.len();
+        if threads > n || state.assignment.iter().flatten().any(|&t| t >= threads) {
+            return Err(StateMismatch::Threads);
+        }
+        let faults_fit = match (&self.faults, &state.faults) {
+            (Some(fs), Some(st)) => fs.fits(st),
+            (None, None) => true,
+            _ => false,
+        };
+        if !faults_fit {
+            return Err(StateMismatch::FaultPlan);
+        }
         self.temps = state.temps.clone();
         self.threads = state.threads.clone();
         self.assignment = state.assignment.clone();
@@ -1321,6 +1350,7 @@ impl Machine {
             fs.import_state(st);
         }
         self.leak_memo.get_mut().invalidate();
+        Ok(())
     }
 
     /// Overwrites this machine's run-time state with `src`'s through
@@ -1718,7 +1748,7 @@ mod tests {
         let state = original.export_state();
         let mut restored = Machine::new(&die, &fp, config);
         restored.install_faults(&plan).unwrap();
-        restored.import_state(&state);
+        restored.import_state(&state).expect("same die, same plan");
 
         assert_eq!(restored.export_state(), state, "round trip must be exact");
         for tick in 0..60 {
@@ -1740,6 +1770,33 @@ mod tests {
             assert_eq!(original.core_alive(c), restored.core_alive(c));
         }
         assert_eq!(original.energy_j.to_bits(), restored.energy_j.to_bits());
+    }
+
+    #[test]
+    fn import_state_rejects_a_mismatched_state() {
+        let (die, fp) = test_die();
+        let config = MachineConfig::paper_default();
+        let plan = FaultPlan::none().with_core_failure(5, 35.0);
+        let mut m = Machine::new(&die, &fp, config.clone());
+        let pool = app_pool(&config.dynamic);
+        let mut rng = SimRng::seed_from(17);
+        m.load_threads(Workload::draw(&pool, 3, &mut rng).spawn_threads(&mut rng));
+        m.install_faults(&plan).unwrap();
+        let good = m.export_state();
+        let mut reject = |corrupt: fn(&mut MachineState), err| {
+            let mut bad = good.clone();
+            corrupt(&mut bad);
+            assert_eq!(m.import_state(&bad), Err(err));
+            assert_eq!(m.export_state(), good, "a rejected state changes nothing");
+        };
+        reject(|s| s.stall_s.truncate(1), StateMismatch::CoreCount);
+        reject(|s| s.temps.truncate(1), StateMismatch::Floorplan);
+        reject(|s| s.assignment[0] = Some(3), StateMismatch::Threads);
+        reject(|s| s.faults = None, StateMismatch::FaultPlan);
+        reject(
+            |s| s.faults.as_mut().unwrap().fired_failures.push(false),
+            StateMismatch::FaultPlan,
+        );
     }
 
     /// `step_profiled` must simulate exactly like `step` (same

@@ -547,22 +547,6 @@ impl TrialRunner {
         self.map(spec.trials, |trial| run_one_online(spec, trial, &make))
     }
 
-    /// Runs one fleet trial across this runner's workers — the
-    /// cluster-scale counterpart of [`TrialRunner::run_online`], same
-    /// guarantee: bit-identical across worker counts. See
-    /// [`crate::fleet::run_fleet`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TrialError::Config`] when the fleet configuration is
-    /// invalid.
-    pub fn run_fleet(
-        &self,
-        spec: &crate::fleet::FleetSpec<'_>,
-    ) -> Result<crate::fleet::FleetOutcome, TrialError> {
-        crate::fleet::run_fleet(spec, self.workers)
-    }
-
     /// Runs `count` independent jobs across the workers and returns
     /// their results in job order — the generic substrate under
     /// [`TrialRunner::run`], also used directly by experiments whose

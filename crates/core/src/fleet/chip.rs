@@ -1,18 +1,16 @@
-//! One fleet chip: a machine, its control plane, and a windowed
-//! serving loop, owned as a value so hundreds can run side by side.
+//! One fleet chip: the online serving loop over the chip's own machine
+//! and RNG, owned as a value so hundreds can run side by side.
 //!
-//! [`ChipSim`] is the fleet's unit of parallelism. It runs the serving
-//! tick of [`crate::online::OnlineSim`] through the same code for the
-//! timeline cadence, fastest-free-core placement, rescheduling with
-//! migration charging, and the unmanaged-frequency rule, but it *owns*
-//! its machine, RNG, scheduler, and manager instead of borrowing them,
-//! and keeps its own job tables: jobs come from a queue the fleet
-//! dispatcher fills rather than from a private arrival schedule, and
-//! same-tick completions retire in descending thread order (the online
-//! loop retires them in completion-event order, so sharing the tables
-//! would move one side's trajectory). Every chip reschedules on window
-//! boundaries, not per event, because at fleet arrival rates per-event
-//! rescheduling is a migration storm.
+//! [`ChipSim`] is the fleet's unit of parallelism. It holds one
+//! [`OnlineSim`] in its owned form and adds nothing to the tick: jobs
+//! the dispatcher routes here are injected into the loop as arrivals,
+//! [`ChipSim::run_epoch`] steps it, and every statistic the fleet reads
+//! comes from the loop's job records, counters and event log. The
+//! loop's fault handling, deadlines and observer hooks are therefore
+//! the chip's too. Every chip reschedules on window boundaries
+//! ([`super::FleetConfig::reschedule_window_ms`]), not per event,
+//! because at fleet arrival rates per-event rescheduling is a
+//! migration storm.
 //!
 //! Determinism: a chip's entire stochastic behaviour derives from its
 //! own [`vastats::SimRng`], seeded by
@@ -22,12 +20,12 @@
 //! sequential run.
 
 use crate::experiments::Context;
-use crate::manager::{DegradationEvent, HardenedManager, ManagerSpec, PowerBudget};
-use crate::profile::{core_profiles, CoreProfile};
-use crate::runtime::{place_on_fastest_free, remap, Cadence, FreqMode};
-use crate::sched::{Scheduler, SchedulerSpec};
-use cmpsim::{Machine, Thread};
-use std::collections::VecDeque;
+use crate::manager::{ManagerSpec, PowerBudget};
+use crate::online::{JobRecord, JobSpec, OnlineEvent, OnlineSim};
+use crate::runtime::TrialObserver;
+use crate::sched::SchedulerSpec;
+use cmpsim::{Machine, StepStats};
+use std::cell::OnceCell;
 use vastats::SimRng;
 
 use super::FleetConfig;
@@ -35,7 +33,8 @@ use super::FleetConfig;
 /// One job routed to a chip: the dispatch-level view of an arrival.
 #[derive(Debug, Clone)]
 pub struct FleetJob {
-    /// Fleet-wide job id (arrival order).
+    /// Fleet-wide job id (arrival order). The chip numbers its own jobs
+    /// in the order they are enqueued.
     pub id: usize,
     /// Arrival time (ms since the start of the run).
     pub arrival_ms: f64,
@@ -63,47 +62,48 @@ pub struct EpochStats {
     pub mean_power_w: f64,
 }
 
+/// The chip's `on_step` observer: chip power summed in tick order over
+/// the whole run and over the current epoch.
+#[derive(Debug, Default)]
+struct PowerSums {
+    run_w: f64,
+    epoch_w: f64,
+    epoch_ticks: usize,
+}
+
+impl TrialObserver for PowerSums {
+    fn on_step(&mut self, _machine: &Machine, stats: &StepStats) {
+        self.run_w += stats.total_power_w;
+        self.epoch_w += stats.total_power_w;
+        self.epoch_ticks += 1;
+    }
+}
+
 /// One chip of the fleet, held as a value.
 pub struct ChipSim {
-    machine: Machine,
-    rng: SimRng,
-    cores: Vec<CoreProfile>,
-    scheduler: Box<dyn Scheduler>,
-    manager: HardenedManager,
-    budget: PowerBudget,
-    degradations: Vec<DegradationEvent>,
-    cadence: Cadence,
-    freq_mode: FreqMode,
-    window_dirty: bool,
-    // Jobs.
-    queue: VecDeque<FleetJob>,
-    /// Resident jobs, parallel to `machine.threads()` under the
-    /// machine's swap_remove semantics.
-    resident: Vec<FleetJob>,
-    /// Completion flags, parallel to `resident`.
-    pending: Vec<bool>,
-    // Whole-run totals.
-    completed: usize,
-    latencies_ms: Vec<f64>,
-    power_sum: f64,
-    busy_sum: f64,
-    ticks_run: usize,
-    // Epoch accumulators.
-    epoch: EpochStats,
-    epoch_power_sum: f64,
-    epoch_ticks: usize,
+    sim: OnlineSim<'static>,
+    power: PowerSums,
+    /// Completed jobs' latencies, collected from the job records on
+    /// first read after a run.
+    latencies: OnceCell<Vec<f64>>,
 }
 
 impl ChipSim {
     /// Manufactures one chip: die and machine assembled from a
     /// pre-drawn systematic variation field (`sys`) plus this chip's
-    /// own `seed` sub-stream, a fresh scheduler/manager pair, and the
-    /// fleet timing grid.
+    /// own `seed` sub-stream, under a serving loop with a fresh
+    /// scheduler/manager pair on the fleet timing grid
+    /// ([`FleetConfig`]'s per-chip loop configuration).
     ///
     /// The field comes in from outside so fleet construction can draw
     /// every chip's field in one batched sequential pass (two fields
     /// per FFT on circulant grids) and then assemble chips in
     /// parallel — see `manufacture_chips` in the fleet event loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` or either spec is invalid; `run_fleet` and
+    /// `build_fleet_chips` validate them before building any chip.
     pub fn new(
         ctx: &Context,
         seed: u64,
@@ -116,56 +116,42 @@ impl ChipSim {
         let mut rng = SimRng::seed_from(seed);
         let die = ctx.generator().die_from_field(sys, &mut rng);
         let machine = ctx.make_machine(&die);
-        let cores = core_profiles(&machine);
-        let rt = &config.runtime;
-        let core_count = machine.core_count();
+        let sim = OnlineSim::owned(machine, policy, manager, budget, &config.chip_config(), rng)
+            .expect("valid fleet chip configuration");
         Self {
-            machine,
-            rng,
-            cores,
-            // `run_fleet` pre-validates both specs, so failures here are
-            // programming errors.
-            scheduler: policy.build(rt).expect("valid scheduler spec"),
-            manager: HardenedManager::new(manager, core_count, false, rt)
-                .expect("valid manager spec"),
-            budget,
-            degradations: Vec::new(),
-            cadence: Cadence::new(rt, config.migration_penalty_ms, config.reschedule_window_ms),
-            freq_mode: rt.freq_mode,
-            window_dirty: false,
-            queue: VecDeque::new(),
-            resident: Vec::new(),
-            pending: Vec::new(),
-            completed: 0,
-            latencies_ms: Vec::new(),
-            power_sum: 0.0,
-            busy_sum: 0.0,
-            ticks_run: 0,
-            epoch: EpochStats::default(),
-            epoch_power_sum: 0.0,
-            epoch_ticks: 0,
+            sim,
+            power: PowerSums::default(),
+            latencies: OnceCell::new(),
         }
     }
 
-    /// Queues a routed job (admitted once a core frees up at or after
-    /// its arrival tick).
+    /// Queues a routed job: it arrives at its arrival tick and is
+    /// admitted once a live core is free.
     pub fn enqueue(&mut self, job: FleetJob) {
-        self.queue.push_back(job);
+        self.sim.inject(
+            job.arrival_tick,
+            JobSpec {
+                arrival_ms: job.arrival_ms,
+                spec: job.spec,
+                instructions: job.instructions,
+                phase_offset_ms: job.phase_offset_ms,
+            },
+        );
     }
 
     /// Jobs queued and not yet admitted.
     pub fn queue_len(&self) -> usize {
-        self.queue.len()
+        self.sim.waiting()
     }
 
     /// Threads currently resident.
     pub fn resident_len(&self) -> usize {
-        self.resident.len()
+        self.sim.machine().threads().len()
     }
 
     /// Live cores.
     pub fn alive_cores(&self) -> usize {
-        self.machine.alive_core_count()
+        self.sim.machine().alive_core_count()
     }
 
     /// The chip's capability fingerprint as the dispatcher sees it:
@@ -175,9 +161,10 @@ impl ChipSim {
     /// variation shows: a low-leakage die runs its cores at higher
     /// levels than a leaky one at the same watts.
     pub fn effective_freq_profile(&self) -> Vec<f64> {
-        let mut v: Vec<f64> = (0..self.machine.core_count())
-            .filter(|&c| self.machine.core_alive(c))
-            .map(|c| self.machine.effective_freq(c))
+        let machine = self.sim.machine();
+        let mut v: Vec<f64> = (0..machine.core_count())
+            .filter(|&c| machine.core_alive(c))
+            .map(|c| machine.effective_freq(c))
             .collect();
         v.sort_by(|a, b| b.total_cmp(a));
         v
@@ -185,149 +172,77 @@ impl ChipSim {
 
     /// The chip's current power allocation (watts).
     pub fn budget_w(&self) -> f64 {
-        self.budget.chip_w
+        self.sim.budget.chip_w
     }
 
     /// Points the chip's manager at a new power allocation — the
     /// hierarchy's downlink. Takes effect at the next manager
     /// invocation.
     pub fn set_budget_w(&mut self, chip_w: f64) {
-        self.budget.chip_w = chip_w;
+        self.sim.budget.chip_w = chip_w;
     }
 
     /// Jobs completed over the whole run.
     pub fn completed(&self) -> usize {
-        self.completed
+        self.sim.counters().completed
     }
 
     /// Arrival-to-completion latencies of every completed job (ms), in
-    /// completion order.
+    /// the order the jobs were enqueued.
     pub fn latencies_ms(&self) -> &[f64] {
-        &self.latencies_ms
+        self.latencies.get_or_init(|| {
+            self.sim
+                .jobs()
+                .iter()
+                .filter_map(JobRecord::latency_ms)
+                .collect()
+        })
     }
 
     /// Mean chip power over the whole run (watts).
     pub fn mean_power_w(&self) -> f64 {
-        self.power_sum / self.ticks_run.max(1) as f64
+        self.power.run_w / self.sim.tick().max(1) as f64
     }
 
     /// Time-averaged fraction of cores running a thread.
     pub fn utilization(&self) -> f64 {
-        self.busy_sum / self.ticks_run.max(1) as f64
+        self.sim.counters().util_sum / self.sim.tick().max(1) as f64
     }
 
-    /// Drains and resets the epoch accumulators.
+    /// Drains the epoch's statistics from the loop's event log and the
+    /// power observer, and resets both.
     pub fn end_epoch(&mut self) -> EpochStats {
-        let mut stats = self.epoch;
-        stats.mean_power_w = self.epoch_power_sum / self.epoch_ticks.max(1) as f64;
-        self.epoch = EpochStats::default();
-        self.epoch_power_sum = 0.0;
-        self.epoch_ticks = 0;
+        let mut stats = EpochStats {
+            mean_power_w: self.power.epoch_w / self.power.epoch_ticks.max(1) as f64,
+            ..EpochStats::default()
+        };
+        self.power.epoch_w = 0.0;
+        self.power.epoch_ticks = 0;
+        for record in self.sim.drain_events() {
+            match record.event {
+                OnlineEvent::Admit { .. } => stats.admitted += 1,
+                OnlineEvent::Complete { .. } => stats.completed += 1,
+                OnlineEvent::Reschedule { moved, .. } => stats.migrations += moved,
+                _ => {}
+            }
+        }
         stats
     }
 
-    /// Runs ticks `[start, end)` of the fleet timeline. All state the
-    /// loop touches lives in `self`, so epochs of different chips can
-    /// execute on different workers with a bit-identical result.
+    /// Runs ticks `[start, end)` of the fleet timeline. Epochs run back
+    /// to back from tick 0, so `start` is the loop's next tick. All
+    /// state the loop touches lives in `self`, so epochs of different
+    /// chips can execute on different workers with a bit-identical
+    /// result.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `end` lies beyond the fleet's horizon.
     pub fn run_epoch(&mut self, start: usize, end: usize) {
-        for tick in start..end {
-            self.step(tick);
-        }
-    }
-
-    fn step(&mut self, tick: usize) {
-        let now_ms = tick as f64 * self.cadence.tick_ms;
-        let mut membership_dirty = false;
-
-        // 1. Completions flagged last tick leave before admission looks
-        // at the queue. Descending thread order is safe under the
-        // machine's swap_remove semantics: the swapped-in tail thread
-        // always has a larger index, which this loop already passed.
-        for tid in (0..self.resident.len()).rev() {
-            if !self.pending[tid] {
-                continue;
-            }
-            self.machine.remove_thread(tid);
-            let job = self.resident.swap_remove(tid);
-            self.pending.swap_remove(tid);
-            self.latencies_ms.push(now_ms - job.arrival_ms);
-            self.completed += 1;
-            self.epoch.completed += 1;
-            membership_dirty = true;
-        }
-
-        // 2. FIFO admission into free live cores, with the windowed
-        // loop's cheap incremental placement (fastest free live core)
-        // so a job starts working before the next window boundary.
-        while self.machine.threads().len() < self.machine.alive_core_count() {
-            match self.queue.front() {
-                Some(job) if job.arrival_tick <= tick => {}
-                _ => break,
-            }
-            let job = self.queue.pop_front().expect("checked above");
-            let tid = self.machine.add_thread(Thread::with_phase_offset(
-                job.spec.clone(),
-                job.phase_offset_ms,
-            ));
-            debug_assert_eq!(tid, self.resident.len());
-            self.resident.push(job);
-            self.pending.push(false);
-            self.epoch.admitted += 1;
-            membership_dirty = true;
-            place_on_fastest_free(&mut self.machine, &self.cores, &mut self.manager, tid);
-        }
-
-        // 3. Full reschedule on the OS boundary, or for batched
-        // membership changes at the window boundary (per-event when the
-        // window is zero).
-        let membership_trigger =
-            self.cadence
-                .membership_trigger(tick, membership_dirty, &mut self.window_dirty);
-        let os_due = tick.is_multiple_of(self.cadence.os_every);
-        if (os_due || membership_trigger) && !self.machine.threads().is_empty() {
-            self.window_dirty = false;
-            let remap = remap(
-                self.scheduler.as_mut(),
-                &self.cores,
-                &mut self.machine,
-                &mut self.rng,
-                &mut self.manager,
-                self.cadence.penalty_s,
-                self.freq_mode,
-            );
-            self.epoch.migrations += remap.moved.len();
-        }
-
-        // 4. Power manager on the DVFS boundary and at the same cadence
-        // membership changes retrigger the scheduler.
-        let dvfs_due = tick.is_multiple_of(self.cadence.dvfs_every);
-        if self.manager.is_managed() && (dvfs_due || membership_trigger) {
-            let _ = self.manager.invoke(
-                &mut self.machine,
-                &self.budget,
-                &mut self.rng,
-                &mut self.degradations,
-            );
-            self.degradations.clear();
-        }
-
-        // 5. Advance the physics and the accumulators.
-        let stats = self.machine.step(self.cadence.dt_s);
-        self.power_sum += stats.total_power_w;
-        self.epoch_power_sum += stats.total_power_w;
-        let active = (0..self.machine.core_count())
-            .filter(|&c| self.machine.thread_of(c).is_some())
-            .count();
-        self.busy_sum += active as f64 / self.machine.core_count() as f64;
-        self.ticks_run += 1;
-        self.epoch_ticks += 1;
-
-        // 6. Completion detection: a job crossing its budget this tick
-        // leaves at the start of the next (it cannot retire further).
-        for (tid, thread) in self.machine.threads().iter().enumerate() {
-            if !self.pending[tid] && thread.instructions() >= self.resident[tid].instructions {
-                self.pending[tid] = true;
-            }
+        debug_assert_eq!(start, self.sim.tick(), "epochs run back to back");
+        self.latencies.take();
+        while self.sim.tick() < end {
+            self.sim.step(&mut self.power);
         }
     }
 }
@@ -336,7 +251,7 @@ impl ChipSim {
 mod tests {
     use super::*;
     use crate::experiments::ServingSite;
-    use crate::runtime::RuntimeConfig;
+    use crate::runtime::{FreqMode, RuntimeConfig};
 
     fn config() -> FleetConfig {
         FleetConfig {
@@ -429,8 +344,8 @@ mod tests {
     #[test]
     fn same_seed_same_epoch_split_is_bit_identical() {
         // The chip's determinism contract in miniature: running
-        // [0,100) in one call or four must not change a single bit of
-        // the outputs the fleet merges.
+        // [0,100) in one call or in any run of epochs must not change a
+        // single bit of the outputs the fleet merges.
         let site = ServingSite::at_grid(20);
         let cfg = config();
         let run = |cuts: &[usize]| {
@@ -450,20 +365,62 @@ mod tests {
                 chip.enqueue(job(i, site.pool()[i % site.pool().len()].clone(), i * 3));
             }
             let mut start = 0;
-            for &cut in cuts {
-                chip.run_epoch(start, cut);
-                let _ = chip.end_epoch();
-                start = cut;
+            let mut counts = (0, 0, 0);
+            for &end in cuts.iter().chain([&100]) {
+                chip.run_epoch(start, end);
+                let s = chip.end_epoch();
+                counts = (
+                    counts.0 + s.admitted,
+                    counts.1 + s.completed,
+                    counts.2 + s.migrations,
+                );
+                start = end;
             }
-            chip.run_epoch(start, 100);
             (
+                counts,
                 chip.completed(),
                 chip.latencies_ms().to_vec(),
                 chip.mean_power_w().to_bits(),
                 chip.utilization().to_bits(),
             )
         };
-        assert_eq!(run(&[]), run(&[25, 50, 75]));
+        let whole = run(&[]);
+        assert_eq!(whole, run(&[25, 50, 75]));
+        let mut rng = SimRng::seed_from(0xC075);
+        for _ in 0..4 {
+            let mut cuts: Vec<usize> = (0..1 + rng.index(6)).map(|_| 1 + rng.index(99)).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            assert_eq!(whole, run(&cuts), "epoch cuts {cuts:?}");
+        }
+    }
+
+    #[test]
+    fn first_placement_is_free_at_window_zero() {
+        // Per-event rescheduling places admitted jobs in the same tick:
+        // a thread's first core is not a migration.
+        let site = ServingSite::at_grid(20);
+        let mut cfg = config();
+        cfg.reschedule_window_ms = 0.0;
+        let mut chip = ChipSim::new(
+            site.ctx(),
+            7,
+            &sys_field(&site, 7),
+            SchedulerSpec::VarFAppIpc,
+            ManagerSpec::LinOpt,
+            PowerBudget {
+                chip_w: 40.0,
+                per_core_w: PowerBudget::DEFAULT_PER_CORE_W,
+            },
+            &cfg,
+        );
+        for i in 0..8 {
+            chip.enqueue(job(i, site.pool()[i % site.pool().len()].clone(), 0));
+        }
+        chip.run_epoch(0, 1);
+        let stats = chip.end_epoch();
+        assert_eq!(stats.admitted, 8);
+        assert_eq!(stats.migrations, 0);
     }
 
     #[test]
@@ -485,8 +442,8 @@ mod tests {
         }
         chip.run_epoch(0, 1);
         let freqs: Vec<f64> = (0..20)
-            .filter(|&c| chip.machine.thread_of(c).is_some())
-            .map(|c| chip.machine.effective_freq(c))
+            .filter(|&c| chip.sim.machine().thread_of(c).is_some())
+            .map(|c| chip.sim.machine().effective_freq(c))
             .collect();
         assert_eq!(freqs.len(), 6);
         assert!(
@@ -519,7 +476,7 @@ mod tests {
         // Load the chip and run: under the tight 40 W budget the
         // manager cannot hold every core at its rated maximum, so the
         // advertised capability must sit below the rated total.
-        let rated_total: f64 = (0..20).map(|c| chip.machine.rated_max_freq(c)).sum();
+        let rated_total: f64 = (0..20).map(|c| chip.sim.machine().rated_max_freq(c)).sum();
         for i in 0..20 {
             chip.enqueue(job(i, site.pool()[i % site.pool().len()].clone(), 0));
         }

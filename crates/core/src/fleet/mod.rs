@@ -21,8 +21,11 @@
 //!
 //! [`run_fleet`] ties it together: one deterministic cluster event loop in
 //! which routing and budget decisions happen sequentially at epoch
-//! boundaries and the chips themselves ([`ChipSim`], an owning port of
-//! the online serving tick) execute their epochs in parallel shards.
+//! boundaries and the chips themselves execute their epochs in parallel
+//! shards. A chip ([`ChipSim`]) is the online serving loop
+//! ([`crate::online::OnlineSim`]) owning its machine and RNG, fed by
+//! injected arrivals instead of a pre-drawn schedule, so it shares the
+//! loop's admission, rescheduling, fault handling and observer hooks.
 //! Because every chip's stochastic state derives from its own
 //! [`crate::engine::SeedPlan::chip_seed`] sub-stream and the merge is
 //! in chip order, [`run_fleet`] is bit-identical across worker counts —
@@ -40,7 +43,7 @@ pub use dispatch::{
 };
 pub use sim::{build_fleet_chips, run_fleet, FleetOutcome, FleetSpec};
 
-use crate::online::ArrivalConfig;
+use crate::online::{ArrivalConfig, OnlineConfig, ServicePolicy};
 use crate::runtime::{ConfigError, RuntimeConfig};
 
 /// Everything that shapes a fleet run except the fleet's size and
@@ -89,23 +92,26 @@ impl FleetConfig {
         }
     }
 
-    /// Validates the configuration, mirroring
-    /// [`crate::online::OnlineConfig::validate`] for the shared knobs
-    /// and adding the fleet-specific checks under
-    /// [`ConfigError::BadFleet`].
+    /// The configuration of each chip's serving loop: the fleet
+    /// timeline, the migration penalty and the reschedule window, with
+    /// no residents and no arrival process of its own (the dispatcher
+    /// injects every job).
+    pub(crate) fn chip_config(&self) -> OnlineConfig {
+        OnlineConfig {
+            runtime: self.runtime,
+            arrivals: ArrivalConfig::closed(),
+            initial_jobs: 0,
+            migration_penalty_ms: self.migration_penalty_ms,
+            service: ServicePolicy::windowed(self.reschedule_window_ms),
+        }
+    }
+
+    /// Validates the per-chip loop configuration
+    /// ([`OnlineConfig::validate`]) and the fleet-wide arrival process,
+    /// then the fleet-specific knobs under [`ConfigError::BadFleet`].
     pub fn validate(&self) -> Result<(), ConfigError> {
-        self.runtime.validate()?;
-        let rate_ok = self.arrivals.rate_per_s >= 0.0;
-        let work_ok = self.arrivals.mean_instructions > 0.0;
-        if !rate_ok || !work_ok || !(0.0..1.0).contains(&self.arrivals.instructions_jitter) {
-            return Err(ConfigError::BadArrivalProcess);
-        }
-        if self.migration_penalty_ms < 0.0 || self.migration_penalty_ms.is_nan() {
-            return Err(ConfigError::NegativeMigrationPenalty);
-        }
-        if self.reschedule_window_ms < 0.0 || self.reschedule_window_ms.is_nan() {
-            return Err(ConfigError::BadServicePolicy);
-        }
+        self.chip_config().validate()?;
+        self.arrivals.validate()?;
         let epoch_ok = self.epoch_ms.is_finite() && self.epoch_ms >= self.runtime.tick_ms;
         let budget_ok = self.datacenter_budget_w.is_finite() && self.datacenter_budget_w > 0.0;
         let gain_ok = self.budget_gain.is_finite() && self.budget_gain > 0.0;

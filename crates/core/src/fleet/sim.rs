@@ -28,7 +28,7 @@ use crate::experiments::ServingSite;
 use crate::manager::{ManagerSpec, PowerBudget};
 use crate::obs::json::{push_json_f64, push_json_str};
 use crate::obs::MetricsRegistry;
-use crate::online::{generate_arrivals, LatencyStats};
+use crate::online::{arrivals, LatencyStats};
 use crate::runtime::{ConfigError, TrialError};
 use crate::sched::SchedulerSpec;
 use cmpsim::Mix;
@@ -156,20 +156,18 @@ pub fn run_fleet(spec: &FleetSpec<'_>, workers: usize) -> Result<FleetOutcome, T
     let mut chips = manufacture_chips(spec, &hierarchy, workers);
 
     // One fleet-wide arrival stream, salted away from the chip
-    // sub-streams, generated up front so routing never draws
-    // randomness.
+    // sub-streams: the `generate_arrivals` schedule, drawn as routing
+    // consumes it so no job's spec outlives its wait on a chip.
     let mut arrival_rng = SimRng::seed_from(spec.plan.derive(spec.seed, 0) ^ ARRIVAL_SALT);
-    let jobs = generate_arrivals(
+    let mut arrivals = arrivals(
         spec.site.pool(),
         spec.mix,
         &cfg.arrivals,
         cfg.runtime.duration_ms,
         &mut arrival_rng,
-    );
-    let arrival_ticks: Vec<usize> = jobs
-        .iter()
-        .map(|j| (j.arrival_ms / tick_ms).ceil() as usize)
-        .collect();
+    )
+    .map(|job| ((job.arrival_ms / tick_ms).ceil() as usize, job))
+    .peekable();
 
     let mut dispatcher = spec.dispatch.build();
     let mut trace = String::new();
@@ -218,10 +216,9 @@ pub fn run_fleet(spec: &FleetSpec<'_>, workers: usize) -> Result<FleetOutcome, T
             })
             .collect();
         let (mut e_arrived, mut e_shed) = (0usize, 0usize);
-        while next_job < jobs.len() && arrival_ticks[next_job] < end {
-            let job = &jobs[next_job];
+        while let Some((arrival_tick, job)) = arrivals.next_if(|&(tick, _)| tick < end) {
             e_arrived += 1;
-            let target = dispatcher.route(job, &summaries);
+            let target = dispatcher.route(&job, &summaries);
             assert!(target < spec.chips, "dispatcher routed out of range");
             if summaries[target].queued >= cfg.max_queue_per_chip {
                 e_shed += 1;
@@ -229,8 +226,8 @@ pub fn run_fleet(spec: &FleetSpec<'_>, workers: usize) -> Result<FleetOutcome, T
                 chips[target].enqueue(FleetJob {
                     id: next_job,
                     arrival_ms: job.arrival_ms,
-                    arrival_tick: arrival_ticks[next_job],
-                    spec: job.spec.clone(),
+                    arrival_tick,
+                    spec: job.spec,
                     instructions: job.instructions,
                     phase_offset_ms: job.phase_offset_ms,
                 });

@@ -5,9 +5,11 @@
 //! each drawing an application uniformly from the pool (restricted to a
 //! [`Mix`]), an instruction budget around the configured mean, and a
 //! phase offset so identical applications do not march in lock-step.
-//! The whole schedule is generated up front from one RNG, so the event
-//! loop's behaviour can never perturb the workload it serves.
+//! The whole schedule comes from one RNG of its own (drawn up front, or
+//! lazily as the fleet routes it), so the event loop's behaviour can
+//! never perturb the workload it serves.
 
+use crate::runtime::ConfigError;
 use cmpsim::{AppSpec, Mix};
 use vastats::SimRng;
 
@@ -52,25 +54,17 @@ impl ArrivalConfig {
         }
     }
 
-    /// Validates rates and budgets.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the rate is negative or NaN, the mean budget is not
-    /// positive, or the jitter is outside `[0, 1)`.
-    pub fn validate_or_panic(&self) {
-        assert!(
-            self.rate_per_s >= 0.0 && !self.rate_per_s.is_nan(),
-            "arrival rate must be non-negative"
-        );
-        assert!(
-            self.mean_instructions > 0.0,
-            "mean instruction budget must be positive"
-        );
-        assert!(
-            (0.0..1.0).contains(&self.instructions_jitter),
-            "budget jitter must be in [0, 1)"
-        );
+    /// Validates rates and budgets: [`ConfigError::BadArrivalProcess`]
+    /// if the rate is negative or NaN, the mean budget is not positive,
+    /// or the jitter is outside `[0, 1)`.
+    pub fn validate(&self) -> Result<(), ConfigError> {
+        let rate_ok = self.rate_per_s >= 0.0;
+        let work_ok = self.mean_instructions > 0.0;
+        if rate_ok && work_ok && (0.0..1.0).contains(&self.instructions_jitter) {
+            Ok(())
+        } else {
+            Err(ConfigError::BadArrivalProcess)
+        }
     }
 }
 
@@ -108,27 +102,49 @@ pub fn generate_arrivals(
     horizon_ms: f64,
     rng: &mut SimRng,
 ) -> Vec<JobSpec> {
-    config.validate_or_panic();
-    assert!(horizon_ms > 0.0, "horizon must be positive");
-    if config.rate_per_s == 0.0 {
-        return Vec::new();
+    arrivals(pool, mix, config, horizon_ms, rng).collect()
+}
+
+/// The schedule of [`generate_arrivals`], drawn one job at a time (the
+/// same jobs from the same draws) for a caller that hands each job on
+/// as it goes instead of holding the whole schedule.
+///
+/// # Panics
+///
+/// As [`generate_arrivals`], when called.
+pub(crate) fn arrivals<'a>(
+    pool: &'a [AppSpec],
+    mix: Mix,
+    config: &ArrivalConfig,
+    horizon_ms: f64,
+    rng: &'a mut SimRng,
+) -> impl Iterator<Item = JobSpec> + 'a {
+    if let Err(e) = config.validate() {
+        panic!("{e}: {config:?}");
     }
-    let filtered: Vec<&AppSpec> = pool.iter().filter(|a| mix.admits(a)).collect();
+    assert!(horizon_ms > 0.0, "horizon must be positive");
+    let config = *config;
+    let apps: Vec<&AppSpec> = pool.iter().filter(|a| mix.admits(a)).collect();
     assert!(
-        !filtered.is_empty(),
+        config.rate_per_s == 0.0 || !apps.is_empty(),
         "mix {mix:?} admits no application from the pool"
     );
-
-    let mut jobs = Vec::new();
+    let cap = if config.rate_per_s == 0.0 {
+        0
+    } else if config.max_jobs == 0 {
+        usize::MAX
+    } else {
+        config.max_jobs
+    };
     let mut t_ms = 0.0f64;
-    loop {
+    std::iter::from_fn(move || {
         // Exponential inter-arrival: -ln(1 - u) / λ, in milliseconds.
         let u = rng.next_f64();
         t_ms += -(1.0 - u).ln() / config.rate_per_s * 1e3;
         if t_ms >= horizon_ms {
-            break;
+            return None;
         }
-        let spec = filtered[rng.index(filtered.len())].clone();
+        let spec = apps[rng.index(apps.len())].clone();
         let jitter = config.instructions_jitter;
         let instructions = if config.mean_instructions.is_finite() && jitter > 0.0 {
             rng.uniform(
@@ -139,17 +155,15 @@ pub fn generate_arrivals(
             config.mean_instructions
         };
         let phase_offset_ms = rng.uniform(0.0, spec.phase_cycle_ms());
-        jobs.push(JobSpec {
+        Some(JobSpec {
             arrival_ms: t_ms,
             spec,
             instructions,
             phase_offset_ms,
-        });
-        if config.max_jobs > 0 && jobs.len() >= config.max_jobs {
-            break;
-        }
-    }
-    jobs
+        })
+    })
+    .take(cap)
+    .fuse()
 }
 
 #[cfg(test)]

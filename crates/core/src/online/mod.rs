@@ -56,6 +56,7 @@ mod queue;
 mod sim;
 mod snapshot;
 
+pub(crate) use arrivals::arrivals;
 pub use arrivals::{generate_arrivals, ArrivalConfig, JobSpec};
 pub use metrics::{percentile, LatencyStats};
 pub use queue::{Event, EventKind, EventQueue};
@@ -185,11 +186,7 @@ impl OnlineConfig {
     /// penalty.
     pub fn validate(&self) -> Result<(), ConfigError> {
         self.runtime.validate()?;
-        let rate_ok = self.arrivals.rate_per_s >= 0.0;
-        let work_ok = self.arrivals.mean_instructions > 0.0;
-        if !rate_ok || !work_ok || !(0.0..1.0).contains(&self.arrivals.instructions_jitter) {
-            return Err(ConfigError::BadArrivalProcess);
-        }
+        self.arrivals.validate()?;
         if self.migration_penalty_ms < 0.0 || self.migration_penalty_ms.is_nan() {
             return Err(ConfigError::NegativeMigrationPenalty);
         }

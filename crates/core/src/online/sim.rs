@@ -225,11 +225,17 @@ fn ideal_service_ms(js: &JobSpec) -> f64 {
 /// simulation resumed from that snapshot replays the remaining ticks
 /// bit-identically to the uninterrupted run (the tests pin this,
 /// including the serialized round trip).
+///
+/// A fleet chip ([`crate::fleet::ChipSim`]) owns its simulation's
+/// machine and RNG instead of borrowing them. A job's [`JobSpec`] lives
+/// only while the job waits; what stays is its [`JobRecord`].
 pub struct OnlineSim<'a> {
-    machine: &'a mut Machine,
-    rng: &'a mut SimRng,
+    machine: Held<'a, Machine>,
+    rng: Held<'a, SimRng>,
     rt: RuntimeConfig,
-    budget: PowerBudget,
+    /// The budget the manager tracks; a fleet chip's hierarchy retargets
+    /// it between epochs.
+    pub(crate) budget: PowerBudget,
     hardened: bool,
     cadence: Cadence,
     /// Temperature-triggered migration as (interval in ticks, trigger
@@ -238,7 +244,8 @@ pub struct OnlineSim<'a> {
     /// Deadline slack factor (`∞` = deadlines disabled).
     deadline_slack: f64,
     cores: Vec<CoreProfile>,
-    schedule: Vec<JobSpec>,
+    /// Jobs whose `Arrival` event has not fired, in arrival order.
+    unarrived: VecDeque<JobSpec>,
     initial_count: usize,
     /// The arrival fork's initial state (checkpoint support).
     arrival_rng: Option<[u64; 4]>,
@@ -248,7 +255,6 @@ pub struct OnlineSim<'a> {
     /// Thread index → job id, maintained under the machine's
     /// swap_remove semantics.
     thread_job: Vec<usize>,
-    pending_completion: Vec<bool>,
     scheduler: Box<dyn Scheduler>,
     power_manager: HardenedManager,
     degradations: Vec<DegradationEvent>,
@@ -257,9 +263,36 @@ pub struct OnlineSim<'a> {
     /// Set when membership changed inside an open reschedule window.
     window_dirty: bool,
     shed: usize,
-    run_queue: VecDeque<usize>,
+    /// Arrived, not yet admitted jobs with their specs, front first.
+    run_queue: VecDeque<(usize, JobSpec)>,
     events: Vec<EventRecord>,
     counters: SimCounters,
+}
+
+/// A simulation's machine or RNG: borrowed from the caller, or owned.
+enum Held<'a, T> {
+    Borrowed(&'a mut T),
+    Owned(T),
+}
+
+impl<T> std::ops::Deref for Held<'_, T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        match self {
+            Held::Borrowed(t) => t,
+            Held::Owned(t) => t,
+        }
+    }
+}
+
+impl<T> std::ops::DerefMut for Held<'_, T> {
+    fn deref_mut(&mut self) -> &mut T {
+        match self {
+            Held::Borrowed(t) => t,
+            Held::Owned(t) => t,
+        }
+    }
 }
 
 impl<'a> OnlineSim<'a> {
@@ -281,6 +314,59 @@ impl<'a> OnlineSim<'a> {
         fault_plan: &FaultPlan,
         rng: &'a mut SimRng,
     ) -> Result<Self, TrialError> {
+        Self::build(
+            Held::Borrowed(machine),
+            residents,
+            pool,
+            mix,
+            policy,
+            manager,
+            budget,
+            config,
+            fault_plan,
+            Held::Borrowed(rng),
+        )
+    }
+
+    /// An empty simulation that owns its machine and RNG and draws no
+    /// arrivals of its own: its jobs come in through
+    /// [`OnlineSim::inject`]. This is a fleet chip's loop; `config`
+    /// should describe a closed system with no residents.
+    pub(crate) fn owned(
+        machine: Machine,
+        policy: SchedulerSpec,
+        manager: ManagerSpec,
+        budget: PowerBudget,
+        config: &OnlineConfig,
+        rng: SimRng,
+    ) -> Result<OnlineSim<'static>, TrialError> {
+        OnlineSim::build(
+            Held::Owned(machine),
+            None,
+            &[],
+            Mix::Balanced,
+            policy,
+            manager,
+            budget,
+            config,
+            &FaultPlan::none(),
+            Held::Owned(rng),
+        )
+    }
+
+    #[allow(clippy::too_many_arguments)] // OnlineSim::new's inputs
+    fn build(
+        mut machine: Held<'a, Machine>,
+        residents: Option<&Workload>,
+        pool: &[AppSpec],
+        mix: Mix,
+        policy: SchedulerSpec,
+        manager: ManagerSpec,
+        budget: PowerBudget,
+        config: &OnlineConfig,
+        fault_plan: &FaultPlan,
+        mut rng: Held<'a, SimRng>,
+    ) -> Result<Self, TrialError> {
         config.validate()?;
         let rt = config.runtime;
         let resident_count = residents.map_or(0, Workload::len);
@@ -295,7 +381,7 @@ impl<'a> OnlineSim<'a> {
         let scheduler = policy.build(&rt)?;
         manager.validate(&rt)?;
 
-        machine.load_threads(residents.map_or_else(Vec::new, |w| w.spawn_threads(rng)));
+        machine.load_threads(residents.map_or_else(Vec::new, |w| w.spawn_threads(&mut rng)));
         machine.install_faults(fault_plan)?;
         let hardened = machine.has_active_faults();
         let initial_count = machine.threads().len();
@@ -315,14 +401,13 @@ impl<'a> OnlineSim<'a> {
             (None, Vec::new())
         };
 
-        let cores = core_profiles(machine);
+        let cores = core_profiles(&machine);
         let cadence = Cadence::new(
             &rt,
             config.migration_penalty_ms,
             config.service.reschedule_window_ms,
         );
         let total_ticks = cadence.total_ticks;
-
         let mut queue = EventQueue::new();
         for tick in (0..total_ticks).step_by(cadence.os_every) {
             queue.push(tick, EventKind::OsTick);
@@ -331,10 +416,10 @@ impl<'a> OnlineSim<'a> {
             queue.push(tick, EventKind::DvfsTick);
         }
 
-        // Job records: residents first (budget = the configured mean,
+        // Job records of the residents (budget = the configured mean,
         // drawn without jitter so a closed system consumes no extra
-        // RNG), then the arrival schedule.
-        let mut jobs: Vec<JobRecord> = machine
+        // RNG); the arrival schedule's follow via `inject`.
+        let jobs: Vec<JobRecord> = machine
             .threads()
             .iter()
             .enumerate()
@@ -348,28 +433,9 @@ impl<'a> OnlineSim<'a> {
                 migrations: 0,
             })
             .collect();
-        for (i, js) in schedule.iter().enumerate() {
-            let job = jobs.len();
-            jobs.push(JobRecord {
-                job,
-                app: js.spec.name,
-                arrival_ms: js.arrival_ms,
-                admit_ms: None,
-                completion_ms: None,
-                instructions: js.instructions,
-                migrations: 0,
-            });
-            // A job arriving mid-tick becomes visible at the next
-            // boundary.
-            let tick = (js.arrival_ms / rt.tick_ms).ceil() as usize;
-            if tick < total_ticks {
-                queue.push(tick, EventKind::Arrival(i));
-            }
-        }
-        let pending_completion = vec![false; jobs.len()];
         let core_count = machine.core_count();
 
-        Ok(Self {
+        let mut sim = Self {
             machine,
             rng,
             rt,
@@ -379,13 +445,12 @@ impl<'a> OnlineSim<'a> {
             thermal_migration: None,
             deadline_slack: config.service.deadline_slack,
             cores,
-            schedule,
+            unarrived: VecDeque::with_capacity(schedule.len()),
             initial_count,
             arrival_rng,
             tick: 0,
             queue,
             thread_job: (0..initial_count).collect(),
-            pending_completion,
             jobs,
             scheduler,
             power_manager: HardenedManager::new(manager, core_count, hardened, &rt)?,
@@ -399,7 +464,35 @@ impl<'a> OnlineSim<'a> {
                 arrived: initial_count,
                 ..SimCounters::default()
             },
-        })
+        };
+        for js in schedule {
+            // A job arriving mid-tick becomes visible at the next
+            // boundary (one arriving past the horizon never does).
+            sim.inject((js.arrival_ms / rt.tick_ms).ceil() as usize, js);
+        }
+        Ok(sim)
+    }
+
+    /// Appends a job arriving at `tick` to the arrival sequence: its
+    /// record, its spec at the back of `unarrived`, and its `Arrival`
+    /// event. The pre-drawn schedule enters this way, and so does every
+    /// job the fleet dispatcher routes to a chip. A loop fed from
+    /// outside cannot be resumed from a checkpoint: resume regenerates
+    /// only the pre-drawn schedule.
+    pub(crate) fn inject(&mut self, tick: usize, js: JobSpec) {
+        let job = self.jobs.len();
+        self.jobs.push(JobRecord {
+            job,
+            app: js.spec.name,
+            arrival_ms: js.arrival_ms,
+            admit_ms: None,
+            completion_ms: None,
+            instructions: js.instructions,
+            migrations: 0,
+        });
+        self.queue
+            .push(tick, EventKind::Arrival(job - self.initial_count));
+        self.unarrived.push_back(js);
     }
 
     /// Rebuilds a suspended simulation from a [`Snapshot`].
@@ -413,10 +506,13 @@ impl<'a> OnlineSim<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`TrialError::SnapshotMismatch`] naming the structural
-    /// guard (core count, timeline length, tick within the horizon,
-    /// job-table consistency) the snapshot fails against the supplied
-    /// machine and configuration, before touching the machine.
+    /// Returns [`TrialError::SnapshotMismatch`] naming the guard the
+    /// snapshot fails. The structural guards (core count, timeline
+    /// length, tick within the horizon, job tables against the
+    /// regenerated schedule) are checked before touching the machine;
+    /// [`SnapshotGuard::Machine`] comes from
+    /// [`Machine::import_state`], after the machine was reset and the
+    /// fault plan re-installed.
     #[allow(clippy::too_many_arguments)] // mirrors OnlineSim::new
     pub fn resume(
         machine: &'a mut Machine,
@@ -438,13 +534,37 @@ impl<'a> OnlineSim<'a> {
             config.service.reschedule_window_ms,
         );
         let total_ticks = cadence.total_ticks;
+        // The schedule is a pure function of the arrival fork's initial
+        // state; regenerate it instead of trusting a serialized copy,
+        // and keep only the jobs that have not arrived yet.
+        let mut schedule = match snapshot.arrival_rng {
+            Some(state) => generate_arrivals(
+                pool,
+                mix,
+                &config.arrivals,
+                rt.duration_ms,
+                &mut SimRng::from_state(state),
+            ),
+            None => Vec::new(),
+        };
+        let initial = snapshot.initial_count;
+        let arrived = snapshot.counters.arrived.wrapping_sub(initial);
+        let jobs = snapshot.jobs.len();
+        let tables_ok = jobs == initial + schedule.len()
+            && arrived <= schedule.len()
+            && snapshot.thread_job.len() == snapshot.machine.threads.len()
+            && snapshot.thread_job.iter().all(|&job| job < jobs)
+            && snapshot
+                .run_queue
+                .iter()
+                .all(|&job| (initial..initial + arrived).contains(&job));
         let failed = if snapshot.core_count != machine.core_count() {
             Some(SnapshotGuard::CoreCount)
         } else if snapshot.total_ticks != total_ticks {
             Some(SnapshotGuard::TimelineLength)
         } else if snapshot.tick > total_ticks {
             Some(SnapshotGuard::TickBeyondHorizon)
-        } else if snapshot.pending_completion.len() != snapshot.jobs.len() {
+        } else if !tables_ok {
             Some(SnapshotGuard::JobTables)
         } else {
             None
@@ -455,21 +575,10 @@ impl<'a> OnlineSim<'a> {
 
         machine.load_threads(Vec::new());
         machine.install_faults(fault_plan)?;
-        machine.import_state(&snapshot.machine);
+        machine
+            .import_state(&snapshot.machine)
+            .map_err(|e| TrialError::SnapshotMismatch(SnapshotGuard::Machine(e)))?;
         let hardened = machine.has_active_faults();
-
-        // The schedule is a pure function of the arrival fork's initial
-        // state; regenerate it instead of trusting a serialized copy.
-        let schedule = match snapshot.arrival_rng {
-            Some(state) => generate_arrivals(
-                pool,
-                mix,
-                &config.arrivals,
-                rt.duration_ms,
-                &mut SimRng::from_state(state),
-            ),
-            None => Vec::new(),
-        };
 
         let mut scheduler = policy.build(&rt)?;
         scheduler.restore(&snapshot.scheduler);
@@ -478,10 +587,15 @@ impl<'a> OnlineSim<'a> {
 
         *rng = SimRng::from_state(snapshot.rng);
         let cores = core_profiles(machine);
+        let run_queue = snapshot
+            .run_queue
+            .iter()
+            .map(|&job| (job, schedule[job - initial].clone()))
+            .collect();
 
         Ok(Self {
-            machine,
-            rng,
+            machine: Held::Borrowed(machine),
+            rng: Held::Borrowed(rng),
             rt,
             budget,
             hardened,
@@ -489,21 +603,20 @@ impl<'a> OnlineSim<'a> {
             thermal_migration: None,
             deadline_slack: config.service.deadline_slack,
             cores,
-            schedule,
-            initial_count: snapshot.initial_count,
+            unarrived: schedule.drain(arrived..).collect(),
+            initial_count: initial,
             arrival_rng: snapshot.arrival_rng,
             tick: snapshot.tick,
             queue: EventQueue::import(snapshot.queue_events.clone(), snapshot.queue_next_seq),
             jobs: snapshot.jobs.clone(),
             thread_job: snapshot.thread_job.clone(),
-            pending_completion: snapshot.pending_completion.clone(),
             scheduler,
             power_manager,
             degradations: Vec::new(),
             fault_dirty: snapshot.fault_dirty,
             window_dirty: snapshot.window_dirty,
             shed: snapshot.shed,
-            run_queue: snapshot.run_queue.iter().copied().collect(),
+            run_queue,
             events: snapshot.events.clone(),
             counters: snapshot.counters.clone(),
         })
@@ -571,6 +684,32 @@ impl<'a> OnlineSim<'a> {
         self.tick >= self.cadence.total_ticks
     }
 
+    /// The machine the loop drives.
+    pub(crate) fn machine(&self) -> &Machine {
+        &self.machine
+    }
+
+    /// Lifecycle records of every job so far, by job id.
+    pub(crate) fn jobs(&self) -> &[JobRecord] {
+        &self.jobs
+    }
+
+    /// The run's scalar accumulators so far.
+    pub(crate) fn counters(&self) -> &SimCounters {
+        &self.counters
+    }
+
+    /// Jobs not yet admitted: queued, or waiting for their arrival tick.
+    pub(crate) fn waiting(&self) -> usize {
+        self.run_queue.len() + self.unarrived.len()
+    }
+
+    /// Drains the event log so far, so a long-lived loop (a fleet chip)
+    /// does not carry it past the caller's reporting interval.
+    pub(crate) fn drain_events(&mut self) -> std::vec::Drain<'_, EventRecord> {
+        self.events.drain(..)
+    }
+
     /// Captures the complete mutable state at the current tick
     /// boundary.
     ///
@@ -599,8 +738,7 @@ impl<'a> OnlineSim<'a> {
             queue_next_seq,
             jobs: self.jobs.clone(),
             thread_job: self.thread_job.clone(),
-            pending_completion: self.pending_completion.clone(),
-            run_queue: self.run_queue.iter().copied().collect(),
+            run_queue: self.run_queue.iter().map(|&(job, _)| job).collect(),
             events: self.events.clone(),
             fault_dirty: self.fault_dirty,
             window_dirty: self.window_dirty,
@@ -609,17 +747,16 @@ impl<'a> OnlineSim<'a> {
         }
     }
 
-    /// Deadline of a scheduled (non-resident) job: arrival plus
-    /// `deadline_slack ×` its ideal service time.
-    fn deadline_ms(&self, job: usize) -> f64 {
-        let js = &self.schedule[job - self.initial_count];
+    /// Deadline of a queued job: arrival plus `deadline_slack ×` its
+    /// ideal service time.
+    fn deadline_ms(&self, js: &JobSpec) -> f64 {
         js.arrival_ms + self.deadline_slack * ideal_service_ms(js)
     }
 
     /// Picks the next queued job to consider for admission: FIFO when
     /// deadlines are disabled (the historical policy), earliest
     /// deadline first (ties by job id) when enabled.
-    fn next_admission(&mut self) -> Option<usize> {
+    fn next_admission(&mut self) -> Option<(usize, JobSpec)> {
         if !self.deadline_slack.is_finite() {
             return self.run_queue.pop_front();
         }
@@ -627,11 +764,11 @@ impl<'a> OnlineSim<'a> {
             .run_queue
             .iter()
             .enumerate()
-            .min_by(|&(_, &a), &(_, &b)| {
+            .min_by(|(_, (a, ja)), (_, (b, jb))| {
                 // Earliest deadline first; a NaN deadline ranks last so
                 // it can never starve real deadlines.
-                crate::order::asc_nan_worst(self.deadline_ms(a), self.deadline_ms(b))
-                    .then(a.cmp(&b))
+                crate::order::asc_nan_worst(self.deadline_ms(ja), self.deadline_ms(jb))
+                    .then(a.cmp(b))
             })?
             .0;
         self.run_queue.remove(best)
@@ -672,8 +809,12 @@ impl<'a> OnlineSim<'a> {
                 }
                 EventKind::Arrival(i) => {
                     let job = self.initial_count + i;
+                    let js = self
+                        .unarrived
+                        .pop_front()
+                        .expect("arrivals fire in the order their specs were queued");
                     self.counters.arrived += 1;
-                    self.run_queue.push_back(job);
+                    self.run_queue.push_back((job, js));
                     self.counters.queue_peak = self.counters.queue_peak.max(self.run_queue.len());
                     self.events.push(EventRecord {
                         tick,
@@ -691,26 +832,23 @@ impl<'a> OnlineSim<'a> {
         // while it queued is shed here, so the queue stops feeding work
         // that can no longer meet its SLO into the tail.
         while self.machine.threads().len() < self.machine.alive_core_count() {
-            let Some(job) = self.next_admission() else {
+            let Some((job, js)) = self.next_admission() else {
                 break;
             };
-            if self.deadline_slack.is_finite() && job >= self.initial_count {
-                let js = &self.schedule[job - self.initial_count];
-                if now_ms + ideal_service_ms(js) > self.deadline_ms(job) {
-                    self.shed += 1;
-                    self.events.push(EventRecord {
-                        tick,
-                        event: OnlineEvent::Shed { job },
-                    });
-                    observer.on_job_shed(tick, job);
-                    continue;
-                }
+            if self.deadline_slack.is_finite()
+                && now_ms + ideal_service_ms(&js) > self.deadline_ms(&js)
+            {
+                self.shed += 1;
+                self.events.push(EventRecord {
+                    tick,
+                    event: OnlineEvent::Shed { job },
+                });
+                observer.on_job_shed(tick, job);
+                continue;
             }
-            let js = &self.schedule[job - self.initial_count];
-            let tid = self.machine.add_thread(Thread::with_phase_offset(
-                js.spec.clone(),
-                js.phase_offset_ms,
-            ));
+            let tid = self
+                .machine
+                .add_thread(Thread::with_phase_offset(js.spec, js.phase_offset_ms));
             debug_assert_eq!(tid, self.thread_job.len());
             self.thread_job.push(job);
             self.jobs[job].admit_ms = Some(now_ms);
@@ -723,7 +861,7 @@ impl<'a> OnlineSim<'a> {
             // boundary, so give the new thread a cheap deterministic
             // placement in the meantime.
             if self.cadence.window_every > 0 {
-                place_on_fastest_free(self.machine, &self.cores, &mut self.power_manager, tid);
+                place_on_fastest_free(&mut self.machine, &self.cores, &mut self.power_manager, tid);
             }
         }
 
@@ -741,8 +879,8 @@ impl<'a> OnlineSim<'a> {
             let remap = remap(
                 self.scheduler.as_mut(),
                 &self.cores,
-                self.machine,
-                self.rng,
+                &mut self.machine,
+                &mut self.rng,
                 &mut self.power_manager,
                 self.cadence.penalty_s,
                 self.rt.freq_mode,
@@ -786,9 +924,9 @@ impl<'a> OnlineSim<'a> {
                 self.budget
             };
             if let Some(levels) = self.power_manager.invoke(
-                self.machine,
+                &mut self.machine,
                 &eff_budget,
-                self.rng,
+                &mut self.rng,
                 &mut self.degradations,
             ) {
                 self.events.push(EventRecord {
@@ -813,7 +951,7 @@ impl<'a> OnlineSim<'a> {
         // Temperature-triggered migration (thermal trials only, which
         // are closed and fault-free: no penalty, no conditioner).
         if let Some((every, trigger_k)) = self.thermal_migration {
-            if tick > 0 && tick.is_multiple_of(every) && try_migrate(self.machine, trigger_k) {
+            if tick > 0 && tick.is_multiple_of(every) && try_migrate(&mut self.machine, trigger_k) {
                 observer.on_migration(tick);
             }
         }
@@ -831,7 +969,7 @@ impl<'a> OnlineSim<'a> {
             });
             observer.on_degradation(tick, DegradationEvent::from(event));
         }
-        observer.on_step(self.machine, &stats);
+        observer.on_step(&self.machine, &stats);
         if tick >= self.cadence.warmup_ticks {
             self.counters.deviation_sum += (stats.total_power_w - self.budget.chip_w).abs();
             self.counters.deviation_ticks += 1;
@@ -852,12 +990,11 @@ impl<'a> OnlineSim<'a> {
 
         // Completion detection: a job crossing its budget this tick
         // leaves at the next boundary (it cannot retire further — the
-        // Completion event drains before the next step).
+        // Completion event drains before the next step, so every thread
+        // seen here is still below its budget at the previous check).
         for (tid, thread) in self.machine.threads().iter().enumerate() {
             let job = self.thread_job[tid];
-            if !self.pending_completion[job] && thread.instructions() >= self.jobs[job].instructions
-            {
-                self.pending_completion[job] = true;
+            if thread.instructions() >= self.jobs[job].instructions {
                 self.queue.push(tick + 1, EventKind::Completion(job));
             }
         }
@@ -1014,7 +1151,7 @@ mod tests {
     use super::*;
     use crate::online::{ArrivalConfig, ServicePolicy};
     use crate::runtime::{run_trial, NullObserver};
-    use cmpsim::{app_pool, MachineConfig};
+    use cmpsim::{app_pool, MachineConfig, StateMismatch};
     use floorplan::paper_20_core;
     use varius::{DieGenerator, VariationConfig};
 
@@ -1405,13 +1542,15 @@ mod tests {
             SnapshotGuard::TimelineLength,
             SnapshotGuard::TickBeyondHorizon,
             SnapshotGuard::JobTables,
+            SnapshotGuard::Machine(StateMismatch::CoreCount),
         ] {
             let mut bad = snapshot.clone();
             match guard {
                 SnapshotGuard::CoreCount => bad.core_count = 4,
                 SnapshotGuard::TimelineLength => bad.total_ticks += 1,
                 SnapshotGuard::TickBeyondHorizon => bad.tick = bad.total_ticks + 1,
-                SnapshotGuard::JobTables => bad.pending_completion.push(false),
+                SnapshotGuard::JobTables => bad.thread_job.push(0),
+                SnapshotGuard::Machine(_) => bad.machine.levels.push(0),
             }
             let mut m2 = machine(3);
             let mut rng2 = SimRng::seed_from(9);
@@ -1429,6 +1568,63 @@ mod tests {
             );
             assert_eq!(resumed.err(), Some(TrialError::SnapshotMismatch(guard)));
         }
+    }
+
+    #[test]
+    fn resume_without_the_fault_plan_is_a_mismatch() {
+        use cmpsim::StuckSensor;
+        let pool = pool();
+        let config = open_config(250.0, 50.0e6);
+        let plan = FaultPlan {
+            seed: 5,
+            stuck_sensors: vec![StuckSensor {
+                core: 2,
+                at_ms: 20.0,
+            }],
+            ..FaultPlan::none()
+        };
+        let resume = |snapshot: &Snapshot, plan: &FaultPlan| {
+            OnlineSim::resume(
+                &mut machine(3),
+                &pool,
+                Mix::Balanced,
+                SchedulerSpec::VarFAppIpc,
+                ManagerSpec::LinOpt,
+                PowerBudget::cost_performance(20),
+                &config,
+                plan,
+                &mut SimRng::seed_from(9),
+                snapshot,
+            )
+            .map(|sim| sim.tick())
+        };
+        let mut m = machine(3);
+        let mut rng = SimRng::seed_from(9);
+        let mut sim = OnlineSim::new(
+            &mut m,
+            None,
+            &pool,
+            Mix::Balanced,
+            SchedulerSpec::VarFAppIpc,
+            ManagerSpec::LinOpt,
+            PowerBudget::cost_performance(20),
+            &config,
+            &plan,
+            &mut rng,
+        )
+        .unwrap();
+        while sim.tick() < 30 {
+            sim.step(&mut NullObserver);
+        }
+        let snapshot = sim.checkpoint();
+        drop(sim);
+        assert_eq!(
+            resume(&snapshot, &FaultPlan::none()),
+            Err(TrialError::SnapshotMismatch(SnapshotGuard::Machine(
+                StateMismatch::FaultPlan
+            )))
+        );
+        assert_eq!(resume(&snapshot, &plan), Ok(30));
     }
 
     // ----------------------------------------------------------------

@@ -33,7 +33,7 @@ use crate::manager::{
     ConditionStats, ConditionerState, ControlState, DegradationEvent, HardenedState, SolverError,
 };
 use crate::obs::json::{parse_json, push_json_f64, push_json_str, JsonError, JsonValue};
-use cmpsim::{AppSpec, FaultState, MachineState, Thread};
+use cmpsim::{AppSpec, FaultState, MachineState, StateMismatch, Thread};
 use std::fmt;
 use std::fmt::Write as _;
 
@@ -101,8 +101,6 @@ pub struct Snapshot {
     pub jobs: Vec<JobRecord>,
     /// Thread index → job id under the machine's swap-remove order.
     pub thread_job: Vec<usize>,
-    /// Jobs whose completion event is already enqueued.
-    pub pending_completion: Vec<bool>,
     /// Queued (arrived, not yet admitted) jobs, front first.
     pub run_queue: Vec<usize>,
     /// The event trace so far, in processing order.
@@ -166,8 +164,12 @@ pub enum SnapshotGuard {
     TimelineLength,
     /// The snapshot's tick lies beyond the configured horizon.
     TickBeyondHorizon,
-    /// The snapshot's job tables have different lengths.
+    /// The snapshot's job tables disagree with each other or with the
+    /// regenerated arrival schedule.
     JobTables,
+    /// The machine state does not fit the supplied machine or fault
+    /// plan ([`cmpsim::Machine::import_state`]).
+    Machine(StateMismatch),
 }
 
 // ---------------------------------------------------------------------
@@ -540,8 +542,6 @@ impl Snapshot {
 
         out.push_str(",\"thread_job\":");
         push_usize_arr(&mut out, &self.thread_job);
-        out.push_str(",\"pending_completion\":");
-        push_bool_arr(&mut out, &self.pending_completion);
         out.push_str(",\"run_queue\":");
         push_usize_arr(&mut out, &self.run_queue);
 
@@ -651,7 +651,6 @@ impl Snapshot {
             queue_next_seq: u64_field(queue, "next_seq")?,
             jobs,
             thread_job: usize_arr_field(&doc, "thread_job")?,
-            pending_completion: bool_arr_field(&doc, "pending_completion")?,
             run_queue: usize_arr_field(&doc, "run_queue")?,
             events,
             fault_dirty: bool_field(&doc, "fault_dirty")?,

@@ -7,9 +7,10 @@
 //! those events, and power/IPC sensors stay on throughout.
 //!
 //! This module holds the timeline's configuration, the observer hook,
-//! and the reschedule steps every serving loop shares. The tick loop
-//! itself is [`crate::online::OnlineSim`]: [`run_trial`] is its closed
-//! run over a fixed workload.
+//! and the reschedule steps of the one tick loop,
+//! [`crate::online::OnlineSim`]: [`run_trial`] is its closed run over a
+//! fixed workload, and every fleet chip ([`crate::fleet::ChipSim`]) runs
+//! it with injected arrivals.
 
 use crate::manager::{DegradationEvent, HardenedManager, ManagerSpec, PowerBudget, SolveReport};
 use crate::online::{OnlineSim, SnapshotGuard};
@@ -403,10 +404,10 @@ fn plan_assignment(
     (mapping, parked)
 }
 
-/// Tick counts and durations a serving loop derives from its
-/// configuration, computed in one place for
-/// [`crate::online::OnlineSim`] (fresh and resumed) and
-/// [`crate::fleet::ChipSim`].
+/// Tick counts and durations the serving loop derives from its
+/// configuration, computed in one place for a fresh and a resumed
+/// [`crate::online::OnlineSim`] (and so for every trial and fleet
+/// chip).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Cadence {
     /// Tick length (ms).
@@ -472,7 +473,7 @@ pub(crate) struct Remap {
     pub moved: Vec<usize>,
 }
 
-/// The full reschedule every serving loop runs: plan the mapping
+/// The full reschedule of the serving loop: plan the mapping
 /// ([`plan_assignment`]), apply it, charge `penalty_s` of stall to the
 /// destination core of every thread that moved (first placements are
 /// free), and, when no manager runs, pin levels by `freq_mode`.

@@ -12,7 +12,7 @@
 use vasp::vasched::experiments::fleet::{golden_spec, run_golden_scenario, GOLDEN_PATH};
 use vasp::vasched::experiments::ServingSite;
 use vasp::vasched::fleet::{run_fleet, FleetOutcome};
-use vasp::vasched::obs::diff_traces;
+use vasp::vasched::obs::{diff_traces, parse_json};
 
 /// Compares `actual` against `tests/golden/<name>`, or rewrites the
 /// golden when `UPDATE_GOLDENS` is set.
@@ -84,4 +84,36 @@ fn fleet_smoke_trace_matches_golden() {
         None,
         "replaying the committed golden must report zero divergence"
     );
+}
+
+#[test]
+fn golden_epochs_conserve_jobs() {
+    // Every routed job is queued, admitted or still waiting, and every
+    // admitted one is resident until it completes: each epoch record's
+    // backlog follows from the previous record and its own flows.
+    let out = run_golden_scenario();
+    let (mut queued, mut resident) = (0.0, 0.0);
+    for (i, line) in out.trace.lines().skip(1).enumerate() {
+        let record = parse_json(line).expect("trace record is JSON");
+        let field = |name: &str| {
+            record
+                .get(name)
+                .and_then(|v| v.as_f64())
+                .unwrap_or_else(|| panic!("epoch {i} lacks {name}"))
+        };
+        let admitted = field("admitted");
+        assert_eq!(
+            field("queued"),
+            queued + field("arrived") - field("shed") - admitted,
+            "epoch {i}: queued"
+        );
+        assert_eq!(
+            field("resident"),
+            resident + admitted - field("completed"),
+            "epoch {i}: resident"
+        );
+        queued = field("queued");
+        resident = field("resident");
+    }
+    assert!(resident > 0.0, "the scenario must end with jobs in flight");
 }
