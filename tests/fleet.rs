@@ -9,31 +9,13 @@
 //! `fleet-smoke` gate replays; regenerate after an intentional engine
 //! change with `UPDATE_GOLDENS=1 cargo test --test fleet`.
 
+mod common;
+
+use common::check_golden;
 use vasp::vasched::experiments::fleet::{golden_spec, run_golden_scenario, GOLDEN_PATH};
 use vasp::vasched::experiments::ServingSite;
 use vasp::vasched::fleet::{run_fleet, FleetOutcome};
 use vasp::vasched::obs::{diff_traces, parse_json};
-
-/// Compares `actual` against `tests/golden/<name>`, or rewrites the
-/// golden when `UPDATE_GOLDENS` is set.
-fn check_golden(name: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert!(
-        expected == actual,
-        "{name} drifted from its golden ({} vs {} bytes); if the engine \
-         change is intentional, regenerate with UPDATE_GOLDENS=1",
-        expected.len(),
-        actual.len()
-    );
-}
 
 #[test]
 fn fleet_run_is_identical_across_worker_counts() {

@@ -9,6 +9,9 @@
 //! Regenerate after an intentional engine change with
 //! `UPDATE_GOLDENS=1 cargo test --test obs`.
 
+mod common;
+
+use common::check_golden;
 use vasp::cmpsim::{app_pool, FaultPlan, Mix};
 use vasp::vasched::engine::{SeedPlan, TelemetryObserver, TrialArm, TrialRunner, TrialSpec};
 use vasp::vasched::experiments::Context;
@@ -105,27 +108,6 @@ fn golden_online_outcome() -> OnlineOutcome {
         &mut NullObserver,
     )
     .expect("valid trial")
-}
-
-/// Compares `actual` against `tests/golden/<name>`, or rewrites the
-/// golden when `UPDATE_GOLDENS` is set.
-fn check_golden(name: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert!(
-        expected == actual,
-        "{name} drifted from its golden ({} vs {} bytes); if the engine \
-         change is intentional, regenerate with UPDATE_GOLDENS=1",
-        expected.len(),
-        actual.len()
-    );
 }
 
 #[test]

@@ -1,14 +1,21 @@
 //! Integration tests for the online serving subsystem: the
 //! discrete-event loop exercised end-to-end through the public API,
-//! and the determinism contract the engine guarantees across worker
-//! counts.
+//! the determinism contract the engine guarantees across worker
+//! counts, and the committed checkpoint wire format
+//! (`tests/golden/snapshots.jsonl`; regenerate after an intentional
+//! format change with `UPDATE_GOLDENS=1 cargo test --test online`).
 
-use vasp::cmpsim::{app_pool, FaultPlan, Mix};
+mod common;
+
+use common::check_golden;
+use vasp::cmpsim::{app_pool, BudgetDrop, CoreFailure, FaultPlan, Mix, StuckSensor};
 use vasp::vasched::engine::{OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
 use vasp::vasched::experiments::{Context, Scale};
 use vasp::vasched::manager::{ManagerSpec, PowerBudget};
-use vasp::vasched::online::{run_online, ArrivalConfig, OnlineConfig, ServicePolicy};
-use vasp::vasched::runtime::{NullObserver, RuntimeConfig};
+use vasp::vasched::online::{
+    run_online, ArrivalConfig, OnlineConfig, OnlineEvent, OnlineSim, ServicePolicy, Snapshot,
+};
+use vasp::vasched::runtime::{FreqMode, NullObserver, RuntimeConfig};
 use vasp::vasched::sched::SchedulerSpec;
 use vasp::vastats::SimRng;
 
@@ -107,4 +114,137 @@ fn online_trials_are_bit_identical_across_worker_counts() {
             );
         }
     }
+}
+
+/// Checkpoints `manager` serving `config` under `plan` on die `die` at
+/// `cut_tick`.
+fn checkpoint_at(
+    die: u64,
+    manager: ManagerSpec,
+    config: &OnlineConfig,
+    plan: &FaultPlan,
+    cut_tick: usize,
+) -> Snapshot {
+    let ctx = Context::new(20);
+    let pool = app_pool(&ctx.machine_config().dynamic);
+    let mut rng = SimRng::seed_from(die);
+    let mut machine = ctx.make_machine(&ctx.make_die(&mut rng));
+    let residents = config.draw_residents(&pool, Mix::Balanced, &mut rng);
+    let mut sim = OnlineSim::new(
+        &mut machine,
+        residents.as_ref(),
+        &pool,
+        Mix::Balanced,
+        SchedulerSpec::VarFAppIpc,
+        manager,
+        PowerBudget::cost_performance(20),
+        config,
+        plan,
+        &mut rng,
+    )
+    .expect("valid run");
+    while sim.tick() < cut_tick {
+        sim.step(&mut NullObserver);
+    }
+    sim.checkpoint()
+}
+
+/// One checkpoint per wire shape: an open LinOpt stream; a faulted
+/// IntReg run (stuck sensor, core failure, budget drop: fault state,
+/// conditioner filters, `Degraded` events); an SLO Foxton* run with
+/// queued and shed jobs; and a closed unmanaged `UniFreq` run
+/// (`"inf"` budgets, frequency caps, no primary manager state).
+fn golden_snapshots() -> Vec<Snapshot> {
+    let faults = FaultPlan {
+        seed: 77,
+        sensor_noise_sigma: 0.05,
+        sensor_drift_per_s: 0.0,
+        stuck_sensors: vec![StuckSensor {
+            core: 2,
+            at_ms: 10.0,
+        }],
+        core_failures: vec![CoreFailure {
+            core: 5,
+            at_ms: 20.0,
+        }],
+        budget_drops: vec![BudgetDrop {
+            start_ms: 15.0,
+            end_ms: 45.0,
+            factor: 0.7,
+        }],
+    };
+    let slo = OnlineConfig {
+        service: ServicePolicy {
+            reschedule_window_ms: 25.0,
+            deadline_slack: 3.0,
+        },
+        ..serving_config(1500.0)
+    };
+    let closed = OnlineConfig {
+        runtime: RuntimeConfig::builder()
+            .duration_ms(60.0)
+            .os_interval_ms(30.0)
+            .freq_mode(FreqMode::Uniform)
+            .build()
+            .unwrap(),
+        arrivals: ArrivalConfig::closed(),
+        initial_jobs: 6,
+        ..serving_config(0.0)
+    };
+    let faulted = OnlineConfig {
+        initial_jobs: 6,
+        ..serving_config(200.0)
+    };
+    vec![
+        checkpoint_at(
+            31,
+            ManagerSpec::LinOpt,
+            &serving_config(400.0),
+            &FaultPlan::none(),
+            37,
+        ),
+        checkpoint_at(32, ManagerSpec::integral_regulator(), &faulted, &faults, 35),
+        checkpoint_at(33, ManagerSpec::FoxtonStar, &slo, &FaultPlan::none(), 45),
+        checkpoint_at(34, ManagerSpec::None, &closed, &FaultPlan::none(), 25),
+    ]
+}
+
+/// The checkpoint wire format is pinned byte for byte, and every
+/// committed line decodes to the checkpoint it came from and encodes
+/// back to itself.
+#[test]
+fn snapshot_wire_format_matches_golden() {
+    let pool = app_pool(&Context::new(20).machine_config().dynamic);
+    let snapshots = golden_snapshots();
+    let (faulted, slo, closed) = (&snapshots[1], &snapshots[2], &snapshots[3]);
+    assert!(faulted.machine.faults.is_some() && faulted.manager.conditioner.uncore_w.is_some());
+    assert!(faulted
+        .manager
+        .conditioner
+        .cores
+        .iter()
+        .any(Option::is_some));
+    assert!(faulted
+        .events
+        .iter()
+        .any(|r| matches!(r.event, OnlineEvent::Degraded { .. })));
+    assert!(
+        slo.shed > 0 && !slo.run_queue.is_empty(),
+        "SLO run must queue and shed"
+    );
+    assert!(
+        closed.manager.primary.is_none()
+            && closed.jobs.iter().all(|j| j.instructions.is_infinite())
+    );
+    assert!(closed.machine.freq_caps.iter().any(Option::is_some));
+    let mut lines = String::new();
+    for snapshot in snapshots {
+        let line = snapshot.to_json();
+        let revived = Snapshot::from_json(&line, &pool).expect("decodes");
+        assert_eq!(revived, snapshot, "decode must be lossless");
+        assert_eq!(revived.to_json(), line, "re-encode must be byte-identical");
+        lines.push_str(&line);
+        lines.push('\n');
+    }
+    check_golden("snapshots.jsonl", &lines);
 }

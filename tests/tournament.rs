@@ -10,33 +10,14 @@
 //! `tournament-smoke` gate replays; regenerate after an intentional
 //! engine change with `UPDATE_GOLDENS=1 cargo test --test tournament`.
 
+mod common;
+
+use common::check_golden;
 use vasp::vasched::experiments::tournament::{
     contenders, golden_scale, run_golden_scenario, run_with_workers, scenarios, GOLDEN_PATH,
     TOURNAMENT_GOLDEN_SEED,
 };
 use vasp::vasched::obs::diff_traces;
-
-/// Compares `actual` against `tests/golden/<name>`, or rewrites the
-/// golden when `UPDATE_GOLDENS` is set.
-fn check_golden(name: &str, actual: &str) {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests/golden")
-        .join(name);
-    if std::env::var_os("UPDATE_GOLDENS").is_some() {
-        std::fs::write(&path, actual).expect("write golden");
-        return;
-    }
-    let expected = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("missing golden {}: {e}", path.display()));
-    assert!(
-        expected == actual,
-        "{name} drifted from its golden ({} vs {} bytes); if the engine \
-         change is intentional, regenerate with UPDATE_GOLDENS=1: {:?}",
-        expected.len(),
-        actual.len(),
-        diff_traces(&expected, actual),
-    );
-}
 
 #[test]
 fn tournament_report_is_identical_across_worker_counts() {
