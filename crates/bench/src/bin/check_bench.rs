@@ -6,9 +6,8 @@
 //! ```
 //!
 //! With no file arguments, validates every `BENCH_*.json` under
-//! `results/` and `crates/bench/results/` (the benches run with the
-//! package as their working directory, the bins with the workspace
-//! root). Each file must parse as JSON, carry the `vasp.bench.v1`
+//! `results/` (the bins write there relative to their working
+//! directory). Each file must parse as JSON, carry the `vasp.bench.v1`
 //! schema tag, and every case/stage must have the required keys with
 //! positive, finite timings. Exits non-zero on the first malformed
 //! file, so CI can gate on it (`scripts/ci.sh bench-smoke`).
@@ -184,9 +183,10 @@ fn main() -> ExitCode {
         baseline_dir = Some(PathBuf::from(args.remove(pos)));
     }
     let files: Vec<PathBuf> = if args.is_empty() {
-        let mut found: Vec<PathBuf> = ["results", "crates/bench/results"]
-            .iter()
-            .flat_map(|dir| std::fs::read_dir(dir).into_iter().flatten().flatten())
+        let mut found: Vec<PathBuf> = std::fs::read_dir("results")
+            .into_iter()
+            .flatten()
+            .flatten()
             .map(|e| e.path())
             .filter(|p| {
                 p.extension().is_some_and(|e| e == "json")

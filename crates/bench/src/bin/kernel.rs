@@ -1,8 +1,8 @@
 //! Kernel microbenches: the costs every experiment pays per tick.
 //!
 //! Measures the public kernel entry points (`Machine::step`, thread
-//! profiling, thermal stepping, field sampling, LinOpt, SAnn and the
-//! exact solver) plus the in-place scratch-buffer APIs; writes
+//! profiling, thermal stepping, field sampling, LinOpt, Foxton*, SAnn
+//! and the exact solver) plus the in-place scratch-buffer APIs; writes
 //! `results/BENCH_kernel.json`. The committed pre-optimization run is
 //! `results/BENCH_kernel_baseline.json`; `check_bench --baseline`
 //! diffs the two.
@@ -29,6 +29,7 @@ use std::time::Instant;
 use thermal::{ThermalModel, ThermalParams, ThermalScratch};
 use varius::{DieGenerator, VariationConfig};
 use vasched::manager::exhaustive::exhaustive_levels;
+use vasched::manager::foxton::foxton_star_levels;
 use vasched::manager::linopt::{linopt_levels, LinOpt};
 use vasched::manager::sann::sann_levels;
 use vasched::manager::{synthetic_core, PmView, PowerBudget, PowerManager};
@@ -257,6 +258,10 @@ fn bench_solver(report: &mut BenchReport) {
         black_box(linopt_levels(black_box(&view), &budget));
     });
     report.push_case("solver", "linopt_cold_20c", m);
+    let m = report_case("solver", "foxton_star_20c", || {
+        black_box(foxton_star_levels(black_box(&view), &budget));
+    });
+    report.push_case("solver", "foxton_star_20c", m);
 
     let n = 20usize;
     let build = || {

@@ -22,7 +22,7 @@ pub const BENCH_SCHEMA: &str = "vasp.bench.v1";
 /// One timed case inside a report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchCase {
-    /// `group/name` identifier, e.g. `managers_20_threads/linopt`.
+    /// `group/name` identifier, e.g. `solver/linopt_cold_20c`.
     pub id: String,
     /// Median per-iteration nanoseconds.
     pub median_ns: f64,

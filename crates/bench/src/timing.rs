@@ -1,9 +1,10 @@
-//! Minimal self-contained timing harness for the `benches/` targets.
+//! Minimal self-contained timing harness for the timed cases of the
+//! `kernel`, `fleet` and `tournament` bins.
 //!
-//! The build environment has no crates.io access, so the benches run as
-//! plain `harness = false` binaries on top of this module instead of
-//! criterion: warm up, pick an iteration count that fills the sampling
-//! window, and report the per-iteration median over a few samples.
+//! The build environment has no crates.io access, so the bins time
+//! their cases with this module instead of criterion: warm up, pick an
+//! iteration count that fills the sampling window, and report the
+//! per-iteration median over a few samples.
 //!
 //! Two measurement bugs shaped this module's current form. The batch
 //! size used to be derived from the *first* call of the closure — a

@@ -103,7 +103,7 @@ pub fn fit_core_into(
 /// stateful [`LinOpt`] manager owns one; the free functions run over a
 /// throwaway, so all paths compute identical results.
 #[derive(Debug, Clone, Default)]
-pub struct LinOptWorkspace {
+struct LinOptWorkspace {
     solver: SolveWorkspace,
     lp: Option<Problem>,
     coefs: Vec<LinOptCoefficients>,
@@ -112,13 +112,6 @@ pub struct LinOptWorkspace {
     power_row: Vec<f64>,
     f_points: Vec<(f64, f64)>,
     p_points: Vec<(f64, f64)>,
-}
-
-impl LinOptWorkspace {
-    /// An empty workspace; buffers are sized by the first solve.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Computes LinOpt's level assignment for the active cores.
@@ -240,7 +233,7 @@ fn assemble_lp(
 /// Panics if the view is empty.
 pub fn chip_power_shadow_price(view: &PmView, budget: &PowerBudget) -> Option<f64> {
     assert!(!view.is_empty(), "no active cores to manage");
-    let mut ws = LinOptWorkspace::new();
+    let mut ws = LinOptWorkspace::default();
     if !assemble_lp(view, budget, FIT_POINTS, &mut ws) {
         return None;
     }
@@ -251,7 +244,9 @@ pub fn chip_power_shadow_price(view: &PmView, budget: &PowerBudget) -> Option<f6
 }
 
 /// LinOpt with explicit fit-point count and rounding policy — the knobs
-/// the ablation experiments turn.
+/// the ablation experiments turn. A cold solve; solver failure pins
+/// minimum levels (the closest the machine can get to an unreachable
+/// budget).
 ///
 /// # Panics
 ///
@@ -262,80 +257,27 @@ pub fn linopt_levels_with(
     fit_points: usize,
     rounding: RoundingPolicy,
 ) -> Vec<usize> {
-    linopt_levels_warm(view, budget, fit_points, rounding, &mut None)
-}
-
-/// The full LinOpt pipeline with a warm-start slot: `warm` carries the
-/// previous Simplex basis into this solve and receives the new one. The
-/// stateful [`LinOpt`] manager threads its basis through here; the free
-/// functions pass `&mut None` (a cold solve).
-///
-/// # Panics
-///
-/// Panics if the view is empty or `fit_points < 2`.
-pub fn linopt_levels_warm(
-    view: &PmView,
-    budget: &PowerBudget,
-    fit_points: usize,
-    rounding: RoundingPolicy,
-    warm: &mut Option<Vec<usize>>,
-) -> Vec<usize> {
-    // Legacy behavior: solver failure silently pins minimum levels
-    // (the closest the machine can get to an unreachable budget).
-    try_linopt_levels_warm(view, budget, fit_points, rounding, warm)
+    let mut ws = LinOptWorkspace::default();
+    try_linopt_levels_traced_with(view, budget, fit_points, rounding, &mut None, &mut ws)
+        .0
         .unwrap_or_else(|_| view.min_levels())
 }
 
-/// [`linopt_levels_warm`] that surfaces solver failure instead of
-/// pinning minimum levels: `Err(SolverError::Infeasible)` when even the
-/// all-minimum floor exceeds the chip budget, and
-/// `Err(SolverError::NumericalFailure)` when the Simplex solve breaks
-/// down. The hardened control path uses this to fall back to the
-/// chip-wide manager with a logged degradation event.
+/// The full LinOpt pipeline over a caller-owned [`LinOptWorkspace`],
+/// with a warm-start slot: `warm` carries the previous Simplex basis
+/// into this solve and receives the new one. Returns the levels, or
+/// `Err(SolverError::Infeasible)` when even the all-minimum floor
+/// exceeds the chip budget and `Err(SolverError::NumericalFailure)`
+/// when the Simplex solve breaks down, plus the Simplex pivot count
+/// and warm-start disposition that feed [`PowerManager::last_solve`].
+/// The LP, the tableau and every assembly vector are recycled across
+/// intervals, so the steady-state 10 ms re-solve allocates only the
+/// returned level vector.
 ///
 /// # Panics
 ///
 /// Panics if the view is empty or `fit_points < 2`.
-pub fn try_linopt_levels_warm(
-    view: &PmView,
-    budget: &PowerBudget,
-    fit_points: usize,
-    rounding: RoundingPolicy,
-    warm: &mut Option<Vec<usize>>,
-) -> Result<Vec<usize>, SolverError> {
-    try_linopt_levels_traced(view, budget, fit_points, rounding, warm).0
-}
-
-/// [`try_linopt_levels_warm`] plus the solver-side cost of the call:
-/// Simplex pivot count and warm-start disposition. This is the
-/// instrumented entry the stateful [`LinOpt`] manager uses to feed
-/// [`PowerManager::last_solve`]; the stats are byproducts of work the
-/// solve does anyway, so tracing costs nothing extra.
-///
-/// # Panics
-///
-/// Panics if the view is empty or `fit_points < 2`.
-pub fn try_linopt_levels_traced(
-    view: &PmView,
-    budget: &PowerBudget,
-    fit_points: usize,
-    rounding: RoundingPolicy,
-    warm: &mut Option<Vec<usize>>,
-) -> (Result<Vec<usize>, SolverError>, usize, WarmStart) {
-    let mut ws = LinOptWorkspace::new();
-    try_linopt_levels_traced_with(view, budget, fit_points, rounding, warm, &mut ws)
-}
-
-/// [`try_linopt_levels_traced`] over a caller-owned [`LinOptWorkspace`]:
-/// the LP, the Simplex tableau, and every assembly vector are recycled
-/// across intervals, so the steady-state 10 ms re-solve allocates only
-/// the returned level vector. Results are identical to the throwaway-
-/// workspace path.
-///
-/// # Panics
-///
-/// Panics if the view is empty or `fit_points < 2`.
-pub fn try_linopt_levels_traced_with(
+fn try_linopt_levels_traced_with(
     view: &PmView,
     budget: &PowerBudget,
     fit_points: usize,
@@ -414,8 +356,6 @@ pub fn try_linopt_levels_traced_with(
 /// handful of pivots; the chosen levels are identical to a cold solve.
 #[derive(Debug, Clone)]
 pub struct LinOpt {
-    fit_points: usize,
-    rounding: RoundingPolicy,
     basis: Option<Vec<usize>>,
     last: Option<SolveReport>,
     ws: LinOptWorkspace,
@@ -425,25 +365,10 @@ impl LinOpt {
     /// The paper's configuration: three fit points, round-down.
     pub fn new() -> Self {
         Self {
-            fit_points: FIT_POINTS,
-            rounding: RoundingPolicy::Down,
             basis: None,
             last: None,
-            ws: LinOptWorkspace::new(),
+            ws: LinOptWorkspace::default(),
         }
-    }
-
-    /// Overrides the number of power-fit points (the §5.2 ablation).
-    pub fn with_fit_points(mut self, fit_points: usize) -> Self {
-        assert!(fit_points >= 2, "need at least two fit points");
-        self.fit_points = fit_points;
-        self
-    }
-
-    /// Overrides the level-rounding policy.
-    pub fn with_rounding(mut self, rounding: RoundingPolicy) -> Self {
-        self.rounding = rounding;
-        self
     }
 
     /// Whether a warm-start basis is currently cached.
@@ -479,8 +404,8 @@ impl PowerManager for LinOpt {
         let (result, pivots, warm) = try_linopt_levels_traced_with(
             view,
             budget,
-            self.fit_points,
-            self.rounding,
+            FIT_POINTS,
+            RoundingPolicy::Down,
             &mut self.basis,
             &mut self.ws,
         );

@@ -1372,13 +1372,17 @@ mod tests {
     // Checkpoint/restore
     // ----------------------------------------------------------------
 
-    /// Runs the scenario uninterrupted, and again with a checkpoint +
-    /// serialized round trip + restore at `cut_tick`, and asserts the
-    /// outcomes and traces are identical.
-    fn assert_resume_bit_identical(config: &OnlineConfig, fault_plan: &FaultPlan, cut_tick: usize) {
+    /// Runs `manager` over the scenario uninterrupted, and again with a
+    /// checkpoint + serialized round trip + restore at `cut_tick`, and
+    /// asserts the outcomes and traces are identical.
+    fn assert_resume_bit_identical(
+        manager: ManagerSpec,
+        config: &OnlineConfig,
+        fault_plan: &FaultPlan,
+        cut_tick: usize,
+    ) {
         let pool = pool();
         let policy = SchedulerSpec::VarFAppIpc;
-        let manager = ManagerSpec::LinOpt;
         let budget = PowerBudget::cost_performance(20);
 
         let mut m1 = machine(3);
@@ -1453,7 +1457,12 @@ mod tests {
 
     #[test]
     fn checkpoint_resume_is_bit_identical_mid_run() {
-        assert_resume_bit_identical(&open_config(250.0, 50.0e6), &FaultPlan::none(), 50);
+        assert_resume_bit_identical(
+            ManagerSpec::LinOpt,
+            &open_config(250.0, 50.0e6),
+            &FaultPlan::none(),
+            50,
+        );
     }
 
     #[test]
@@ -1461,7 +1470,12 @@ mod tests {
         // A DVFS boundary (30) and an unaligned tick (37): state
         // capture is boundary-agnostic.
         for cut in [30, 37] {
-            assert_resume_bit_identical(&open_config(400.0, 40.0e6), &FaultPlan::none(), cut);
+            assert_resume_bit_identical(
+                ManagerSpec::LinOpt,
+                &open_config(400.0, 40.0e6),
+                &FaultPlan::none(),
+                cut,
+            );
         }
     }
 
@@ -1471,7 +1485,7 @@ mod tests {
             initial_jobs: 5,
             ..open_config(150.0, 30.0e6)
         };
-        assert_resume_bit_identical(&config, &FaultPlan::none(), 60);
+        assert_resume_bit_identical(ManagerSpec::LinOpt, &config, &FaultPlan::none(), 60);
     }
 
     #[test]
@@ -1500,8 +1514,16 @@ mod tests {
             ..open_config(200.0, 40.0e6)
         };
         // Cut after the failure fired so the restored run carries the
-        // dead core, the stuck sensor, and the in-flight budget drop.
-        assert_resume_bit_identical(&config, &plan, 55);
+        // dead core, the stuck sensor, and the in-flight budget drop,
+        // under each kind of manager state: Foxton*'s cursor, LinOpt's
+        // basis and the regulator's correction.
+        for manager in [
+            ManagerSpec::FoxtonStar,
+            ManagerSpec::LinOpt,
+            ManagerSpec::integral_regulator(),
+        ] {
+            assert_resume_bit_identical(manager, &config, &plan, 55);
+        }
     }
 
     #[test]
@@ -1513,7 +1535,7 @@ mod tests {
             },
             ..open_config(800.0, 80.0e6)
         };
-        assert_resume_bit_identical(&config, &FaultPlan::none(), 45);
+        assert_resume_bit_identical(ManagerSpec::LinOpt, &config, &FaultPlan::none(), 45);
     }
 
     #[test]

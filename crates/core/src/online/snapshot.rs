@@ -12,10 +12,12 @@
 //! configuration to [`super::OnlineSim::resume`], exactly as it would
 //! re-supply the binary itself.
 //!
-//! The wire format is JSON through the same dependency-free
-//! [`crate::obs::json`] helpers the trace writer uses. Two encoding
-//! rules keep the round trip exact where plain JSON would lose
-//! information:
+//! The wire format (`vasp.snapshot.v1`) is stated once, by one private
+//! `Wire` codec per type that maps a value to and from a
+//! [`JsonValue`]; [`JsonValue::write`] renders the text and
+//! [`crate::obs::json::parse_json`] reads it back. Plain structs list
+//! their keys once, for both directions. Two encoding rules keep the
+//! round trip exact where plain JSON would lose information:
 //!
 //! * **`u64` values are encoded as decimal strings** — RNG state words
 //!   use all 64 bits, and a JSON number (an `f64` after parsing) is
@@ -25,17 +27,17 @@
 //!   and the JSON writer would otherwise flatten it to `null`.
 //!
 //! Finite `f64` values rely on Rust's shortest-roundtrip formatting,
-//! which parses back to the identical bits.
+//! which parses back to the identical bits. A decode error names the
+//! full path of the offending value, such as `jobs[3].admit_ms`.
 
 use super::queue::EventKind;
 use super::sim::{EventRecord, JobRecord, OnlineEvent};
 use crate::manager::{
     ConditionStats, ConditionerState, ControlState, DegradationEvent, HardenedState, SolverError,
 };
-use crate::obs::json::{parse_json, push_json_f64, push_json_str, JsonError, JsonValue};
+use crate::obs::json::{parse_json, JsonError, JsonValue};
 use cmpsim::{AppSpec, FaultState, MachineState, StateMismatch, Thread};
 use std::fmt;
-use std::fmt::Write as _;
 
 /// Schema tag written into every serialized snapshot.
 pub const SNAPSHOT_SCHEMA: &str = "vasp.snapshot.v1";
@@ -172,416 +174,10 @@ pub enum SnapshotGuard {
     Machine(StateMismatch),
 }
 
-// ---------------------------------------------------------------------
-// Writer
-// ---------------------------------------------------------------------
-
-/// `u64` as a decimal string (all 64 bits survive the JSON round trip).
-fn push_u64(out: &mut String, v: u64) {
-    let _ = write!(out, "\"{v}\"");
-}
-
-/// `f64` that may be non-finite: finite values use the shortest
-/// roundtrip form, `±∞`/NaN become the strings `"inf"`/`"-inf"`/`"nan"`.
-fn push_f64_exact(out: &mut String, v: f64) {
-    if v.is_finite() {
-        push_json_f64(out, v);
-    } else if v.is_nan() {
-        out.push_str("\"nan\"");
-    } else if v > 0.0 {
-        out.push_str("\"inf\"");
-    } else {
-        out.push_str("\"-inf\"");
-    }
-}
-
-fn push_f64_arr(out: &mut String, vs: &[f64]) {
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_f64_exact(out, *v);
-    }
-    out.push(']');
-}
-
-fn push_bool_arr(out: &mut String, vs: &[bool]) {
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(if *v { "true" } else { "false" });
-    }
-    out.push(']');
-}
-
-fn push_usize_arr(out: &mut String, vs: &[usize]) {
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{v}");
-    }
-    out.push(']');
-}
-
-fn push_opt_usize_arr(out: &mut String, vs: &[Option<usize>]) {
-    out.push('[');
-    for (i, v) in vs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match v {
-            Some(x) => {
-                let _ = write!(out, "{x}");
-            }
-            None => out.push_str("null"),
-        }
-    }
-    out.push(']');
-}
-
-fn push_rng_state(out: &mut String, state: &[u64; 4]) {
-    out.push('[');
-    for (i, w) in state.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        push_u64(out, *w);
-    }
-    out.push(']');
-}
-
-fn push_control_state(out: &mut String, state: &ControlState) {
-    match state {
-        ControlState::Stateless => out.push_str("{\"kind\":\"stateless\"}"),
-        ControlState::Cursor(c) => {
-            let _ = write!(out, "{{\"kind\":\"cursor\",\"cursor\":{c}}}");
-        }
-        ControlState::Basis(basis) => {
-            out.push_str("{\"kind\":\"basis\",\"basis\":");
-            match basis {
-                None => out.push_str("null"),
-                Some(b) => push_usize_arr(out, b),
-            }
-            out.push('}');
-        }
-        ControlState::Regulator { correction_w, last } => {
-            out.push_str("{\"kind\":\"regulator\",\"correction_w\":");
-            push_f64_exact(out, *correction_w);
-            out.push_str(",\"last\":[");
-            for (i, (core, level)) in last.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{core},{level}]");
-            }
-            out.push_str("]}");
-        }
-    }
-}
-
-fn push_degradation(out: &mut String, event: &DegradationEvent) {
-    match event {
-        DegradationEvent::SolverFallback { error } => {
-            out.push_str("{\"kind\":\"solver_fallback\",\"error\":");
-            out.push_str(match error {
-                SolverError::Infeasible => "\"infeasible\"",
-                SolverError::NumericalFailure => "\"numerical\"",
-            });
-            out.push('}');
-        }
-        DegradationEvent::CoreFailed { core } => {
-            let _ = write!(out, "{{\"kind\":\"core_failed\",\"core\":{core}}}");
-        }
-        DegradationEvent::SensorStuck { core } => {
-            let _ = write!(out, "{{\"kind\":\"sensor_stuck\",\"core\":{core}}}");
-        }
-        DegradationEvent::BudgetDropBegan { factor } => {
-            out.push_str("{\"kind\":\"budget_drop_began\",\"factor\":");
-            push_f64_exact(out, *factor);
-            out.push('}');
-        }
-        DegradationEvent::BudgetRestored => out.push_str("{\"kind\":\"budget_restored\"}"),
-        DegradationEvent::ThreadsParked { parked } => {
-            let _ = write!(out, "{{\"kind\":\"threads_parked\",\"parked\":{parked}}}");
-        }
-    }
-}
-
-fn push_online_event(out: &mut String, event: &OnlineEvent) {
-    match event {
-        OnlineEvent::Arrival { job } => {
-            let _ = write!(out, "{{\"kind\":\"arrival\",\"job\":{job}}}");
-        }
-        OnlineEvent::Admit { job } => {
-            let _ = write!(out, "{{\"kind\":\"admit\",\"job\":{job}}}");
-        }
-        OnlineEvent::Shed { job } => {
-            let _ = write!(out, "{{\"kind\":\"shed\",\"job\":{job}}}");
-        }
-        OnlineEvent::Complete { job } => {
-            let _ = write!(out, "{{\"kind\":\"complete\",\"job\":{job}}}");
-        }
-        OnlineEvent::Reschedule { moved, resident } => {
-            let _ = write!(
-                out,
-                "{{\"kind\":\"reschedule\",\"moved\":{moved},\"resident\":{resident}}}"
-            );
-        }
-        OnlineEvent::ManagerRun => out.push_str("{\"kind\":\"manager\"}"),
-        OnlineEvent::Degraded { event } => {
-            out.push_str("{\"kind\":\"degraded\",\"degradation\":");
-            push_degradation(out, event);
-            out.push('}');
-        }
-    }
-}
-
-fn push_fault_state(out: &mut String, fs: &FaultState) {
-    out.push_str("{\"now_s\":");
-    push_f64_exact(out, fs.now_s);
-    out.push_str(",\"tick\":");
-    push_u64(out, fs.tick);
-    out.push_str(",\"alive\":");
-    push_bool_arr(out, &fs.alive);
-    out.push_str(",\"stuck\":[");
-    for (i, s) in fs.stuck.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match s {
-            None => out.push_str("null"),
-            Some((power_w, ipc)) => {
-                out.push('[');
-                push_f64_exact(out, *power_w);
-                out.push(',');
-                push_f64_exact(out, *ipc);
-                out.push(']');
-            }
-        }
-    }
-    out.push_str("],\"fired_failures\":");
-    push_bool_arr(out, &fs.fired_failures);
-    out.push_str(",\"fired_stuck\":");
-    push_bool_arr(out, &fs.fired_stuck);
-    out.push_str(",\"budget_factor\":");
-    push_f64_exact(out, fs.budget_factor);
-    out.push('}');
-}
-
-fn push_machine_state(out: &mut String, ms: &MachineState) {
-    out.push_str("{\"temps\":");
-    push_f64_arr(out, &ms.temps);
-    out.push_str(",\"threads\":[");
-    for (i, t) in ms.threads.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let (l2_alloc_mb, elapsed_ms, instructions, elapsed_s) = t.state();
-        out.push_str("{\"app\":");
-        push_json_str(out, t.spec().name);
-        out.push_str(",\"l2_alloc_mb\":");
-        push_f64_exact(out, l2_alloc_mb);
-        out.push_str(",\"elapsed_ms\":");
-        push_f64_exact(out, elapsed_ms);
-        out.push_str(",\"instructions\":");
-        push_f64_exact(out, instructions);
-        out.push_str(",\"elapsed_s\":");
-        push_f64_exact(out, elapsed_s);
-        out.push('}');
-    }
-    out.push_str("],\"assignment\":");
-    push_opt_usize_arr(out, &ms.assignment);
-    out.push_str(",\"levels\":");
-    push_usize_arr(out, &ms.levels);
-    out.push_str(",\"freq_caps\":[");
-    for (i, c) in ms.freq_caps.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        match c {
-            None => out.push_str("null"),
-            Some(f) => push_f64_exact(out, *f),
-        }
-    }
-    out.push_str("],\"stall_s\":");
-    push_f64_arr(out, &ms.stall_s);
-    out.push_str(",\"last_core_power\":");
-    push_f64_arr(out, &ms.last_core_power);
-    out.push_str(",\"last_core_ipc\":");
-    push_f64_arr(out, &ms.last_core_ipc);
-    out.push_str(",\"last_total_power\":");
-    push_f64_exact(out, ms.last_total_power);
-    let _ = write!(out, ",\"dtm_events\":{}", ms.dtm_events);
-    out.push_str(",\"energy_j\":");
-    push_f64_exact(out, ms.energy_j);
-    out.push_str(",\"elapsed_s\":");
-    push_f64_exact(out, ms.elapsed_s);
-    out.push_str(",\"total_instructions\":");
-    push_f64_exact(out, ms.total_instructions);
-    out.push_str(",\"faults\":");
-    match &ms.faults {
-        None => out.push_str("null"),
-        Some(fs) => push_fault_state(out, fs),
-    }
-    out.push('}');
-}
-
 impl Snapshot {
     /// Serializes the snapshot as a single-line JSON document.
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(4096);
-        out.push_str("{\"schema\":");
-        push_json_str(&mut out, SNAPSHOT_SCHEMA);
-        let _ = write!(
-            out,
-            ",\"tick\":{},\"total_ticks\":{},\"core_count\":{},\"initial_count\":{}",
-            self.tick, self.total_ticks, self.core_count, self.initial_count
-        );
-        out.push_str(",\"machine\":");
-        push_machine_state(&mut out, &self.machine);
-        out.push_str(",\"rng\":");
-        push_rng_state(&mut out, &self.rng);
-        out.push_str(",\"arrival_rng\":");
-        match &self.arrival_rng {
-            None => out.push_str("null"),
-            Some(state) => push_rng_state(&mut out, state),
-        }
-        out.push_str(",\"scheduler\":");
-        push_control_state(&mut out, &self.scheduler);
-        out.push_str(",\"manager\":{\"primary\":");
-        match &self.manager.primary {
-            None => out.push_str("null"),
-            Some(state) => push_control_state(&mut out, state),
-        }
-        let cond = &self.manager.conditioner;
-        out.push_str(",\"conditioner\":{\"cores\":[");
-        for (i, c) in cond.cores.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            match c {
-                None => out.push_str("null"),
-                Some((ipc, power_w)) => {
-                    out.push('[');
-                    push_f64_exact(&mut out, *ipc);
-                    out.push(',');
-                    push_f64_arr(&mut out, power_w);
-                    out.push(']');
-                }
-            }
-        }
-        out.push_str("],\"residents\":");
-        push_opt_usize_arr(&mut out, &cond.residents);
-        out.push_str(",\"uncore_w\":");
-        match cond.uncore_w {
-            None => out.push_str("null"),
-            Some(w) => push_f64_exact(&mut out, w),
-        }
-        let s = &cond.stats;
-        out.push_str(",\"stats\":{\"clamped\":");
-        push_u64(&mut out, s.clamped);
-        out.push_str(",\"saturated\":");
-        push_u64(&mut out, s.saturated);
-        out.push_str(",\"monotone_repairs\":");
-        push_u64(&mut out, s.monotone_repairs);
-        out.push_str(",\"migration_resets\":");
-        push_u64(&mut out, s.migration_resets);
-        out.push_str("}}}");
-
-        out.push_str(",\"queue\":{\"next_seq\":");
-        push_u64(&mut out, self.queue_next_seq);
-        out.push_str(",\"events\":[");
-        for (i, (tick, seq, kind)) in self.queue_events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "[{tick},");
-            push_u64(&mut out, *seq);
-            match kind {
-                EventKind::Completion(job) => {
-                    let _ = write!(out, ",\"completion\",{job}]");
-                }
-                EventKind::Arrival(i) => {
-                    let _ = write!(out, ",\"arrival\",{i}]");
-                }
-                EventKind::OsTick => out.push_str(",\"os\"]"),
-                EventKind::DvfsTick => out.push_str(",\"dvfs\"]"),
-            }
-        }
-        out.push_str("]}");
-
-        out.push_str(",\"jobs\":[");
-        for (i, j) in self.jobs.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"job\":{},\"app\":", j.job);
-            push_json_str(&mut out, j.app);
-            out.push_str(",\"arrival_ms\":");
-            push_f64_exact(&mut out, j.arrival_ms);
-            out.push_str(",\"admit_ms\":");
-            match j.admit_ms {
-                None => out.push_str("null"),
-                Some(v) => push_f64_exact(&mut out, v),
-            }
-            out.push_str(",\"completion_ms\":");
-            match j.completion_ms {
-                None => out.push_str("null"),
-                Some(v) => push_f64_exact(&mut out, v),
-            }
-            out.push_str(",\"instructions\":");
-            push_f64_exact(&mut out, j.instructions);
-            let _ = write!(out, ",\"migrations\":{}}}", j.migrations);
-        }
-        out.push(']');
-
-        out.push_str(",\"thread_job\":");
-        push_usize_arr(&mut out, &self.thread_job);
-        out.push_str(",\"run_queue\":");
-        push_usize_arr(&mut out, &self.run_queue);
-
-        out.push_str(",\"events\":[");
-        for (i, r) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "{{\"tick\":{},\"event\":", r.tick);
-            push_online_event(&mut out, &r.event);
-            out.push('}');
-        }
-        out.push(']');
-
-        out.push_str(",\"fault_dirty\":");
-        out.push_str(if self.fault_dirty { "true" } else { "false" });
-        out.push_str(",\"window_dirty\":");
-        out.push_str(if self.window_dirty { "true" } else { "false" });
-        let _ = write!(out, ",\"shed\":{}", self.shed);
-
-        let c = &self.counters;
-        out.push_str(",\"counters\":{\"freq_time_sum\":");
-        push_f64_exact(&mut out, c.freq_time_sum);
-        out.push_str(",\"deviation_sum\":");
-        push_f64_exact(&mut out, c.deviation_sum);
-        let _ = write!(
-            out,
-            ",\"deviation_ticks\":{},\"manager_runs\":{}",
-            c.deviation_ticks, c.manager_runs
-        );
-        out.push_str(",\"util_sum\":");
-        push_f64_exact(&mut out, c.util_sum);
-        let _ = write!(
-            out,
-            ",\"queue_peak\":{},\"migrations_total\":{},\"arrived\":{},\"completed\":{}}}",
-            c.queue_peak, c.migrations_total, c.arrived, c.completed
-        );
-
-        out.push('}');
-        out
+        self.to_value().to_json()
     }
 
     /// Parses a snapshot serialized by [`Snapshot::to_json`].
@@ -591,488 +187,519 @@ impl Snapshot {
     /// job records are stored by application name and reconnected to
     /// their [`AppSpec`] here.
     pub fn from_json(text: &str, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
-        let doc = parse_json(text)?;
-        let schema = str_field(&doc, "schema")?;
-        if schema != SNAPSHOT_SCHEMA {
-            return Err(SnapshotError::Schema {
-                field: "schema".into(),
-                expected: "\"vasp.snapshot.v1\"",
-            });
-        }
-
-        let machine = parse_machine_state(field(&doc, "machine")?, pool)?;
-
-        let queue = field(&doc, "queue")?;
-        let mut queue_events = Vec::new();
-        for (i, entry) in arr_field(queue, "events")?.iter().enumerate() {
-            queue_events.push(parse_queue_event(entry, i)?);
-        }
-
-        let mut jobs = Vec::new();
-        for (i, entry) in arr_field(&doc, "jobs")?.iter().enumerate() {
-            jobs.push(parse_job(entry, i, pool)?);
-        }
-
-        let mut events = Vec::new();
-        for (i, entry) in arr_field(&doc, "events")?.iter().enumerate() {
-            events.push(EventRecord {
-                tick: usize_field(entry, "tick")?,
-                event: parse_online_event(field(entry, "event")?, i)?,
-            });
-        }
-
-        let counters_v = field(&doc, "counters")?;
-        let counters = SimCounters {
-            freq_time_sum: f64_field(counters_v, "freq_time_sum")?,
-            deviation_sum: f64_field(counters_v, "deviation_sum")?,
-            deviation_ticks: usize_field(counters_v, "deviation_ticks")?,
-            manager_runs: usize_field(counters_v, "manager_runs")?,
-            util_sum: f64_field(counters_v, "util_sum")?,
-            queue_peak: usize_field(counters_v, "queue_peak")?,
-            migrations_total: usize_field(counters_v, "migrations_total")?,
-            arrived: usize_field(counters_v, "arrived")?,
-            completed: usize_field(counters_v, "completed")?,
-        };
-
-        Ok(Snapshot {
-            tick: usize_field(&doc, "tick")?,
-            total_ticks: usize_field(&doc, "total_ticks")?,
-            core_count: usize_field(&doc, "core_count")?,
-            initial_count: usize_field(&doc, "initial_count")?,
-            machine,
-            rng: parse_rng_state(field(&doc, "rng")?, "rng")?,
-            arrival_rng: match field(&doc, "arrival_rng")? {
-                JsonValue::Null => None,
-                v => Some(parse_rng_state(v, "arrival_rng")?),
-            },
-            scheduler: parse_control_state(field(&doc, "scheduler")?)?,
-            manager: parse_hardened_state(field(&doc, "manager")?)?,
-            queue_events,
-            queue_next_seq: u64_field(queue, "next_seq")?,
-            jobs,
-            thread_job: usize_arr_field(&doc, "thread_job")?,
-            run_queue: usize_arr_field(&doc, "run_queue")?,
-            events,
-            fault_dirty: bool_field(&doc, "fault_dirty")?,
-            window_dirty: bool_field(&doc, "window_dirty")?,
-            shed: usize_field(&doc, "shed")?,
-            counters,
-        })
+        Self::from_value(&parse_json(text)?, pool)
     }
 }
 
 // ---------------------------------------------------------------------
-// Reader helpers
+// Codec
 // ---------------------------------------------------------------------
 
-fn schema_err(field: &str, expected: &'static str) -> SnapshotError {
+/// One type's wire shape: how a value maps to a [`JsonValue`] and back.
+/// A decode error's `field` is the path below the value being decoded
+/// (empty when the value itself is malformed); each enclosing key or
+/// index prefixes it on the way out.
+trait Wire: Sized {
+    fn to_value(&self) -> JsonValue;
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError>;
+}
+
+fn schema_err(field: impl Into<String>, expected: &'static str) -> SnapshotError {
     SnapshotError::Schema {
         field: field.into(),
         expected,
     }
 }
 
-fn field<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a JsonValue, SnapshotError> {
+/// A malformed value, located by the callers' [`within`] prefixes.
+fn mismatch(expected: &'static str) -> SnapshotError {
+    schema_err("", expected)
+}
+
+/// Prefixes a nested decode error's path with `seg` (a key or `[i]`).
+fn within(seg: impl fmt::Display, e: SnapshotError) -> SnapshotError {
+    match e {
+        SnapshotError::Schema { field, expected } => {
+            let dot = if field.is_empty() || field.starts_with('[') {
+                ""
+            } else {
+                "."
+            };
+            schema_err(format!("{seg}{dot}{field}"), expected)
+        }
+        e => e,
+    }
+}
+
+fn at<'v>(obj: &'v JsonValue, key: &str) -> Result<&'v JsonValue, SnapshotError> {
     obj.get(key).ok_or_else(|| schema_err(key, "a value"))
 }
 
-fn as_f64(v: &JsonValue, name: &str) -> Result<f64, SnapshotError> {
-    match v {
-        JsonValue::Num(x) => Ok(*x),
-        JsonValue::Str(s) => match s.as_str() {
-            "inf" => Ok(f64::INFINITY),
-            "-inf" => Ok(f64::NEG_INFINITY),
-            "nan" => Ok(f64::NAN),
-            _ => Err(schema_err(name, "a number or \"inf\"/\"-inf\"/\"nan\"")),
-        },
-        _ => Err(schema_err(name, "a number")),
-    }
+/// Decodes `obj[key]`.
+fn field<T: Wire>(obj: &JsonValue, key: &str, pool: &[AppSpec]) -> Result<T, SnapshotError> {
+    T::from_value(at(obj, key)?, pool).map_err(|e| within(key, e))
 }
 
-fn as_usize(v: &JsonValue, name: &str) -> Result<usize, SnapshotError> {
-    let x = v.as_f64().ok_or_else(|| schema_err(name, "an integer"))?;
-    if x < 0.0 || x.fract() != 0.0 || x > 2f64.powi(53) {
-        return Err(schema_err(name, "a non-negative integer"));
-    }
-    Ok(x as usize)
+/// Decodes `items[i]`.
+fn item<T: Wire>(items: &[JsonValue], i: usize, pool: &[AppSpec]) -> Result<T, SnapshotError> {
+    let v = items
+        .get(i)
+        .ok_or_else(|| schema_err(format!("[{i}]"), "a value"))?;
+    T::from_value(v, pool).map_err(|e| within(format_args!("[{i}]"), e))
 }
 
-fn as_u64(v: &JsonValue, name: &str) -> Result<u64, SnapshotError> {
-    v.as_str()
-        .and_then(|s| s.parse::<u64>().ok())
-        .ok_or_else(|| schema_err(name, "a u64 decimal string"))
+/// An object with these keys, in this order.
+fn obj<const N: usize>(entries: [(&str, JsonValue); N]) -> JsonValue {
+    JsonValue::Obj(entries.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
-fn as_bool(v: &JsonValue, name: &str) -> Result<bool, SnapshotError> {
-    match v {
-        JsonValue::Bool(b) => Ok(*b),
-        _ => Err(schema_err(name, "a boolean")),
-    }
+/// An enum variant: an object whose first key, `kind`, names it.
+fn tagged<const N: usize>(kind: &str, fields: [(&str, JsonValue); N]) -> JsonValue {
+    let mut entries = vec![("kind".to_string(), JsonValue::Str(kind.into()))];
+    entries.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
+    JsonValue::Obj(entries)
 }
 
-fn f64_field(obj: &JsonValue, key: &str) -> Result<f64, SnapshotError> {
-    as_f64(field(obj, key)?, key)
-}
-
-fn usize_field(obj: &JsonValue, key: &str) -> Result<usize, SnapshotError> {
-    as_usize(field(obj, key)?, key)
-}
-
-fn u64_field(obj: &JsonValue, key: &str) -> Result<u64, SnapshotError> {
-    as_u64(field(obj, key)?, key)
-}
-
-fn bool_field(obj: &JsonValue, key: &str) -> Result<bool, SnapshotError> {
-    as_bool(field(obj, key)?, key)
-}
-
-fn str_field<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a str, SnapshotError> {
-    field(obj, key)?
+fn kind(v: &JsonValue) -> Result<&str, SnapshotError> {
+    at(v, "kind")?
         .as_str()
-        .ok_or_else(|| schema_err(key, "a string"))
+        .ok_or_else(|| schema_err("kind", "a string"))
 }
 
-fn arr_field<'a>(obj: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], SnapshotError> {
-    field(obj, key)?
-        .as_arr()
-        .ok_or_else(|| schema_err(key, "an array"))
+impl Wire for f64 {
+    fn to_value(&self) -> JsonValue {
+        match self {
+            v if v.is_finite() => JsonValue::Num(*v),
+            v if v.is_nan() => JsonValue::Str("nan".into()),
+            v if *v > 0.0 => JsonValue::Str("inf".into()),
+            _ => JsonValue::Str("-inf".into()),
+        }
+    }
+    fn from_value(v: &JsonValue, _: &[AppSpec]) -> Result<Self, SnapshotError> {
+        match v {
+            JsonValue::Num(x) => Ok(*x),
+            JsonValue::Str(s) => match s.as_str() {
+                "inf" => Ok(f64::INFINITY),
+                "-inf" => Ok(f64::NEG_INFINITY),
+                "nan" => Ok(f64::NAN),
+                _ => Err(mismatch("a number or \"inf\"/\"-inf\"/\"nan\"")),
+            },
+            _ => Err(mismatch("a number")),
+        }
+    }
 }
 
-fn f64_arr_field(obj: &JsonValue, key: &str) -> Result<Vec<f64>, SnapshotError> {
-    arr_field(obj, key)?
-        .iter()
-        .map(|v| as_f64(v, key))
-        .collect()
+impl Wire for usize {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Num(*self as f64)
+    }
+    fn from_value(v: &JsonValue, _: &[AppSpec]) -> Result<Self, SnapshotError> {
+        let x = v.as_f64().ok_or_else(|| mismatch("an integer"))?;
+        if x < 0.0 || x.fract() != 0.0 || x > 2f64.powi(53) {
+            return Err(mismatch("a non-negative integer"));
+        }
+        Ok(x as usize)
+    }
 }
 
-fn usize_arr_field(obj: &JsonValue, key: &str) -> Result<Vec<usize>, SnapshotError> {
-    arr_field(obj, key)?
-        .iter()
-        .map(|v| as_usize(v, key))
-        .collect()
+impl Wire for u64 {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Str(self.to_string())
+    }
+    fn from_value(v: &JsonValue, _: &[AppSpec]) -> Result<Self, SnapshotError> {
+        v.as_str()
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| mismatch("a u64 decimal string"))
+    }
 }
 
-fn bool_arr_field(obj: &JsonValue, key: &str) -> Result<Vec<bool>, SnapshotError> {
-    arr_field(obj, key)?
-        .iter()
-        .map(|v| as_bool(v, key))
-        .collect()
+impl Wire for bool {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Bool(*self)
+    }
+    fn from_value(v: &JsonValue, _: &[AppSpec]) -> Result<Self, SnapshotError> {
+        match v {
+            JsonValue::Bool(b) => Ok(*b),
+            _ => Err(mismatch("a boolean")),
+        }
+    }
 }
 
-fn opt_usize_arr_field(obj: &JsonValue, key: &str) -> Result<Vec<Option<usize>>, SnapshotError> {
-    arr_field(obj, key)?
-        .iter()
-        .map(|v| match v {
+impl<T: Wire> Wire for Option<T> {
+    fn to_value(&self) -> JsonValue {
+        self.as_ref().map_or(JsonValue::Null, Wire::to_value)
+    }
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        match v {
             JsonValue::Null => Ok(None),
-            v => as_usize(v, key).map(Some),
-        })
-        .collect()
+            v => T::from_value(v, pool).map(Some),
+        }
+    }
 }
 
-fn lookup_app<'a>(pool: &'a [AppSpec], name: &str) -> Result<&'a AppSpec, SnapshotError> {
+impl<T: Wire> Wire for Vec<T> {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Arr(self.iter().map(Wire::to_value).collect())
+    }
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        let items = v.as_arr().ok_or_else(|| mismatch("an array"))?;
+        (0..items.len()).map(|i| item(items, i, pool)).collect()
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Arr(vec![self.0.to_value(), self.1.to_value()])
+    }
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        match v.as_arr() {
+            Some(pair) if pair.len() == 2 => Ok((item(pair, 0, pool)?, item(pair, 1, pool)?)),
+            _ => Err(mismatch("a 2-element array")),
+        }
+    }
+}
+
+/// An RNG state: four `u64` words.
+impl Wire for [u64; 4] {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Arr(self.iter().map(Wire::to_value).collect())
+    }
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        Vec::from_value(v, pool)?
+            .try_into()
+            .map_err(|_| mismatch("4 u64 decimal strings"))
+    }
+}
+
+/// An application is stored by name and revived from the caller's pool.
+fn app<'p>(v: &JsonValue, pool: &'p [AppSpec]) -> Result<&'p AppSpec, SnapshotError> {
+    let name = v.as_str().ok_or_else(|| mismatch("an application name"))?;
     pool.iter()
         .find(|a| a.name == name)
         .ok_or_else(|| SnapshotError::UnknownApp(name.to_string()))
 }
 
-fn parse_rng_state(v: &JsonValue, name: &str) -> Result<[u64; 4], SnapshotError> {
-    let arr = v.as_arr().ok_or_else(|| schema_err(name, "an array"))?;
-    if arr.len() != 4 {
-        return Err(schema_err(name, "4 u64 decimal strings"));
+/// A job's application name.
+impl Wire for &'static str {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Str((*self).into())
     }
-    let mut state = [0u64; 4];
-    for (i, w) in arr.iter().enumerate() {
-        state[i] = as_u64(w, name)?;
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        app(v, pool).map(|a| a.name)
     }
-    Ok(state)
 }
 
-fn parse_control_state(v: &JsonValue) -> Result<ControlState, SnapshotError> {
-    match str_field(v, "kind")? {
-        "stateless" => Ok(ControlState::Stateless),
-        "cursor" => Ok(ControlState::Cursor(usize_field(v, "cursor")?)),
-        "basis" => Ok(ControlState::Basis(match field(v, "basis")? {
-            JsonValue::Null => None,
-            b => Some(
-                b.as_arr()
-                    .ok_or_else(|| schema_err("basis", "an array"))?
-                    .iter()
-                    .map(|x| as_usize(x, "basis"))
-                    .collect::<Result<_, _>>()?,
-            ),
-        })),
-        "regulator" => {
-            let mut last = Vec::new();
-            for pair in arr_field(v, "last")? {
-                let pair = pair
-                    .as_arr()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| schema_err("last", "an array of [core, level] pairs"))?;
-                last.push((as_usize(&pair[0], "last")?, as_usize(&pair[1], "last")?));
+/// Implements [`Wire`] for plain structs: one object key per field,
+/// named after the field, in the listed order.
+macro_rules! wire_struct {
+    ($($ty:ty { $($field:ident),+ $(,)? })+) => {$(
+        impl Wire for $ty {
+            fn to_value(&self) -> JsonValue {
+                obj([$((stringify!($field), self.$field.to_value())),+])
             }
-            Ok(ControlState::Regulator {
-                correction_w: f64_field(v, "correction_w")?,
-                last,
-            })
+            fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+                Ok(Self {
+                    $($field: field(v, stringify!($field), pool)?),+
+                })
+            }
         }
-        _ => Err(schema_err(
-            "kind",
-            "\"stateless\", \"cursor\", \"basis\", or \"regulator\"",
-        )),
+    )+};
+}
+
+wire_struct! {
+    SimCounters {
+        freq_time_sum, deviation_sum, deviation_ticks, manager_runs, util_sum, queue_peak,
+        migrations_total, arrived, completed,
+    }
+    MachineState {
+        temps, threads, assignment, levels, freq_caps, stall_s, last_core_power,
+        last_core_ipc, last_total_power, dtm_events, energy_j, elapsed_s, total_instructions,
+        faults,
+    }
+    FaultState { now_s, tick, alive, stuck, fired_failures, fired_stuck, budget_factor }
+    HardenedState { primary, conditioner }
+    ConditionerState { cores, residents, uncore_w, stats }
+    ConditionStats { clamped, saturated, monotone_repairs, migration_resets }
+    JobRecord { job, app, arrival_ms, admit_ms, completion_ms, instructions, migrations }
+    EventRecord { tick, event }
+}
+
+impl Wire for Thread {
+    fn to_value(&self) -> JsonValue {
+        let (l2_alloc_mb, elapsed_ms, instructions, elapsed_s) = self.state();
+        obj([
+            ("app", self.spec().name.to_value()),
+            ("l2_alloc_mb", l2_alloc_mb.to_value()),
+            ("elapsed_ms", elapsed_ms.to_value()),
+            ("instructions", instructions.to_value()),
+            ("elapsed_s", elapsed_s.to_value()),
+        ])
+    }
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        let spec = app(at(v, "app")?, pool).map_err(|e| within("app", e))?;
+        Ok(Thread::from_parts(
+            spec.clone(),
+            field(v, "l2_alloc_mb", pool)?,
+            field(v, "elapsed_ms", pool)?,
+            field(v, "instructions", pool)?,
+            field(v, "elapsed_s", pool)?,
+        ))
     }
 }
 
-fn parse_hardened_state(v: &JsonValue) -> Result<HardenedState, SnapshotError> {
-    let primary = match field(v, "primary")? {
-        JsonValue::Null => None,
-        p => Some(parse_control_state(p)?),
-    };
-    let cond = field(v, "conditioner")?;
-    let mut cores = Vec::new();
-    for c in arr_field(cond, "cores")? {
-        cores.push(match c {
-            JsonValue::Null => None,
-            c => {
-                let pair = c
-                    .as_arr()
-                    .ok_or_else(|| schema_err("conditioner.cores", "[ipc, [power...]]"))?;
-                if pair.len() != 2 {
-                    return Err(schema_err("conditioner.cores", "[ipc, [power...]]"));
-                }
-                let ipc = as_f64(&pair[0], "conditioner.cores.ipc")?;
-                let power: Vec<f64> = pair[1]
-                    .as_arr()
-                    .ok_or_else(|| schema_err("conditioner.cores.power", "an array"))?
-                    .iter()
-                    .map(|x| as_f64(x, "conditioner.cores.power"))
-                    .collect::<Result<_, _>>()?;
-                Some((ipc, power))
-            }
-        });
+impl Wire for ControlState {
+    fn to_value(&self) -> JsonValue {
+        match self {
+            ControlState::Stateless => tagged("stateless", []),
+            ControlState::Cursor(c) => tagged("cursor", [("cursor", c.to_value())]),
+            ControlState::Basis(b) => tagged("basis", [("basis", b.to_value())]),
+            ControlState::Regulator { correction_w, last } => tagged(
+                "regulator",
+                [
+                    ("correction_w", correction_w.to_value()),
+                    ("last", last.to_value()),
+                ],
+            ),
+        }
     }
-    let stats_v = field(cond, "stats")?;
-    Ok(HardenedState {
-        primary,
-        conditioner: ConditionerState {
-            cores,
-            residents: opt_usize_arr_field(cond, "residents")?,
-            uncore_w: match field(cond, "uncore_w")? {
-                JsonValue::Null => None,
-                w => Some(as_f64(w, "uncore_w")?),
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        Ok(match kind(v)? {
+            "stateless" => ControlState::Stateless,
+            "cursor" => ControlState::Cursor(field(v, "cursor", pool)?),
+            "basis" => ControlState::Basis(field(v, "basis", pool)?),
+            "regulator" => ControlState::Regulator {
+                correction_w: field(v, "correction_w", pool)?,
+                last: field(v, "last", pool)?,
             },
-            stats: ConditionStats {
-                clamped: u64_field(stats_v, "clamped")?,
-                saturated: u64_field(stats_v, "saturated")?,
-                monotone_repairs: u64_field(stats_v, "monotone_repairs")?,
-                migration_resets: u64_field(stats_v, "migration_resets")?,
-            },
-        },
-    })
-}
-
-fn parse_fault_state(v: &JsonValue) -> Result<FaultState, SnapshotError> {
-    let mut stuck = Vec::new();
-    for s in arr_field(v, "stuck")? {
-        stuck.push(match s {
-            JsonValue::Null => None,
-            s => {
-                let pair = s
-                    .as_arr()
-                    .ok_or_else(|| schema_err("faults.stuck", "[power_w, ipc]"))?;
-                if pair.len() != 2 {
-                    return Err(schema_err("faults.stuck", "[power_w, ipc]"));
-                }
-                Some((
-                    as_f64(&pair[0], "faults.stuck")?,
-                    as_f64(&pair[1], "faults.stuck")?,
+            _ => {
+                return Err(schema_err(
+                    "kind",
+                    "\"stateless\", \"cursor\", \"basis\", or \"regulator\"",
                 ))
             }
-        });
+        })
     }
-    Ok(FaultState {
-        now_s: f64_field(v, "now_s")?,
-        tick: u64_field(v, "tick")?,
-        alive: bool_arr_field(v, "alive")?,
-        stuck,
-        fired_failures: bool_arr_field(v, "fired_failures")?,
-        fired_stuck: bool_arr_field(v, "fired_stuck")?,
-        budget_factor: f64_field(v, "budget_factor")?,
-    })
 }
 
-fn parse_machine_state(v: &JsonValue, pool: &[AppSpec]) -> Result<MachineState, SnapshotError> {
-    let mut threads = Vec::new();
-    for t in arr_field(v, "threads")? {
-        let spec = lookup_app(pool, str_field(t, "app")?)?.clone();
-        threads.push(Thread::from_parts(
-            spec,
-            f64_field(t, "l2_alloc_mb")?,
-            f64_field(t, "elapsed_ms")?,
-            f64_field(t, "instructions")?,
-            f64_field(t, "elapsed_s")?,
-        ));
+impl Wire for SolverError {
+    fn to_value(&self) -> JsonValue {
+        JsonValue::Str(
+            match self {
+                SolverError::Infeasible => "infeasible",
+                SolverError::NumericalFailure => "numerical",
+            }
+            .into(),
+        )
     }
-    let mut freq_caps = Vec::new();
-    for c in arr_field(v, "freq_caps")? {
-        freq_caps.push(match c {
-            JsonValue::Null => None,
-            c => Some(as_f64(c, "freq_caps")?),
-        });
-    }
-    Ok(MachineState {
-        temps: f64_arr_field(v, "temps")?,
-        threads,
-        assignment: opt_usize_arr_field(v, "assignment")?,
-        levels: usize_arr_field(v, "levels")?,
-        freq_caps,
-        stall_s: f64_arr_field(v, "stall_s")?,
-        last_core_power: f64_arr_field(v, "last_core_power")?,
-        last_core_ipc: f64_arr_field(v, "last_core_ipc")?,
-        last_total_power: f64_field(v, "last_total_power")?,
-        dtm_events: usize_field(v, "dtm_events")?,
-        energy_j: f64_field(v, "energy_j")?,
-        elapsed_s: f64_field(v, "elapsed_s")?,
-        total_instructions: f64_field(v, "total_instructions")?,
-        faults: match field(v, "faults")? {
-            JsonValue::Null => None,
-            f => Some(parse_fault_state(f)?),
-        },
-    })
-}
-
-fn parse_queue_event(v: &JsonValue, i: usize) -> Result<(usize, u64, EventKind), SnapshotError> {
-    let entry = v
-        .as_arr()
-        .ok_or_else(|| schema_err(&format!("queue.events[{i}]"), "an array"))?;
-    if entry.len() < 3 {
-        return Err(schema_err(
-            &format!("queue.events[{i}]"),
-            "[tick, seq, kind, payload?]",
-        ));
-    }
-    let tick = as_usize(&entry[0], "queue.events.tick")?;
-    let seq = as_u64(&entry[1], "queue.events.seq")?;
-    let kind = match entry[2].as_str() {
-        Some("completion") => EventKind::Completion(as_usize(
-            entry
-                .get(3)
-                .ok_or_else(|| schema_err(&format!("queue.events[{i}]"), "a completion job id"))?,
-            "queue.events.job",
-        )?),
-        Some("arrival") => EventKind::Arrival(as_usize(
-            entry
-                .get(3)
-                .ok_or_else(|| schema_err(&format!("queue.events[{i}]"), "an arrival index"))?,
-            "queue.events.arrival",
-        )?),
-        Some("os") => EventKind::OsTick,
-        Some("dvfs") => EventKind::DvfsTick,
-        _ => {
-            return Err(schema_err(
-                &format!("queue.events[{i}]"),
-                "\"completion\", \"arrival\", \"os\", or \"dvfs\"",
-            ))
+    fn from_value(v: &JsonValue, _: &[AppSpec]) -> Result<Self, SnapshotError> {
+        match v.as_str() {
+            Some("infeasible") => Ok(SolverError::Infeasible),
+            Some("numerical") => Ok(SolverError::NumericalFailure),
+            _ => Err(mismatch("\"infeasible\" or \"numerical\"")),
         }
-    };
-    Ok((tick, seq, kind))
+    }
 }
 
-fn parse_job(v: &JsonValue, i: usize, pool: &[AppSpec]) -> Result<JobRecord, SnapshotError> {
-    let app = lookup_app(pool, str_field(v, "app")?)?.name;
-    let _ = i;
-    Ok(JobRecord {
-        job: usize_field(v, "job")?,
-        app,
-        arrival_ms: f64_field(v, "arrival_ms")?,
-        admit_ms: match field(v, "admit_ms")? {
-            JsonValue::Null => None,
-            x => Some(as_f64(x, "admit_ms")?),
-        },
-        completion_ms: match field(v, "completion_ms")? {
-            JsonValue::Null => None,
-            x => Some(as_f64(x, "completion_ms")?),
-        },
-        instructions: f64_field(v, "instructions")?,
-        migrations: usize_field(v, "migrations")?,
-    })
-}
-
-fn parse_degradation(v: &JsonValue) -> Result<DegradationEvent, SnapshotError> {
-    Ok(match str_field(v, "kind")? {
-        "solver_fallback" => DegradationEvent::SolverFallback {
-            error: match str_field(v, "error")? {
-                "infeasible" => SolverError::Infeasible,
-                "numerical" => SolverError::NumericalFailure,
-                _ => return Err(schema_err("error", "\"infeasible\" or \"numerical\"")),
+impl Wire for DegradationEvent {
+    fn to_value(&self) -> JsonValue {
+        match self {
+            DegradationEvent::SolverFallback { error } => {
+                tagged("solver_fallback", [("error", error.to_value())])
+            }
+            DegradationEvent::CoreFailed { core } => {
+                tagged("core_failed", [("core", core.to_value())])
+            }
+            DegradationEvent::SensorStuck { core } => {
+                tagged("sensor_stuck", [("core", core.to_value())])
+            }
+            DegradationEvent::BudgetDropBegan { factor } => {
+                tagged("budget_drop_began", [("factor", factor.to_value())])
+            }
+            DegradationEvent::BudgetRestored => tagged("budget_restored", []),
+            DegradationEvent::ThreadsParked { parked } => {
+                tagged("threads_parked", [("parked", parked.to_value())])
+            }
+        }
+    }
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        Ok(match kind(v)? {
+            "solver_fallback" => DegradationEvent::SolverFallback {
+                error: field(v, "error", pool)?,
             },
-        },
-        "core_failed" => DegradationEvent::CoreFailed {
-            core: usize_field(v, "core")?,
-        },
-        "sensor_stuck" => DegradationEvent::SensorStuck {
-            core: usize_field(v, "core")?,
-        },
-        "budget_drop_began" => DegradationEvent::BudgetDropBegan {
-            factor: f64_field(v, "factor")?,
-        },
-        "budget_restored" => DegradationEvent::BudgetRestored,
-        "threads_parked" => DegradationEvent::ThreadsParked {
-            parked: usize_field(v, "parked")?,
-        },
-        _ => return Err(schema_err("degradation.kind", "a degradation kind")),
-    })
+            "core_failed" => DegradationEvent::CoreFailed {
+                core: field(v, "core", pool)?,
+            },
+            "sensor_stuck" => DegradationEvent::SensorStuck {
+                core: field(v, "core", pool)?,
+            },
+            "budget_drop_began" => DegradationEvent::BudgetDropBegan {
+                factor: field(v, "factor", pool)?,
+            },
+            "budget_restored" => DegradationEvent::BudgetRestored,
+            "threads_parked" => DegradationEvent::ThreadsParked {
+                parked: field(v, "parked", pool)?,
+            },
+            _ => return Err(schema_err("kind", "a degradation kind")),
+        })
+    }
 }
 
-fn parse_online_event(v: &JsonValue, i: usize) -> Result<OnlineEvent, SnapshotError> {
-    let _ = i;
-    Ok(match str_field(v, "kind")? {
-        "arrival" => OnlineEvent::Arrival {
-            job: usize_field(v, "job")?,
-        },
-        "admit" => OnlineEvent::Admit {
-            job: usize_field(v, "job")?,
-        },
-        "shed" => OnlineEvent::Shed {
-            job: usize_field(v, "job")?,
-        },
-        "complete" => OnlineEvent::Complete {
-            job: usize_field(v, "job")?,
-        },
-        "reschedule" => OnlineEvent::Reschedule {
-            moved: usize_field(v, "moved")?,
-            resident: usize_field(v, "resident")?,
-        },
-        "manager" => OnlineEvent::ManagerRun,
-        "degraded" => OnlineEvent::Degraded {
-            event: parse_degradation(field(v, "degradation")?)?,
-        },
-        _ => return Err(schema_err("event.kind", "an online event kind")),
-    })
+impl Wire for OnlineEvent {
+    fn to_value(&self) -> JsonValue {
+        match self {
+            OnlineEvent::Arrival { job } => tagged("arrival", [("job", job.to_value())]),
+            OnlineEvent::Admit { job } => tagged("admit", [("job", job.to_value())]),
+            OnlineEvent::Shed { job } => tagged("shed", [("job", job.to_value())]),
+            OnlineEvent::Complete { job } => tagged("complete", [("job", job.to_value())]),
+            OnlineEvent::Reschedule { moved, resident } => tagged(
+                "reschedule",
+                [
+                    ("moved", moved.to_value()),
+                    ("resident", resident.to_value()),
+                ],
+            ),
+            OnlineEvent::ManagerRun => tagged("manager", []),
+            OnlineEvent::Degraded { event } => {
+                tagged("degraded", [("degradation", event.to_value())])
+            }
+        }
+    }
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        Ok(match kind(v)? {
+            "arrival" => OnlineEvent::Arrival {
+                job: field(v, "job", pool)?,
+            },
+            "admit" => OnlineEvent::Admit {
+                job: field(v, "job", pool)?,
+            },
+            "shed" => OnlineEvent::Shed {
+                job: field(v, "job", pool)?,
+            },
+            "complete" => OnlineEvent::Complete {
+                job: field(v, "job", pool)?,
+            },
+            "reschedule" => OnlineEvent::Reschedule {
+                moved: field(v, "moved", pool)?,
+                resident: field(v, "resident", pool)?,
+            },
+            "manager" => OnlineEvent::ManagerRun,
+            "degraded" => OnlineEvent::Degraded {
+                event: field(v, "degradation", pool)?,
+            },
+            _ => return Err(schema_err("kind", "an online event kind")),
+        })
+    }
+}
+
+/// A pending queue entry: `[tick, seq, kind]`, plus the job id or
+/// arrival index for the two job events.
+impl Wire for (usize, u64, EventKind) {
+    fn to_value(&self) -> JsonValue {
+        let (tick, seq, kind) = self;
+        let mut entry = vec![tick.to_value(), seq.to_value()];
+        let tag = |s: &str| JsonValue::Str(s.into());
+        match kind {
+            EventKind::Completion(job) => entry.extend([tag("completion"), job.to_value()]),
+            EventKind::Arrival(i) => entry.extend([tag("arrival"), i.to_value()]),
+            EventKind::OsTick => entry.push(tag("os")),
+            EventKind::DvfsTick => entry.push(tag("dvfs")),
+        }
+        JsonValue::Arr(entry)
+    }
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        let entry = v
+            .as_arr()
+            .ok_or_else(|| mismatch("[tick, seq, kind, payload?]"))?;
+        let kind = match entry.get(2).and_then(JsonValue::as_str) {
+            Some("completion") => EventKind::Completion(item(entry, 3, pool)?),
+            Some("arrival") => EventKind::Arrival(item(entry, 3, pool)?),
+            Some("os") => EventKind::OsTick,
+            Some("dvfs") => EventKind::DvfsTick,
+            _ => return Err(mismatch("\"completion\", \"arrival\", \"os\", or \"dvfs\"")),
+        };
+        Ok((item(entry, 0, pool)?, item(entry, 1, pool)?, kind))
+    }
+}
+
+impl Wire for Snapshot {
+    fn to_value(&self) -> JsonValue {
+        obj([
+            ("schema", JsonValue::Str(SNAPSHOT_SCHEMA.into())),
+            ("tick", self.tick.to_value()),
+            ("total_ticks", self.total_ticks.to_value()),
+            ("core_count", self.core_count.to_value()),
+            ("initial_count", self.initial_count.to_value()),
+            ("machine", self.machine.to_value()),
+            ("rng", self.rng.to_value()),
+            ("arrival_rng", self.arrival_rng.to_value()),
+            ("scheduler", self.scheduler.to_value()),
+            ("manager", self.manager.to_value()),
+            (
+                "queue",
+                obj([
+                    ("next_seq", self.queue_next_seq.to_value()),
+                    ("events", self.queue_events.to_value()),
+                ]),
+            ),
+            ("jobs", self.jobs.to_value()),
+            ("thread_job", self.thread_job.to_value()),
+            ("run_queue", self.run_queue.to_value()),
+            ("events", self.events.to_value()),
+            ("fault_dirty", self.fault_dirty.to_value()),
+            ("window_dirty", self.window_dirty.to_value()),
+            ("shed", self.shed.to_value()),
+            ("counters", self.counters.to_value()),
+        ])
+    }
+    fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
+        if v.get("schema").and_then(JsonValue::as_str) != Some(SNAPSHOT_SCHEMA) {
+            return Err(schema_err("schema", "\"vasp.snapshot.v1\""));
+        }
+        let queue = at(v, "queue")?;
+        Ok(Snapshot {
+            tick: field(v, "tick", pool)?,
+            total_ticks: field(v, "total_ticks", pool)?,
+            core_count: field(v, "core_count", pool)?,
+            initial_count: field(v, "initial_count", pool)?,
+            machine: field(v, "machine", pool)?,
+            rng: field(v, "rng", pool)?,
+            arrival_rng: field(v, "arrival_rng", pool)?,
+            scheduler: field(v, "scheduler", pool)?,
+            manager: field(v, "manager", pool)?,
+            queue_next_seq: field(queue, "next_seq", pool).map_err(|e| within("queue", e))?,
+            queue_events: field(queue, "events", pool).map_err(|e| within("queue", e))?,
+            jobs: field(v, "jobs", pool)?,
+            thread_job: field(v, "thread_job", pool)?,
+            run_queue: field(v, "run_queue", pool)?,
+            events: field(v, "events", pool)?,
+            fault_dirty: field(v, "fault_dirty", pool)?,
+            window_dirty: field(v, "window_dirty", pool)?,
+            shed: field(v, "shed", pool)?,
+            counters: field(v, "counters", pool)?,
+        })
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn round_trip<T: Wire>(v: &T) -> T {
+        T::from_value(&parse_json(&v.to_value().to_json()).unwrap(), &[]).unwrap()
+    }
+
     #[test]
     fn exact_f64_encoding_round_trips_non_finite_values() {
         for v in [1.5, 0.0, -2.25e-300, f64::INFINITY, f64::NEG_INFINITY] {
-            let mut out = String::new();
-            push_f64_exact(&mut out, v);
-            let parsed = as_f64(&parse_json(&out).unwrap(), "x").unwrap();
-            assert_eq!(parsed.to_bits(), v.to_bits(), "value {v}");
+            assert_eq!(round_trip(&v).to_bits(), v.to_bits(), "value {v}");
         }
-        let mut out = String::new();
-        push_f64_exact(&mut out, f64::NAN);
-        assert!(as_f64(&parse_json(&out).unwrap(), "x").unwrap().is_nan());
+        assert!(round_trip(&f64::NAN).is_nan());
     }
 
     #[test]
     fn u64_encoding_keeps_all_bits() {
         for v in [0u64, 1, u64::MAX, 1 << 63, 0x9E3779B97F4A7C15] {
-            let mut out = String::new();
-            push_u64(&mut out, v);
-            assert_eq!(as_u64(&parse_json(&out).unwrap(), "x").unwrap(), v);
+            assert_eq!(round_trip(&v), v);
         }
     }
 
@@ -1083,11 +710,12 @@ mod tests {
             ControlState::Cursor(7),
             ControlState::Basis(None),
             ControlState::Basis(Some(vec![3, 1, 4, 1, 5])),
+            ControlState::Regulator {
+                correction_w: -1.25,
+                last: vec![(0, 3), (5, 0), (19, 8)],
+            },
         ] {
-            let mut out = String::new();
-            push_control_state(&mut out, &state);
-            let parsed = parse_control_state(&parse_json(&out).unwrap()).unwrap();
-            assert_eq!(parsed, state);
+            assert_eq!(round_trip(&state), state);
         }
     }
 

@@ -9,8 +9,7 @@
 //!   vectors (the Wattch substitute);
 //! * [`leakage`] — subthreshold leakage with exponential Vth and
 //!   temperature dependence plus DIBL, evaluated over a core's
-//!   variation-map cells (the HotLeakage substitute);
-//! * [`scaling`] — ITRS-style technology scaling factors.
+//!   variation-map cells (the HotLeakage substitute).
 //!
 //! All models are calibrated at the paper's operating point: 32 nm,
 //! nominal 4 GHz at 1 V (Table 4), with per-application dynamic powers
@@ -22,9 +21,7 @@
 pub mod dynamic;
 pub mod fastexp;
 pub mod leakage;
-pub mod scaling;
 
 pub use dynamic::{ActivityVector, DynamicPower, Structure, STRUCTURE_COUNT};
 pub use fastexp::fast_exp;
 pub use leakage::{BlockLeakage, LeakageParams, LeakagePower};
-pub use scaling::ItrsScaling;

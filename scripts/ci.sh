@@ -6,11 +6,11 @@
 # Modes:
 #   scripts/ci.sh               the standard gates (fmt, build, test,
 #                               clippy, rustdoc)
-#   scripts/ci.sh bench-smoke   additionally runs the timing benches,
-#                               the kernel bench with its speedup gate
-#                               and the smoke-scale all/trace bins,
-#                               then validates their BENCH_*.json with
-#                               the check_bench bin
+#   scripts/ci.sh bench-smoke   additionally runs the kernel bench
+#                               with its speedup gate and the
+#                               smoke-scale all/trace bins, then
+#                               validates their BENCH_*.json with the
+#                               check_bench bin
 #   scripts/ci.sh replay-smoke  additionally runs the deterministic-
 #                               replay gate: re-run the committed
 #                               scenario, checkpoint mid-run, restore,
@@ -76,24 +76,22 @@ tmp="$(mktemp -d)"
 trap 'rm -rf "$tmp"' EXIT
 
 if [[ "$mode" == bench-smoke ]]; then
-  # Machine-readable bench output: the benches write
-  # crates/bench/results/BENCH_{optimizers,substrates}.json (untracked);
-  # in the temp directory the kernel bin writes the per-tick microbench
-  # medians to results/BENCH_kernel.json, the all bin writes per-stage
-  # wall-times to results/BENCH_all.json, and the trace bin exports
-  # JSONL run traces. check_bench exits non-zero unless every committed
+  # Machine-readable bench output: in the temp directory the kernel
+  # bin writes the per-tick microbench medians to
+  # results/BENCH_kernel.json, the all bin writes per-stage wall-times
+  # to results/BENCH_all.json, and the trace bin exports JSONL run
+  # traces. check_bench exits non-zero unless every committed
   # and fresh BENCH_*.json is well-formed with positive timings and no
   # fresh case regressed >3x against its committed results/ copy.
   # The kernel bin's --gate additionally enforces the optimized-kernel
   # speedups against results/BENCH_kernel_baseline.json (>=8x on
   # machine/step_1ms_20t, >=10x on the large-grid field cases, >=3x on
   # profile/thread_profiles_20t, >=1.3x on solver/sann_20c).
-  cargo bench --offline -p vasp-bench
   (cd "$tmp" && "$bin_dir/kernel" --gate)
   (cd "$tmp" && "$bin_dir/all" --scale smoke)
   (cd "$tmp" && "$bin_dir/trace" --scale smoke)
   cargo run -q --release --offline -p vasp-bench --bin check_bench -- \
-    results/BENCH_*.json crates/bench/results/BENCH_*.json "$tmp"/results/BENCH_*.json \
+    results/BENCH_*.json "$tmp"/results/BENCH_*.json \
     --baseline results
 fi
 

@@ -12,8 +12,10 @@ use vasp::cmpsim::{app_pool, BudgetDrop, CoreFailure, FaultPlan, Mix, StuckSenso
 use vasp::vasched::engine::{OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
 use vasp::vasched::experiments::{Context, Scale};
 use vasp::vasched::manager::{ManagerSpec, PowerBudget};
+use vasp::vasched::obs::{parse_json, JsonValue};
 use vasp::vasched::online::{
     run_online, ArrivalConfig, OnlineConfig, OnlineEvent, OnlineSim, ServicePolicy, Snapshot,
+    SnapshotError,
 };
 use vasp::vasched::runtime::{FreqMode, NullObserver, RuntimeConfig};
 use vasp::vasched::sched::SchedulerSpec;
@@ -247,4 +249,46 @@ fn snapshot_wire_format_matches_golden() {
         lines.push('\n');
     }
     check_golden("snapshots.jsonl", &lines);
+}
+
+/// The value at a dotted `path` (array indices as numbers).
+fn value_at<'a>(doc: &'a mut JsonValue, path: &str) -> &'a mut JsonValue {
+    path.split('.').fold(doc, |v, key| match v {
+        JsonValue::Obj(entries) => &mut entries.iter_mut().find(|(k, _)| k == key).unwrap().1,
+        JsonValue::Arr(items) => &mut items[key.parse::<usize>().unwrap()],
+        _ => panic!("no {key} in {path}"),
+    })
+}
+
+/// A corrupted value of each wire shape is reported with its full path,
+/// and an application missing from the pool as `UnknownApp`.
+#[test]
+fn corrupt_snapshot_fields_are_reported_by_full_path() {
+    let pool = app_pool(&Context::new(20).machine_config().dynamic);
+    let line = golden_snapshots()[1].to_json();
+    let decode = |path: &str, bad: JsonValue| {
+        let mut doc = parse_json(&line).unwrap();
+        *value_at(&mut doc, path) = bad;
+        Snapshot::from_json(&doc.to_json(), &pool).unwrap_err()
+    };
+    for (path, reported) in [
+        ("machine.faults.stuck.2", "machine.faults.stuck[2]"),
+        ("queue.events.4", "queue.events[4]"),
+        ("jobs.3.admit_ms", "jobs[3].admit_ms"),
+        ("events.5.event.kind", "events[5].event.kind"),
+        (
+            "manager.conditioner.stats.clamped",
+            "manager.conditioner.stats.clamped",
+        ),
+        ("rng.1", "rng[1]"),
+    ] {
+        match decode(path, JsonValue::Bool(true)) {
+            SnapshotError::Schema { field, .. } => assert_eq!(field, reported),
+            other => panic!("{path}: {other:?}"),
+        }
+    }
+    assert_eq!(
+        decode("jobs.3.app", JsonValue::Str("no-such-app".into())),
+        SnapshotError::UnknownApp("no-such-app".into())
+    );
 }
