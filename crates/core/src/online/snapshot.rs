@@ -12,12 +12,12 @@
 //! configuration to [`super::OnlineSim::resume`], exactly as it would
 //! re-supply the binary itself.
 //!
-//! The wire format (`vasp.snapshot.v1`) is stated once, by one private
-//! `Wire` codec per type that maps a value to and from a
-//! [`JsonValue`]; [`JsonValue::write`] renders the text and
-//! [`crate::obs::json::parse_json`] reads it back. Plain structs list
-//! their keys once, for both directions. Two encoding rules keep the
-//! round trip exact where plain JSON would lose information:
+//! The wire format (`vasp.snapshot.v1`) is stated once: a private
+//! `Wire` trait, implemented once per type, maps a value to and from a
+//! [`JsonValue`], and plain structs list their keys once for both
+//! directions. [`JsonValue::write`] renders the text and
+//! [`crate::obs::json::parse_json`] reads it back. Two encoding rules
+//! keep the round trip exact where plain JSON would lose information:
 //!
 //! * **`u64` values are encoded as decimal strings** — RNG state words
 //!   use all 64 bits, and a JSON number (an `f64` after parsing) is
