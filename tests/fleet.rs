@@ -6,13 +6,18 @@
 //! results in chip order, so the same [`FleetSpec`] must produce
 //! bit-identical output at any `--threads` setting. The golden under
 //! `tests/golden/fleet_smoke.jsonl` pins the scenario CI's
-//! `fleet-smoke` gate replays; regenerate after an intentional engine
-//! change with `UPDATE_GOLDENS=1 cargo test --test fleet`.
+//! `fleet-smoke` gate replays, and `tests/golden/fleet_policies.jsonl`
+//! pins every dispatch policy's routing, shed path included;
+//! regenerate after an intentional engine change with
+//! `UPDATE_GOLDENS=1 cargo test --test fleet`.
 
 mod common;
 
 use common::check_golden;
-use vasp::vasched::experiments::fleet::{golden_spec, run_golden_scenario, GOLDEN_PATH};
+use vasp::vasched::experiments::fleet::{
+    fleet_config, fleet_spec, golden_spec, run_golden_scenario, DEFAULT_BUDGET_PER_CHIP_W,
+    DISPATCHERS, FLEET_GOLDEN_SEED, GOLDEN_PATH,
+};
 use vasp::vasched::experiments::ServingSite;
 use vasp::vasched::fleet::{run_fleet, FleetOutcome};
 use vasp::vasched::obs::{diff_traces, parse_json};
@@ -66,6 +71,24 @@ fn fleet_smoke_trace_matches_golden() {
         None,
         "replaying the committed golden must report zero divergence"
     );
+}
+
+#[test]
+fn every_dispatch_policy_matches_golden() {
+    // One small overloaded fleet per policy: 8 chips behind queues of
+    // 4, so every policy sheds and the golden pins the shed path along
+    // with each policy's placements.
+    let site = ServingSite::at_grid(20);
+    let mut traces = String::new();
+    for policy in DISPATCHERS {
+        let mut config = fleet_config(120.0, 8, DEFAULT_BUDGET_PER_CHIP_W);
+        config.max_queue_per_chip = 4;
+        let spec = fleet_spec(&site, 8, policy, config, FLEET_GOLDEN_SEED);
+        let out = run_fleet(&spec, 2).expect("policy spec is valid");
+        assert!(out.shed > 0, "{} must shed", policy.name());
+        traces.push_str(&out.trace);
+    }
+    check_golden("fleet_policies.jsonl", &traces);
 }
 
 #[test]
