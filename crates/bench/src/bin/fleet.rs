@@ -15,10 +15,15 @@
 //!    gate. At paper scale a completion count under one million is a
 //!    hard failure.
 //! 3. Fixed-size timed cases (`BENCH_fleet.json`): a small fleet run
-//!    end to end (die generation through final merge) and the
-//!    variation-aware routing hot path over synthetic summaries.
+//!    end to end (die generation through final merge), fleet
+//!    construction, and the routing path `run_fleet` runs per epoch —
+//!    `begin_epoch` over synthetic summaries, then 1 000
+//!    `pick`/`enqueued` pairs — per policy at 64 and 1 024 chips.
 //!    `check_bench --baseline` diffs the medians against the
-//!    committed report.
+//!    committed report. The bin fails unless variation-aware routing
+//!    at 1 024 chips costs under [`VA_OVER_LL_MAX`]× least-loaded's
+//!    and under [`VA_GROWTH_MAX`]× its own 64-chip case: ratios within
+//!    one process, so host speed cancels.
 
 use std::time::Instant;
 
@@ -27,9 +32,21 @@ use vasched::experiments::fleet::{self, fleet_config, fleet_spec};
 use vasched::experiments::{Scale, ServingSite};
 use vasched::fleet::{build_fleet_chips, run_fleet, ChipSummary, DispatchPolicy};
 use vasched::obs::diff_traces;
-use vasp_bench::harness::Harness;
+use vasp_bench::harness::{slug, Harness};
 use vasp_bench::json_report::BenchReport;
 use vasp_bench::timing::report_case;
+
+/// Fleet sizes of the routing cases.
+const ROUTE_CHIPS: [usize; 2] = [64, 1_024];
+
+/// Routing gate: variation-aware at 1 024 chips must cost less than
+/// this multiple of least-loaded at 1 024 chips.
+const VA_OVER_LL_MAX: f64 = 10.0;
+
+/// Routing gate: variation-aware at 1 024 chips must cost less than
+/// this multiple of its 64-chip case (16× the chips), so routing cost
+/// grows sublinearly in the fleet size.
+const VA_GROWTH_MAX: f64 = 8.0;
 
 /// Mega-fleet size per scale: `(chips, duration_ms, jobs_floor)`.
 /// Paper scale is sized so ~90% of `chips × rate × duration` arrivals
@@ -102,10 +119,10 @@ fn run_mega(h: &Harness, report: &mut BenchReport) -> bool {
     ok
 }
 
-/// Synthetic summaries for the routing-cost case: a 64-chip fleet with
+/// Synthetic summaries for the routing cases: a fleet of `chips` with
 /// spread frequencies and loads.
-fn synthetic_summaries() -> Vec<ChipSummary> {
-    (0..64)
+fn synthetic_summaries(chips: usize) -> Vec<ChipSummary> {
+    (0..chips)
         .map(|chip| ChipSummary {
             chip,
             rack: chip / 4,
@@ -121,34 +138,72 @@ fn synthetic_summaries() -> Vec<ChipSummary> {
         .collect()
 }
 
+/// The id of the routing case for `policy` at `chips` chips.
+fn route_case(chips: usize, policy: DispatchPolicy) -> String {
+    format!("epoch_1k_{chips}chip_{}", slug(policy.name()))
+}
+
+/// Times one routing epoch per policy and fleet size: `begin_epoch`,
+/// then 1 000 placements, each a `pick` and an `enqueued`.
+fn bench_dispatch(report: &mut BenchReport) {
+    for chips in ROUTE_CHIPS {
+        let summaries = synthetic_summaries(chips);
+        for policy in fleet::DISPATCHERS {
+            let mut dispatcher = policy.build();
+            let name = route_case(chips, policy);
+            let m = report_case("dispatch", &name, || {
+                dispatcher.begin_epoch(&summaries);
+                let mut acc = 0usize;
+                for _ in 0..1_000 {
+                    let chip = dispatcher.pick();
+                    dispatcher.enqueued(chip);
+                    acc += chip;
+                }
+                std::hint::black_box(acc);
+            });
+            report.push_case("dispatch", &name, m);
+        }
+    }
+}
+
+/// Enforces the routing gates on the timed cases; returns `false`
+/// (after printing every violation) when one fails.
+fn dispatch_gate(report: &BenchReport) -> bool {
+    let median = |chips: usize, policy: DispatchPolicy| {
+        report
+            .median_of(&format!("dispatch/{}", route_case(chips, policy)))
+            .expect("routing case was timed")
+    };
+    let va = median(1_024, DispatchPolicy::VariationAware);
+    let mut ok = true;
+    for (what, ratio, max) in [
+        (
+            "VariationAware over LeastLoaded at 1024 chips",
+            va / median(1_024, DispatchPolicy::LeastLoaded),
+            VA_OVER_LL_MAX,
+        ),
+        (
+            "VariationAware at 1024 over 64 chips",
+            va / median(64, DispatchPolicy::VariationAware),
+            VA_GROWTH_MAX,
+        ),
+    ] {
+        if ratio < max {
+            println!("gate ok   {what}: {ratio:.2}x (max {max}x)");
+        } else {
+            eprintln!("FAIL: {what}: {ratio:.2}x, not under {max}x");
+            ok = false;
+        }
+    }
+    ok
+}
+
 /// Fixed-size timed cases, independent of `--scale` so the committed
 /// baseline stays comparable.
 fn bench_cases(report: &mut BenchReport) {
-    // Routing hot path: 1 000 placement decisions over 64 chips.
-    let summaries = synthetic_summaries();
-    let site = ServingSite::at_grid(20);
-    let job = vasched::online::JobSpec {
-        arrival_ms: 0.0,
-        spec: site.pool()[0].clone(),
-        instructions: fleet::FLEET_MEAN_JOB_INSTRUCTIONS,
-        phase_offset_ms: 0.0,
-    };
-    for policy in fleet::DISPATCHERS {
-        let mut dispatcher = policy.build();
-        let name = format!(
-            "route_1k_64chip_{}",
-            vasp_bench::harness::slug(policy.name())
-        );
-        let m = report_case("dispatch", &name, || {
-            let mut acc = 0usize;
-            for _ in 0..1_000 {
-                acc += dispatcher.route(&job, &summaries);
-            }
-            std::hint::black_box(acc);
-        });
-        report.push_case("dispatch", &name, m);
-    }
+    bench_dispatch(report);
 
+    let site = ServingSite::at_grid(20);
     // A small fleet served end to end: die generation, dispatch,
     // sharded epochs, merge. Dominated by the chip event loops.
     let config = fleet_config(60.0, 2, fleet::DEFAULT_BUDGET_PER_CHIP_W);
@@ -208,8 +263,9 @@ fn main() {
         &budget_sweep.dc_tracking_error_w,
     );
 
-    let ok = run_mega(&h, &mut report);
+    let mega_ok = run_mega(&h, &mut report);
     bench_cases(&mut report);
+    let ok = dispatch_gate(&report) && mega_ok;
 
     match report.write("fleet") {
         Ok(path) => println!("wrote {}", path.display()),

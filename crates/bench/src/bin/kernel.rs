@@ -15,7 +15,14 @@
 //!   `machine/step_1ms_20t`, [`FIELD_SPEEDUP_MIN`]× on the large-grid
 //!   field cases, [`PROFILE_SPEEDUP_MIN`]× on
 //!   `profile/thread_profiles_20t`, [`SANN_SPEEDUP_MIN`]× on
-//!   `solver/sann_20c`).
+//!   `solver/sann_20c`). The baseline was timed on another day, so
+//!   each raw speedup is first multiplied by the host factor, the
+//!   repository benchmark's own rescaling: the fastest of
+//!   [`HOST_REFERENCE_RUNS`] timings of its host-reference kernel
+//!   before the cases and as many after, over
+//!   [`host::NOMINAL_S`]. A slow host phase slows the kernel and the
+//!   cases alike, and the product survives it. The written report
+//!   stays raw.
 //! * `--cholesky-reference` — instead of benchmarking, time the
 //!   forced-Cholesky field path once per case and print ready-to-paste
 //!   baseline entries (a 64×64 dense factorization takes tens of
@@ -37,6 +44,7 @@ use vasched::obs::{parse_json, JsonValue};
 use vasched::profile::thread_profiles;
 use vasp_bench::json_report::BenchReport;
 use vasp_bench::timing::report_case;
+use vasp_benchmark::host;
 use vastats::{GaussianField, SimRng, SphericalCorrelogram};
 
 /// `--gate`: required speedup of `machine/step_1ms_20t` over the
@@ -58,6 +66,11 @@ const PROFILE_SPEEDUP_MIN: f64 = 3.0;
 /// lower bound. The screen measured 1.5–1.6× on real views; the floor
 /// leaves room for host noise.
 const SANN_SPEEDUP_MIN: f64 = 1.3;
+
+/// `--gate`: timings of the host-reference kernel taken before the
+/// cases, and again after them; the fastest of all sets the host
+/// factor.
+const HOST_REFERENCE_RUNS: usize = 3;
 
 /// The committed pre-optimization reference the gate reads, found from
 /// the checkout whatever directory the bin runs in (the report itself
@@ -363,10 +376,19 @@ fn baseline_median(doc: &JsonValue, id: &str) -> Option<f64> {
         .as_f64()
 }
 
-/// Enforces the promised speedups against the committed baseline.
-/// Returns false (after printing every violation) when any gated case
-/// falls short.
-fn gate(report: &BenchReport) -> bool {
+/// The fastest of [`HOST_REFERENCE_RUNS`] timings of the benchmark's
+/// host-reference kernel on two threads (seconds).
+fn fastest_host_reference_s() -> f64 {
+    (0..HOST_REFERENCE_RUNS)
+        .map(|_| host::reference_s(2))
+        .fold(f64::INFINITY, f64::min)
+}
+
+/// Enforces the promised speedups against the committed baseline,
+/// each raw speedup multiplied by `host_factor` (this host's slowdown
+/// against [`host::NOMINAL_S`]). Returns false (after printing every
+/// violation) when any gated case falls short.
+fn gate(report: &BenchReport, host_factor: f64) -> bool {
     let text = match std::fs::read_to_string(BASELINE_PATH) {
         Ok(t) => t,
         Err(e) => {
@@ -399,12 +421,14 @@ fn gate(report: &BenchReport) -> bool {
             ok = false;
             continue;
         };
-        let speedup = then / now;
+        let raw = then / now;
+        let speedup = raw * host_factor;
+        let detail = format!("{raw:.2}x raw x host factor {host_factor:.3}");
         if speedup >= need {
-            println!("gate ok   {id}: {speedup:.2}x (need {need}x)");
+            println!("gate ok   {id}: {speedup:.2}x ({detail}; need {need}x)");
         } else {
             eprintln!(
-                "GATE FAIL {id}: {speedup:.2}x < required {need}x ({then:.0} ns -> {now:.0} ns)"
+                "GATE FAIL {id}: {speedup:.2}x < required {need}x ({detail}; {then:.0} ns -> {now:.0} ns)"
             );
             ok = false;
         }
@@ -420,6 +444,7 @@ fn main() {
     }
     let gate_requested = args.iter().any(|a| a == "--gate");
 
+    let host_before_s = gate_requested.then(fastest_host_reference_s);
     let mut report = BenchReport::new();
     bench_step(&mut report);
     bench_view(&mut report);
@@ -432,7 +457,10 @@ fn main() {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write BENCH_kernel.json: {e}"),
     }
-    if gate_requested && !gate(&report) {
-        std::process::exit(1);
+    if let Some(before_s) = host_before_s {
+        let host_factor = before_s.min(fastest_host_reference_s()) / host::NOMINAL_S;
+        if !gate(&report, host_factor) {
+            std::process::exit(1);
+        }
     }
 }

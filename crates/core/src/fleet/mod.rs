@@ -8,10 +8,12 @@
 //!
 //! * **Where should a job run?** Process variation makes whole chips
 //!   faster or slower at the same power, so a dispatcher that routes on
-//!   each chip's *capability* (its sorted effective-frequency profile
-//!   minus current load — [`ChipSummary`]) completes more jobs than one
-//!   that balances queue lengths. The shipped policy bracket:
-//!   [`RoundRobin`], [`LeastLoaded`], [`VariationAware`].
+//!   each chip's *capability* (the summed effective frequency of its
+//!   live cores divided by one plus the backlog a new job would queue
+//!   behind, read from its [`ChipSummary`]) completes more jobs than
+//!   one that balances queue lengths. [`DispatchPolicy`] selects
+//!   round-robin, least-loaded or variation-aware routing; one
+//!   [`Dispatcher`] per run indexes the chips once per epoch.
 //! * **Where should the watts go?** [`BudgetHierarchy`] splits the
 //!   datacenter cap down a datacenter → rack → chip tree with an
 //!   integral controller per upper tier (after Chen, Wardi &
@@ -38,9 +40,7 @@ mod sim;
 
 pub use budget::{BudgetHierarchy, IntegralController, TierReport, CORRECTION_CAP};
 pub use chip::{ChipSim, EpochStats, FleetJob};
-pub use dispatch::{
-    ChipSummary, DispatchPolicy, Dispatcher, LeastLoaded, RoundRobin, VariationAware,
-};
+pub use dispatch::{ChipSummary, DispatchPolicy, Dispatcher};
 pub use sim::{build_fleet_chips, run_fleet, FleetOutcome, FleetSpec};
 
 use crate::online::{ArrivalConfig, OnlineConfig, ServicePolicy};

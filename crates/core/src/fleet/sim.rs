@@ -4,9 +4,9 @@
 //!
 //! 1. **Boundary (sequential)** — the hierarchy re-apportions power
 //!    from last epoch's observed per-chip means, fresh
-//!    [`ChipSummary`]s are built, and the dispatcher routes every job
-//!    arriving within the epoch (updating the target's `queued` count
-//!    after each decision, so policies see their own consequences).
+//!    [`ChipSummary`]s are built and indexed once, and the dispatcher
+//!    routes every job arriving within the epoch (re-keying the target
+//!    after each placement, so policies see their own consequences).
 //! 2. **Execution (parallel)** — chips run the epoch's ticks in
 //!    contiguous shards across `workers` threads. A chip touches only
 //!    its own state and its own RNG sub-stream, so shard boundaries
@@ -215,11 +215,11 @@ pub fn run_fleet(spec: &FleetSpec<'_>, workers: usize) -> Result<FleetOutcome, T
                 power_w: epoch_powers[c],
             })
             .collect();
+        dispatcher.begin_epoch(&summaries);
         let (mut e_arrived, mut e_shed) = (0usize, 0usize);
         while let Some((arrival_tick, job)) = arrivals.next_if(|&(tick, _)| tick < end) {
             e_arrived += 1;
-            let target = dispatcher.route(&job, &summaries);
-            assert!(target < spec.chips, "dispatcher routed out of range");
+            let target = dispatcher.pick();
             if summaries[target].queued >= cfg.max_queue_per_chip {
                 e_shed += 1;
             } else {
@@ -232,6 +232,7 @@ pub fn run_fleet(spec: &FleetSpec<'_>, workers: usize) -> Result<FleetOutcome, T
                     phase_offset_ms: job.phase_offset_ms,
                 });
                 summaries[target].queued += 1;
+                dispatcher.enqueued(target);
             }
             next_job += 1;
         }

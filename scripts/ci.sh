@@ -86,7 +86,9 @@ if [[ "$mode" == bench-smoke ]]; then
   # The kernel bin's --gate additionally enforces the optimized-kernel
   # speedups against results/BENCH_kernel_baseline.json (>=8x on
   # machine/step_1ms_20t, >=10x on the large-grid field cases, >=3x on
-  # profile/thread_profiles_20t, >=1.3x on solver/sann_20c).
+  # profile/thread_profiles_20t, >=1.3x on solver/sann_20c), each raw
+  # speedup multiplied by the host factor of the benchmark's
+  # host-reference kernel, timed in the same process.
   (cd "$tmp" && "$bin_dir/kernel" --gate)
   (cd "$tmp" && "$bin_dir/all" --scale smoke)
   (cd "$tmp" && "$bin_dir/trace" --scale smoke)
@@ -107,7 +109,8 @@ if [[ "$mode" == fleet-smoke ]]; then
   # Fleet determinism gate: replay the committed 8-chip cluster
   # scenario at two worker counts and byte-compare against the golden
   # (see crates/core/src/experiments/fleet.rs), then run the fleet
-  # bench at smoke scale in the temp directory and diff its
+  # bench at smoke scale in the temp directory — which itself fails
+  # when its routing-cost ratios miss their bounds — and diff its
   # BENCH_fleet.json medians against the committed copy.
   cargo run -q --release --offline -p vasp-bench --bin fleet_gate
   (cd "$tmp" && "$bin_dir/fleet" --scale smoke)
