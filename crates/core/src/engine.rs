@@ -850,11 +850,6 @@ impl TelemetryObserver {
     pub fn telemetry(&self) -> &Telemetry {
         &self.telemetry
     }
-
-    /// Consumes the observer, yielding the trace.
-    pub fn into_telemetry(self) -> Telemetry {
-        self.telemetry
-    }
 }
 
 impl TrialObserver for TelemetryObserver {

@@ -1,6 +1,6 @@
 //! Fleet serving experiments (beyond the paper): dispatcher policy ×
 //! fleet size × datacenter budget, plus the committed golden scenario
-//! behind CI's `fleet-smoke` gate.
+//! that `tests/fleet.rs` pins.
 //!
 //! The single-chip experiments established that variation-aware
 //! scheduling wins *within* a chip. The fleet sweeps ask whether the
@@ -67,10 +67,6 @@ const GOLDEN_GRID: usize = 20;
 
 /// Master seed of the committed golden scenario.
 pub const FLEET_GOLDEN_SEED: u64 = 20_080_808;
-
-/// Where the golden fleet trace lives, relative to the repository
-/// root. Regenerate with `UPDATE_GOLDENS=1 cargo test --test fleet`.
-pub const GOLDEN_PATH: &str = "tests/golden/fleet_smoke.jsonl";
 
 /// The fleet configuration the sweeps run: paper timeline over
 /// `duration_ms`, 10 ms epochs, 20 ms reschedule windows, and an
@@ -203,7 +199,8 @@ pub fn dispatch_budget_sweep(scale: &Scale, seed: u64) -> FleetSweep {
 
 /// The committed golden scenario: 8 chips in 2 racks serving 120 ms of
 /// the near-saturation stream under variation-aware dispatch. Its
-/// trace is pinned byte-for-byte at [`GOLDEN_PATH`].
+/// trace is pinned byte-for-byte at `tests/golden/fleet_smoke.jsonl`;
+/// regenerate with `UPDATE_GOLDENS=1 cargo test --test fleet`.
 pub fn golden_spec(site: &ServingSite) -> FleetSpec<'_> {
     let config = fleet_config(120.0, 8, DEFAULT_BUDGET_PER_CHIP_W);
     fleet_spec(

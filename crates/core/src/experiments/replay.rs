@@ -1,7 +1,7 @@
 //! The committed deterministic-replay scenario: one fixed online
 //! serving run whose JSONL trace is pinned byte-for-byte under
 //! `tests/golden/replay_online.jsonl`, plus the checkpoint/restore
-//! drill that CI's `replay-smoke` step executes against it.
+//! drill the `tests/obs.rs` golden test executes against it.
 //!
 //! Everything here is deliberately constant — seed, die, arrival
 //! stream, service policy, checkpoint tick — because the artifact
@@ -12,10 +12,9 @@
 //! mid-run checkpoint through the [`crate::online::Snapshot`] JSON
 //! codec.
 //!
-//! Three consumers share it: the `tests/obs.rs` golden test (the
-//! tier-1 gate), the `replay` bench bin (the CI gate with
-//! [`crate::obs::diff_traces`] diagnosis on failure), and anyone
-//! bisecting a determinism regression by hand.
+//! Two consumers share it: the `tests/obs.rs` golden test (the
+//! tier-1 gate, with [`crate::obs::diff_traces`] diagnosis on
+//! failure) and anyone bisecting a determinism regression by hand.
 
 use super::online::serving_budget;
 use super::ServingSite;
@@ -38,9 +37,6 @@ pub const REPLAY_SEED: u64 = 20_080_621;
 /// trace samples every 10 ticks), mid-horizon so both segments do real
 /// work.
 pub const CHECKPOINT_TICK: usize = 60;
-
-/// Where the golden trace lives, relative to the repository root.
-pub const GOLDEN_PATH: &str = "tests/golden/replay_online.jsonl";
 
 /// Variation-map grid of the scenario die (smoke fidelity: the
 /// scenario pins determinism, not model accuracy).
@@ -70,7 +66,7 @@ pub fn scenario_config() -> OnlineConfig {
 #[derive(Debug, Clone)]
 pub struct ReplayArtifacts {
     /// JSONL trace of the uninterrupted run (header + 12 records) —
-    /// the document pinned at [`GOLDEN_PATH`].
+    /// the document pinned at `tests/golden/replay_online.jsonl`.
     pub trace: String,
     /// Trace records emitted after [`CHECKPOINT_TICK`] by the
     /// checkpoint → JSON round trip → restore run.

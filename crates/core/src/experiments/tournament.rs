@@ -18,8 +18,8 @@
 //! bit-identical at any worker count, and every emitted artifact
 //! ([`TournamentReport::csv`], [`TournamentReport::to_jsonl`]) formats
 //! floats through the shortest-roundtrip writer — the smoke report is
-//! pinned byte-for-byte at [`GOLDEN_PATH`] behind CI's
-//! `tournament-smoke` gate.
+//! pinned byte-for-byte at `tests/golden/tournament_smoke.jsonl` by
+//! `tests/tournament.rs`.
 
 use super::{Context, Scale};
 use crate::engine::{SeedPlan, TrialRunner};
@@ -38,10 +38,6 @@ use vastats::SimRng;
 /// Master seed of the committed smoke report. Regenerate the golden
 /// with `UPDATE_GOLDENS=1 cargo test --test tournament`.
 pub const TOURNAMENT_GOLDEN_SEED: u64 = 20_080_915;
-
-/// Where the golden smoke report lives, relative to the repository
-/// root.
-pub const GOLDEN_PATH: &str = "tests/golden/tournament_smoke.jsonl";
 
 /// Schema tag of the JSONL report.
 pub const SCHEMA: &str = "vasp.tournament.v1";
@@ -274,7 +270,7 @@ pub fn golden_scale() -> Scale {
 }
 
 /// Runs the committed smoke scenario whose JSONL report is pinned at
-/// [`GOLDEN_PATH`].
+/// `tests/golden/tournament_smoke.jsonl`.
 pub fn run_golden_scenario() -> TournamentReport {
     run(&golden_scale(), TOURNAMENT_GOLDEN_SEED)
 }

@@ -31,7 +31,7 @@
 //! Because every chip's stochastic state derives from its own
 //! [`crate::engine::SeedPlan::chip_seed`] sub-stream and the merge is
 //! in chip order, [`run_fleet`] is bit-identical across worker counts —
-//! the property `tests/fleet.rs` and the `fleet_gate` CI bin pin.
+//! the property `tests/fleet.rs` pins.
 
 mod budget;
 mod chip;

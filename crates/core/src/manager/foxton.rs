@@ -91,8 +91,8 @@ pub fn foxton_star_levels_from(
 
 /// The stateful Foxton* controller: a [`PowerManager`] whose round-robin
 /// cursor survives from one DVFS interval to the next, as in the
-/// Itanium II controller the paper extends (§4.3). A fresh manager (or
-/// [`PowerManager::reset`]) starts the scan at core 0.
+/// Itanium II controller the paper extends (§4.3). A fresh manager
+/// starts the scan at core 0.
 #[derive(Debug, Clone, Default)]
 pub struct FoxtonStar {
     cursor: usize,
@@ -112,10 +112,6 @@ impl PowerManager for FoxtonStar {
 
     fn levels(&mut self, view: &PmView, budget: &PowerBudget, _rng: &mut SimRng) -> Vec<usize> {
         foxton_star_levels_from(view, budget, &mut self.cursor)
-    }
-
-    fn reset(&mut self) {
-        self.cursor = 0;
     }
 
     fn snapshot(&self) -> ControlState {
@@ -210,8 +206,7 @@ mod tests {
         let second = manager.levels(&v, &budget, &mut rng);
         assert_eq!(first, vec![7, 8, 8, 8]);
         assert_eq!(second, vec![8, 7, 8, 8], "cursor should have advanced");
-        manager.reset();
-        assert_eq!(manager.levels(&v, &budget, &mut rng), first);
+        assert_eq!(FoxtonStar::new().levels(&v, &budget, &mut rng), first);
     }
 
     #[test]

@@ -19,7 +19,8 @@
 //!    `crate::runtime`).
 //!
 //! The wrapper is a strict superset of the plain path: built with
-//! hardening disabled it reproduces [`PowerManager::invoke`] exactly,
+//! hardening disabled it reads the raw sensors, asks the primary for
+//! levels and applies them, with no conditioning and no fallback,
 //! which is what keeps zero-fault runs bit-identical to the historical
 //! traces.
 
@@ -219,14 +220,6 @@ impl SensorConditioner {
         self.state.iter_mut().for_each(|s| *s = None);
     }
 
-    /// Drops one core's smoothing state (its next reading passes
-    /// through unsmoothed).
-    pub fn reset_core(&mut self, core: usize) {
-        if let Some(s) = self.state.get_mut(core) {
-            *s = None;
-        }
-    }
-
     /// Reconciles the filter with the current thread-to-core
     /// `assignment`: any core whose resident thread differs from the
     /// one its state was built on — a migration, a parked thread, a
@@ -391,10 +384,10 @@ impl SensorConditioner {
 ///
 /// Wraps the primary manager (built from a [`ManagerSpec`]) together
 /// with a [`SensorConditioner`] and a chip-wide fallback. With
-/// hardening *disabled* it reproduces the plain
-/// [`PowerManager::invoke`] path exactly — no conditioning, no
-/// fallback, no events — which is what keeps zero-fault runs
-/// bit-identical to historical traces.
+/// hardening *disabled* it runs the plain path — raw sensor view,
+/// [`PowerManager::levels`], apply — with no conditioning, no fallback
+/// and no events, which is what keeps zero-fault runs bit-identical to
+/// historical traces.
 pub struct HardenedManager {
     primary: Option<Box<dyn PowerManager>>,
     fallback: ChipWide,
@@ -460,14 +453,17 @@ impl HardenedManager {
         if !self.hardened {
             // The historical code path, bit for bit; the report is a
             // pure read-out and cannot perturb it.
-            let levels = pm.invoke(machine, budget, rng);
-            if levels.is_some() {
-                self.last_report = Some(
-                    pm.last_solve()
-                        .unwrap_or_else(|| SolveReport::heuristic(pm.name())),
-                );
+            let view = PmView::from_machine(machine);
+            if view.is_empty() {
+                return None;
             }
-            return levels;
+            let levels = pm.levels(&view, budget, rng);
+            view.apply(machine, &levels);
+            self.last_report = Some(
+                pm.last_solve()
+                    .unwrap_or_else(|| SolveReport::heuristic(pm.name())),
+            );
+            return Some(levels);
         }
         // Thread migrations invalidate per-core filter state even when
         // no reschedule cleared it (belt for `note_reschedule`'s
@@ -508,12 +504,6 @@ impl HardenedManager {
     /// [`SolveStatus::Fallback`].
     pub fn last_solve(&self) -> Option<SolveReport> {
         self.last_report
-    }
-
-    /// Cumulative [`SensorConditioner`] intervention counts (all zero
-    /// until the hardened path runs).
-    pub fn conditioner_stats(&self) -> ConditionStats {
-        self.conditioner.stats()
     }
 
     /// Captures the front end's cross-interval state for a checkpoint.

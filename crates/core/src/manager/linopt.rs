@@ -160,6 +160,9 @@ pub enum RoundingPolicy {
 /// i's combined upper bound (voltage ceiling tightened by `Pcoremax`).
 /// On success `ws.lp` holds the program (rows recycled from the
 /// previous interval's) and `ws.v_low` the per-core voltage floors.
+/// Every row's right-hand side is non-negative, as `linprog` requires:
+/// an over-budget floor returns early, and a core whose fitted floor
+/// exceeds `Pcoremax` gets the bound 0.
 ///
 /// Returns `false` when even the all-minimum floor exceeds the budget.
 fn assemble_lp(
@@ -352,8 +355,8 @@ fn try_linopt_levels_traced_with(
 /// The stateful LinOpt controller: a [`PowerManager`] that warm-starts
 /// each Simplex solve from the previous interval's optimal basis.
 /// Consecutive DVFS intervals see slowly drifting IPC and power
-/// readings, so the basis usually survives and phase 2 converges in a
-/// handful of pivots; the chosen levels are identical to a cold solve.
+/// readings, so the basis usually survives and the Simplex converges in
+/// a handful of pivots; the chosen levels are identical to a cold solve.
 #[derive(Debug, Clone)]
 pub struct LinOpt {
     basis: Option<Vec<usize>>,
@@ -419,11 +422,6 @@ impl PowerManager for LinOpt {
             warm,
         });
         result
-    }
-
-    fn reset(&mut self) {
-        self.basis = None;
-        self.last = None;
     }
 
     fn last_solve(&self) -> Option<SolveReport> {
@@ -643,8 +641,7 @@ mod tests {
             assert_eq!(warm, cold, "step {step}");
         }
         assert!(manager.has_warm_basis());
-        manager.reset();
-        assert!(!manager.has_warm_basis());
+        assert!(!LinOpt::new().has_warm_basis());
     }
 
     #[test]
@@ -685,9 +682,6 @@ mod tests {
             SolveStatus::Fallback(SolverError::Infeasible)
         );
         assert_eq!(report.warm, WarmStart::Miss);
-
-        manager.reset();
-        assert!(manager.last_solve().is_none(), "reset clears the report");
     }
 
     #[test]

@@ -38,7 +38,6 @@ pub use thermal_map::ThermalMapper;
 pub use view::{greedy_fill, repair_to_budget, synthetic_core, CoreView, PmView};
 
 use crate::runtime::{ConfigError, RuntimeConfig};
-use cmpsim::Machine;
 use std::fmt;
 use vastats::SimRng;
 
@@ -198,10 +197,6 @@ pub trait PowerManager: Send {
         Ok(self.levels(view, budget, rng))
     }
 
-    /// Clears any cross-interval state (start of a new trial). The
-    /// default is a no-op for stateless managers.
-    fn reset(&mut self) {}
-
     /// The [`SolveReport`] of the most recent `levels`/`try_levels`
     /// call, for managers that instrument their solver (LinOpt counts
     /// Simplex pivots and warm-start hits). The default reports
@@ -224,25 +219,6 @@ pub trait PowerManager: Send {
     /// ignore state shapes they did not produce (the default ignores
     /// everything, which is correct for stateless managers).
     fn restore(&mut self, _state: &ControlState) {}
-
-    /// One full invocation against a live machine: reads the sensors,
-    /// picks levels, applies them. Returns the chosen per-active-core
-    /// levels (in [`PmView`] core order), or `None` when no cores are
-    /// active.
-    fn invoke(
-        &mut self,
-        machine: &mut Machine,
-        budget: &PowerBudget,
-        rng: &mut SimRng,
-    ) -> Option<Vec<usize>> {
-        let view = PmView::from_machine(machine);
-        if view.is_empty() {
-            return None;
-        }
-        let levels = self.levels(&view, budget, rng);
-        view.apply(machine, &levels);
-        Some(levels)
-    }
 }
 
 /// Chip and per-core power constraints (paper §4.3: `Ptarget` and
@@ -438,41 +414,6 @@ impl ManagerSpec {
                 Some(Box::new(regulator::IntegralRegulator::new(per_interval)))
             }
         })
-    }
-}
-
-/// One-shot convenience: builds a fresh manager from `kind` and runs a
-/// single [`PowerManager::invoke`] against the machine.
-///
-/// Returns the chosen per-active-core levels (in [`PmView`] core order),
-/// or `None` when no cores are active or the manager is
-/// [`ManagerSpec::None`] (which pins every core to its maximum level).
-///
-/// Long-running control loops should hold onto the boxed manager from
-/// [`ManagerSpec::build`] instead, so stateful managers keep their
-/// cross-interval state (the trial runtime does).
-///
-/// Builds against [`RuntimeConfig::paper_default`]; use
-/// [`ManagerSpec::build`] directly for other runtimes.
-///
-/// # Panics
-///
-/// Panics if `kind` fails [`ManagerSpec::validate`].
-pub fn apply_manager(
-    kind: ManagerSpec,
-    machine: &mut Machine,
-    budget: &PowerBudget,
-    rng: &mut SimRng,
-) -> Option<Vec<usize>> {
-    let built = kind
-        .build(&RuntimeConfig::paper_default())
-        .expect("valid manager spec");
-    match built {
-        None => {
-            machine.set_all_levels_max();
-            None
-        }
-        Some(mut manager) => manager.invoke(machine, budget, rng),
     }
 }
 

@@ -176,12 +176,6 @@ impl PowerManager for IntegralRegulator {
         levels
     }
 
-    fn reset(&mut self) {
-        self.controller.set_correction_w(0.0);
-        self.last.clear();
-        self.last_report = None;
-    }
-
     fn last_solve(&self) -> Option<SolveReport> {
         self.last_report
     }
@@ -320,9 +314,8 @@ mod tests {
         let a = reg.levels(&v, &budget, &mut rng);
         let b = fresh.levels(&v, &budget, &mut rng);
         assert_eq!(a, b, "restored regulator must continue identically");
-        reg.reset();
         assert_eq!(
-            reg.snapshot(),
+            IntegralRegulator::new(0.3).snapshot(),
             ControlState::Regulator {
                 correction_w: 0.0,
                 last: Vec::new(),

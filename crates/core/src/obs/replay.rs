@@ -6,9 +6,10 @@
 //! gate: when two traces differ, [`diff_traces`] walks both documents
 //! record by record and field by field and names the first divergence
 //! (`record 14, cores[7].f_hz: 3.1e9 vs 3.05e9`) instead of leaving a
-//! kilobyte-long byte offset to stare at. The replay CI step
-//! (`scripts/ci.sh replay-smoke`) re-runs the committed golden
-//! scenario, byte-compares, and prints this diff on failure.
+//! kilobyte-long byte offset to stare at. The golden tests
+//! (`tests/obs.rs`, `tests/fleet.rs`, `tests/tournament.rs`) re-run
+//! their committed scenarios, byte-compare, and print this diff on
+//! failure.
 //!
 //! The walk understands nothing about the trace schema beyond "JSONL
 //! with one value per line": it works on any pair of documents the

@@ -55,10 +55,11 @@ impl ArrivalConfig {
     }
 
     /// Validates rates and budgets: [`ConfigError::BadArrivalProcess`]
-    /// if the rate is negative or NaN, the mean budget is not positive,
-    /// or the jitter is outside `[0, 1)`.
+    /// if the rate is negative, infinite or NaN (an infinite rate makes
+    /// every gap zero, so the schedule never reaches its horizon), the
+    /// mean budget is not positive, or the jitter is outside `[0, 1)`.
     pub fn validate(&self) -> Result<(), ConfigError> {
-        let rate_ok = self.rate_per_s >= 0.0;
+        let rate_ok = (0.0..f64::INFINITY).contains(&self.rate_per_s);
         let work_ok = self.mean_instructions > 0.0;
         if rate_ok && work_ok && (0.0..1.0).contains(&self.instructions_jitter) {
             Ok(())

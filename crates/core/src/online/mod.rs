@@ -19,7 +19,7 @@
 //!   EventQueue ── Arrival/Completion/OsTick/DvfsTick
 //!        │                                         ▼
 //!        └──► per-tick loop ──► Scheduler::assign + migration penalty
-//!                          └──► PowerManager::invoke (budget tracking)
+//!                          └──► HardenedManager::invoke (budget tracking)
 //!                          └──► Machine::step ──► completion detection
 //! ```
 //!
@@ -129,14 +129,6 @@ impl ServicePolicy {
     pub fn windowed(reschedule_window_ms: f64) -> Self {
         Self {
             reschedule_window_ms,
-            ..Self::default()
-        }
-    }
-
-    /// Deadline admission control with per-event rescheduling.
-    pub fn with_deadlines(deadline_slack: f64) -> Self {
-        Self {
-            deadline_slack,
             ..Self::default()
         }
     }

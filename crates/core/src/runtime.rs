@@ -73,20 +73,20 @@ impl RuntimeConfig {
     }
 
     /// Validates interval nesting: every interval must be positive and
-    /// they must nest (tick ≤ DVFS ≤ OS ≤ duration).
+    /// finite, and they must nest (tick ≤ DVFS ≤ OS ≤ duration).
     pub fn validate(&self) -> Result<(), ConfigError> {
-        // `<=` plus an explicit NaN check (rather than `!(x > 0.0)`) so
-        // a NaN tick is rejected too.
+        // Comparisons plus explicit finiteness checks (rather than
+        // `!(x > 0.0)`) so a NaN or infinite interval is rejected too.
         if self.tick_ms <= 0.0 || self.tick_ms.is_nan() {
             return Err(ConfigError::NonPositiveTick);
         }
-        if self.dvfs_interval_ms < self.tick_ms {
+        if self.dvfs_interval_ms < self.tick_ms || !self.dvfs_interval_ms.is_finite() {
             return Err(ConfigError::DvfsShorterThanTick);
         }
-        if self.os_interval_ms < self.dvfs_interval_ms {
+        if self.os_interval_ms < self.dvfs_interval_ms || !self.os_interval_ms.is_finite() {
             return Err(ConfigError::OsShorterThanDvfs);
         }
-        if self.duration_ms < self.os_interval_ms {
+        if self.duration_ms < self.os_interval_ms || !self.duration_ms.is_finite() {
             return Err(ConfigError::DurationShorterThanOs);
         }
         Ok(())
@@ -157,14 +157,16 @@ impl RuntimeConfigBuilder {
 pub enum ConfigError {
     /// `tick_ms` is zero, negative, or NaN.
     NonPositiveTick,
-    /// `dvfs_interval_ms` is shorter than one tick.
+    /// `dvfs_interval_ms` is shorter than one tick, or not finite.
     DvfsShorterThanTick,
-    /// `os_interval_ms` is shorter than one DVFS interval.
+    /// `os_interval_ms` is shorter than one DVFS interval, or not
+    /// finite.
     OsShorterThanDvfs,
-    /// `duration_ms` does not cover one OS interval.
+    /// `duration_ms` does not cover one OS interval, or is not finite.
     DurationShorterThanOs,
-    /// An online arrival process is degenerate (negative/NaN rate,
-    /// non-positive instruction budget, or jitter outside `[0, 1)`).
+    /// An online arrival process is degenerate (negative, infinite or
+    /// NaN rate, non-positive instruction budget, or jitter outside
+    /// `[0, 1)`).
     BadArrivalProcess,
     /// An online migration penalty is negative or NaN.
     NegativeMigrationPenalty,
@@ -783,6 +785,62 @@ mod tests {
         assert_eq!(
             bad_duration.validate(),
             Err(ConfigError::DurationShorterThanOs)
+        );
+        // NaN fails every comparison and infinity passes the nesting
+        // checks, so both need their own rejection.
+        let nan_dvfs = RuntimeConfig {
+            dvfs_interval_ms: f64::NAN,
+            ..quick_config()
+        };
+        assert_eq!(nan_dvfs.validate(), Err(ConfigError::DvfsShorterThanTick));
+        let nan_os = RuntimeConfig {
+            os_interval_ms: f64::NAN,
+            ..quick_config()
+        };
+        assert_eq!(nan_os.validate(), Err(ConfigError::OsShorterThanDvfs));
+        for duration_ms in [f64::NAN, f64::INFINITY] {
+            let bad = RuntimeConfig {
+                duration_ms,
+                ..quick_config()
+            };
+            assert_eq!(
+                bad.validate(),
+                Err(ConfigError::DurationShorterThanOs),
+                "duration {duration_ms}"
+            );
+        }
+        let endless = RuntimeConfig {
+            dvfs_interval_ms: f64::INFINITY,
+            os_interval_ms: f64::INFINITY,
+            duration_ms: f64::INFINITY,
+            ..quick_config()
+        };
+        assert_eq!(endless.validate(), Err(ConfigError::DvfsShorterThanTick));
+        let flood = crate::online::ArrivalConfig::poisson(f64::INFINITY, 1e6);
+        assert_eq!(flood.validate(), Err(ConfigError::BadArrivalProcess));
+    }
+
+    #[test]
+    fn nan_dvfs_interval_is_a_config_error_not_a_panic() {
+        let mut m = machine(1);
+        let config = RuntimeConfig {
+            dvfs_interval_ms: f64::NAN,
+            ..quick_config()
+        };
+        let result = run_trial(
+            &mut m,
+            &workload(4, 2),
+            SchedulerSpec::VarFAppIpc,
+            ManagerSpec::LinOpt,
+            PowerBudget::cost_performance(4),
+            &config,
+            &FaultPlan::none(),
+            &mut SimRng::seed_from(3),
+            &mut NullObserver,
+        );
+        assert_eq!(
+            result.unwrap_err(),
+            TrialError::Config(ConfigError::DvfsShorterThanTick)
         );
     }
 

@@ -12,7 +12,7 @@
 use vasp::cmpsim::{app_pool, Machine, MachineConfig, Workload};
 use vasp::floorplan::paper_20_core;
 use vasp::varius::{DieGenerator, VariationConfig};
-use vasp::vasched::manager::{apply_manager, ManagerSpec, PowerBudget};
+use vasp::vasched::manager::{linopt::LinOpt, PmView, PowerBudget, PowerManager};
 use vasp::vasched::profile::{core_profiles, thread_profiles};
 use vasp::vasched::runtime::RuntimeConfig;
 use vasp::vasched::sched::SchedulerSpec;
@@ -57,11 +57,13 @@ fn main() {
         "t(ms)", "power(W)", "dev(%)", "GIPS"
     );
 
+    let mut linopt = LinOpt::new();
     let mut window_power = 0.0;
     for ms in 0..TRACE_MS {
         if ms % DVFS_INTERVAL_MS == 0 {
-            let levels = apply_manager(ManagerSpec::LinOpt, &mut machine, &budget, &mut rng)
-                .expect("active cores present");
+            let view = PmView::from_machine(&machine);
+            let levels = linopt.levels(&view, &budget, &mut rng);
+            view.apply(&mut machine, &levels);
             if ms > 0 {
                 let avg = window_power / DVFS_INTERVAL_MS as f64;
                 let dev = (avg - budget.chip_w) / budget.chip_w * 100.0;

@@ -11,35 +11,22 @@
 #                               smoke-scale all/trace bins, then
 #                               validates their BENCH_*.json with the
 #                               check_bench bin
-#   scripts/ci.sh replay-smoke  additionally runs the deterministic-
-#                               replay gate: re-run the committed
-#                               scenario, checkpoint mid-run, restore,
-#                               and byte-compare both the full trace
-#                               (against tests/golden/replay_online.jsonl)
-#                               and the restored tail; any byte
-#                               difference fails the build
-#   scripts/ci.sh fleet-smoke   additionally runs the fleet gates:
-#                               the fleet_gate bin replays the
-#                               committed cluster scenario at two
-#                               worker counts and byte-compares it
-#                               against tests/golden/fleet_smoke.jsonl,
-#                               then the fleet bench runs at smoke
-#                               scale and check_bench diffs its
+#   scripts/ci.sh fleet-smoke   additionally runs the fleet bench at
+#                               smoke scale and check_bench diffs its
 #                               BENCH_fleet.json against the committed
 #                               results/BENCH_fleet.json
 #   scripts/ci.sh tournament-smoke
-#                               additionally runs the tournament gates:
-#                               the tournament_gate bin replays the
-#                               committed contender x scenario grid at
-#                               three worker counts and byte-compares
-#                               the ranked report against
-#                               tests/golden/tournament_smoke.jsonl,
-#                               then the tournament bench runs at smoke
-#                               scale (which also enforces the solver
-#                               cost and budget-tracking gates) and
-#                               check_bench diffs BENCH_tournament.json
-#                               against the committed
-#                               results/BENCH_tournament.json
+#                               additionally runs the tournament bench
+#                               at smoke scale (which also enforces the
+#                               solver cost and budget-tracking gates)
+#                               and check_bench diffs
+#                               BENCH_tournament.json against the
+#                               committed results/BENCH_tournament.json
+#
+# The golden replay, fleet and tournament scenarios (byte-compared
+# against tests/golden/ and across worker counts) are tier-1 tests in
+# tests/obs.rs, tests/fleet.rs and tests/tournament.rs, so every mode
+# checks them in its cargo test step.
 #   scripts/ci.sh results-check additionally rebuilds every committed
 #                               results/*.csv with the bin that writes
 #                               it (all, fig04, ablation, slo, fleet,
@@ -59,8 +46,8 @@ cd "$(dirname "$0")/.."
 
 mode="${1:-default}"
 case "$mode" in
-  default|bench-smoke|replay-smoke|fleet-smoke|tournament-smoke|results-check) ;;
-  *) echo "usage: $0 [bench-smoke|replay-smoke|fleet-smoke|tournament-smoke|results-check]" >&2; exit 2 ;;
+  default|bench-smoke|fleet-smoke|tournament-smoke|results-check) ;;
+  *) echo "usage: $0 [bench-smoke|fleet-smoke|tournament-smoke|results-check]" >&2; exit 2 ;;
 esac
 
 cargo fmt --check
@@ -97,37 +84,20 @@ if [[ "$mode" == bench-smoke ]]; then
     --baseline results
 fi
 
-if [[ "$mode" == replay-smoke ]]; then
-  # Deterministic replay gate: the replay bin re-runs the committed
-  # scenario, drills checkpoint -> serialize -> restore, and exits
-  # non-zero on any byte difference, printing the first divergent
-  # field (see crates/core/src/experiments/replay.rs).
-  cargo run -q --release --offline -p vasp-bench --bin replay
-fi
-
 if [[ "$mode" == fleet-smoke ]]; then
-  # Fleet determinism gate: replay the committed 8-chip cluster
-  # scenario at two worker counts and byte-compare against the golden
-  # (see crates/core/src/experiments/fleet.rs), then run the fleet
-  # bench at smoke scale in the temp directory — which itself fails
-  # when its routing-cost ratios miss their bounds — and diff its
-  # BENCH_fleet.json medians against the committed copy.
-  cargo run -q --release --offline -p vasp-bench --bin fleet_gate
+  # Run the fleet bench at smoke scale in the temp directory — which
+  # itself fails when its routing-cost ratios miss their bounds — and
+  # diff its BENCH_fleet.json medians against the committed copy.
   (cd "$tmp" && "$bin_dir/fleet" --scale smoke)
   cargo run -q --release --offline -p vasp-bench --bin check_bench -- \
     "$tmp/results/BENCH_fleet.json" --baseline results
 fi
 
 if [[ "$mode" == tournament-smoke ]]; then
-  # Tournament determinism gate: replay the committed contender x
-  # scenario grid at three worker counts and byte-compare the ranked
-  # report against the golden (see
-  # crates/core/src/experiments/tournament.rs), then run the
-  # tournament bench at smoke scale in the temp directory — which
-  # itself fails on a solver cost ratio under 10x or a budget-tracking
-  # gap over 2 points — and diff its BENCH_tournament.json medians
-  # against the committed copy.
-  cargo run -q --release --offline -p vasp-bench --bin tournament_gate
+  # Run the tournament bench at smoke scale in the temp directory —
+  # which itself fails on a solver cost ratio under 10x or a
+  # budget-tracking gap over 2 points — and diff its
+  # BENCH_tournament.json medians against the committed copy.
   (cd "$tmp" && "$bin_dir/tournament" --scale smoke)
   cargo run -q --release --offline -p vasp-bench --bin check_bench -- \
     "$tmp/results/BENCH_tournament.json" --baseline results

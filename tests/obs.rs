@@ -240,8 +240,7 @@ fn replay_scenario_matches_golden_and_restores_byte_identically() {
     // The committed replay scenario (`experiments::replay`): the
     // uninterrupted trace is pinned byte-for-byte, and the
     // checkpoint → JSON → restore run must reproduce the exact bytes
-    // of the post-checkpoint tail. `scripts/ci.sh replay-smoke` runs
-    // the same comparison through the `replay` bench bin.
+    // of the post-checkpoint tail.
     let artifacts = vasp::vasched::experiments::replay::run_scenario();
     check_golden("replay_online.jsonl", &artifacts.trace);
     assert!(
@@ -250,16 +249,4 @@ fn replay_scenario_matches_golden_and_restores_byte_identically() {
         vasp::vasched::obs::diff_traces(&artifacts.expected_tail, &artifacts.resumed_tail)
     );
     assert_eq!(artifacts.outcome_full, artifacts.outcome_resumed);
-    assert_eq!(
-        vasp::vasched::obs::diff_traces(
-            &artifacts.trace,
-            &std::fs::read_to_string(
-                std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-                    .join(vasp::vasched::experiments::replay::GOLDEN_PATH)
-            )
-            .expect("committed golden exists")
-        ),
-        None,
-        "replaying the committed golden must report zero divergence"
-    );
 }

@@ -1,7 +1,7 @@
 //! End-to-end integration: die manufacturing → machine → profiling →
 //! scheduling → power management → metrics, across all crates.
 
-use vasp::vasched::manager::{apply_manager, ManagerSpec, PmView, PowerBudget};
+use vasp::vasched::manager::{ManagerSpec, PmView, PowerBudget};
 use vasp::vasched::prelude::*;
 use vasp::vasched::profile::{core_profiles, thread_profiles};
 use vasp::vasched::runtime::FreqMode;
@@ -15,6 +15,24 @@ fn make_machine(seed: u64) -> Machine {
         .unwrap()
         .generate(&mut SimRng::seed_from(seed));
     Machine::new(&die, &paper_20_core(), MachineConfig::paper_default())
+}
+
+/// One DVFS interval of a freshly built `kind` manager: read the
+/// sensors, pick levels, apply them.
+fn manage(
+    kind: ManagerSpec,
+    machine: &mut Machine,
+    budget: &PowerBudget,
+    rng: &mut SimRng,
+) -> Vec<usize> {
+    let mut manager = kind
+        .build(&RuntimeConfig::paper_default())
+        .expect("valid spec")
+        .expect("a managed spec");
+    let view = PmView::from_machine(machine);
+    let levels = manager.levels(&view, budget, rng);
+    view.apply(machine, &levels);
+    levels
 }
 
 fn var_f_app_ipc(
@@ -50,8 +68,7 @@ fn full_pipeline_produces_consistent_state() {
 
     // Manage.
     let budget = PowerBudget::cost_performance(10);
-    let levels =
-        apply_manager(ManagerSpec::LinOpt, &mut machine, &budget, &mut rng).expect("active cores");
+    let levels = manage(ManagerSpec::LinOpt, &mut machine, &budget, &mut rng);
     assert_eq!(levels.len(), 10);
 
     // Simulate 50 ms; power stays near/below target, throughput flows.
@@ -112,7 +129,7 @@ fn all_managers_respect_budget_on_real_machine() {
         ManagerSpec::SAnn { evaluations: 5_000 },
     ] {
         let mut m = machine.clone();
-        let levels = apply_manager(kind, &mut m, &budget, &mut rng).expect("active");
+        let levels = manage(kind, &mut m, &budget, &mut rng);
         let view = PmView::from_machine(&m);
         let total = view.total_power(&levels);
         assert!(

@@ -167,16 +167,55 @@ fn manager_sweep() -> impl Iterator<Item = (u64, PmView, PowerBudget, SimRng)> {
     })
 }
 
+/// The edge cases of LinOpt's LP on random views of 2–10 cores: chip
+/// budgets below zero, just below, at and just above the all-minimum
+/// power, and above the all-maximum power, each under a generous
+/// per-core cap, a 0 W cap (every core's fitted floor is over it, so
+/// LinOpt bounds its row at 0), and a cap just under the largest
+/// minimum-level core power. Yields each case's label, view, budget and
+/// the stream the managers draw from.
+fn manager_edge_cases() -> impl Iterator<Item = (String, PmView, PowerBudget, SimRng)> {
+    (0u64..4).flat_map(|seed| {
+        let mut rng = SimRng::seed_from(0xED_6E + seed);
+        let view = random_view([2, 5, 8, 10][seed as usize], &mut rng);
+        let min_p = view.total_power(&view.min_levels());
+        let max_p = view.total_power(&view.max_levels());
+        let floor_core = view
+            .cores()
+            .iter()
+            .map(|c| c.power_w[0])
+            .fold(0.0f64, f64::max);
+        let mut cases = Vec::new();
+        for chip_w in [-1.0, min_p - 1e-6, min_p, min_p + 1e-6, max_p + 1.0] {
+            for per_core_w in [1e9, 0.0, floor_core - 1e-6] {
+                let label = format!("edge seed {seed} chip {chip_w} W cap {per_core_w} W");
+                let budget = PowerBudget { chip_w, per_core_w };
+                cases.push((label, view.clone(), budget, rng.clone()));
+            }
+        }
+        cases
+    })
+}
+
 /// Every `PowerManager` implementation (built from its `ManagerSpec`
-/// spec) respects both the per-core cap and the chip budget after
-/// repair, across random views, budgets, and repeated invocations —
-/// repeated because stateful managers (Foxton* cursor, LinOpt
-/// warm-start) must hold the invariant from any carried state, and the
+/// spec) keeps its levels inside the table and, whenever the
+/// all-minimum point meets both budget constraints, respects the
+/// per-core cap and the chip budget after repair, across random views,
+/// budgets, the LP's edge cases, and repeated invocations — repeated
+/// because stateful managers (Foxton* cursor, LinOpt warm-start) must
+/// hold the invariant from any carried state, and the
 /// `repair_to_budget`/`greedy_fill` pipeline must never overshoot.
 #[test]
 fn trait_managers_respect_budgets_post_repair() {
     let rt = vasp::vasched::runtime::RuntimeConfig::paper_default();
-    for (seed, view, budget, mut rng) in manager_sweep() {
+    let sweep = manager_sweep().map(|(seed, view, budget, rng)| {
+        // The sweep's floor always fits, so none of its checks is
+        // skipped below.
+        assert!(view.feasible(&view.min_levels(), &budget), "seed {seed}");
+        (format!("seed {seed}"), view, budget, rng)
+    });
+    for (case, view, budget, mut rng) in sweep.chain(manager_edge_cases()) {
+        let floor_fits = view.feasible(&view.min_levels(), &budget);
         for kind in shipped_managers().iter().chain([&ManagerSpec::Exhaustive]) {
             let mut manager = kind
                 .build(&rt)
@@ -187,24 +226,24 @@ fn trait_managers_respect_budgets_post_repair() {
                 assert_eq!(
                     levels.len(),
                     view.len(),
-                    "seed {seed} {} round {round}",
+                    "{case} {} round {round}",
                     kind.name()
                 );
                 for (c, &l) in view.cores().iter().zip(&levels) {
                     assert!(
                         l < c.level_count(),
-                        "seed {seed} {} round {round}: level out of table",
+                        "{case} {} round {round}: level out of table",
                         kind.name()
                     );
                     assert!(
-                        c.power_w[l] <= budget.per_core_w + 1e-6,
-                        "seed {seed} {} round {round}: per-core cap exceeded",
+                        !floor_fits || c.power_w[l] <= budget.per_core_w + 1e-6,
+                        "{case} {} round {round}: per-core cap exceeded",
                         kind.name()
                     );
                 }
                 assert!(
-                    view.total_power(&levels) <= budget.chip_w + 1e-6,
-                    "seed {seed} {} round {round}: chip budget exceeded",
+                    !floor_fits || view.total_power(&levels) <= budget.chip_w + 1e-6,
+                    "{case} {} round {round}: chip budget exceeded",
                     kind.name()
                 );
             }

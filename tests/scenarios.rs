@@ -8,7 +8,7 @@ use vasp::floorplan::paper_20_core;
 use vasp::varius::{DieGenerator, VariationConfig};
 use vasp::vasched::abb::{equalize_frequencies, BodyBiasConfig};
 use vasp::vasched::extensions::{run_thermal_trial, MigrationConfig, WearoutTracker};
-use vasp::vasched::manager::{apply_manager, ManagerSpec, PmView, PowerBudget};
+use vasp::vasched::manager::{ManagerSpec, PmView, PowerBudget};
 use vasp::vasched::prelude::*;
 use vasp::vastats::SimRng;
 
@@ -21,6 +21,24 @@ fn make_machine(seed: u64) -> Machine {
         .unwrap()
         .generate(&mut SimRng::seed_from(seed));
     Machine::new(&die, &paper_20_core(), MachineConfig::paper_default())
+}
+
+/// One DVFS interval of a freshly built `kind` manager: read the
+/// sensors, pick levels, apply them.
+fn manage(
+    kind: ManagerSpec,
+    machine: &mut Machine,
+    budget: &PowerBudget,
+    rng: &mut SimRng,
+) -> Vec<usize> {
+    let mut manager = kind
+        .build(&RuntimeConfig::paper_default())
+        .expect("valid spec")
+        .expect("a managed spec");
+    let view = PmView::from_machine(machine);
+    let levels = manager.levels(&view, budget, rng);
+    view.apply(machine, &levels);
+    levels
 }
 
 fn loaded(seed: u64, threads: usize) -> Machine {
@@ -42,14 +60,13 @@ fn chip_wide_dvfs_loses_to_per_core() {
     let mut rng = SimRng::seed_from(101);
 
     let mut per_core_machine = machine.clone();
-    let per_core = apply_manager(
+    let per_core = manage(
         ManagerSpec::LinOpt,
         &mut per_core_machine,
         &budget,
         &mut rng,
-    )
-    .unwrap();
-    let chip_wide = apply_manager(ManagerSpec::ChipWide, &mut machine, &budget, &mut rng).unwrap();
+    );
+    let chip_wide = manage(ManagerSpec::ChipWide, &mut machine, &budget, &mut rng);
 
     let view = PmView::from_machine(&machine);
     assert!(
@@ -196,7 +213,7 @@ fn telemetry_captures_a_dvfs_run() {
     let mut telemetry = Telemetry::new();
     for tick in 0..50 {
         if tick % 10 == 0 {
-            apply_manager(ManagerSpec::LinOpt, &mut machine, &budget, &mut rng);
+            manage(ManagerSpec::LinOpt, &mut machine, &budget, &mut rng);
         }
         let stats = machine.step(0.001);
         telemetry.record(&machine, &stats);
