@@ -155,11 +155,23 @@ impl Context {
     ///
     /// # Panics
     ///
-    /// Panics if the variation configuration is invalid.
+    /// Panics if the variation configuration is invalid, or if some
+    /// block of the floorplan covers no point of the variation grid
+    /// (the grid is too coarse for the floorplan). Checking here, once,
+    /// keeps that panic out of every trial worker's `make_machine`.
     pub fn with_floorplan(floorplan: Floorplan, cfg: VariationConfig) -> Self {
+        let generator = DieGenerator::new(cfg).expect("valid variation config");
+        let g = cfg.grid;
+        for block in floorplan.blocks() {
+            assert!(
+                !floorplan.grid_points_in(&block.rect, g, g).is_empty(),
+                "block {:?} covers no point of the {g}x{g} variation grid: use a finer grid",
+                block.kind
+            );
+        }
         Self {
             floorplan,
-            generator: DieGenerator::new(cfg).expect("valid variation config"),
+            generator,
             machine_config: MachineConfig::paper_default(),
         }
     }
@@ -301,6 +313,19 @@ mod tests {
         let die = ctx.make_die(&mut SimRng::seed_from(1));
         let m = ctx.make_machine(&die);
         assert_eq!(m.core_count(), 20);
+    }
+
+    #[test]
+    #[should_panic(expected = "block Core(5) covers no point of the 5x5 variation grid")]
+    fn grid_too_coarse_for_the_floorplan_is_rejected_up_front() {
+        let _ = Context::new(5);
+    }
+
+    #[test]
+    fn coarsest_grid_the_paper_floorplan_admits_builds_machines() {
+        let ctx = Context::new(6);
+        let die = ctx.make_die(&mut SimRng::seed_from(1));
+        assert_eq!(ctx.make_machine(&die).core_count(), 20);
     }
 
     #[test]

@@ -24,6 +24,9 @@
 //! reciprocal of its worst cell-stage delay. Temperature enters through
 //! carrier-mobility derating and the Vth temperature coefficient; the
 //! paper rates frequencies at the hottest observed temperature (95 °C).
+//! Both delays only grow with a cell's Vth and Leff, so
+//! [`FreqModel::vf_table`] evaluates only the core's (Vth, Leff)
+//! skyline, which gives the same table bit for bit.
 //!
 //! The model is calibrated so a *nominal* core (Vth = µ, Leff = 1) runs
 //! at exactly the nominal frequency (4 GHz, Table 4) at `V` = 1 V and
@@ -194,37 +197,6 @@ impl FreqModel {
         1.0 / worst_delay
     }
 
-    /// Identifies the frequency-limiting cell of a core at voltage `v`:
-    /// returns `(cell index, limiting stage)` for the cell whose worst
-    /// stage sets the core's cycle time. Useful for diagnosing *why* a
-    /// core is slow (logic path vs SRAM access) and which patch of the
-    /// variation map is responsible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cells` is empty or `v` is not positive.
-    pub fn critical_cell(&self, cells: &CoreCells, v: f64) -> (usize, StageKind) {
-        assert!(!cells.is_empty(), "core has no variation cells");
-        assert!(v > 0.0, "supply voltage must be positive");
-        let p = &self.params;
-        let dvth = p.vth_temp_coeff * (p.rating_temp_k - p.vth_ref_temp_k);
-        let mut worst = (0usize, StageKind::Logic, 0.0f64);
-        for (i, (&vth_ref, &leff)) in cells.vth.iter().zip(&cells.leff).enumerate() {
-            let vth = vth_ref - dvth;
-            let d_logic = raw_logic_delay(p, vth, leff, v) / self.k_logic;
-            let d_sram = raw_sram_delay(p, vth, leff, v) / self.k_sram;
-            let (kind, d) = if d_sram > d_logic {
-                (StageKind::Sram, d_sram)
-            } else {
-                (StageKind::Logic, d_logic)
-            };
-            if d > worst.2 {
-                worst = (i, kind, d);
-            }
-        }
-        (worst.0, worst.1)
-    }
-
     /// Builds the per-core (voltage, frequency) table the power
     /// managers consume (paper Table 3: "for each core: table of
     /// (voltage, frequency) pairs", supplied by the manufacturer).
@@ -235,9 +207,15 @@ impl FreqModel {
     /// monotonically non-decreasing (a higher voltage never yields a
     /// lower table frequency).
     ///
+    /// Only the core's (Vth, Leff) skyline is evaluated: the cells that
+    /// no other cell matches or beats in both Vth and Leff, the only
+    /// ones that can set Fmax. The table equals one built from
+    /// [`FreqModel::fmax_hz`] over all cells, bit for bit.
+    ///
     /// # Panics
     ///
-    /// Panics if `voltages` is empty, unsorted, or `f_step_hz <= 0`.
+    /// Panics if `cells` is empty, or if `voltages` is empty, unsorted,
+    /// or `f_step_hz <= 0`.
     pub fn vf_table(&self, cells: &CoreCells, voltages: &[f64], f_step_hz: f64) -> VfTable {
         assert!(!voltages.is_empty(), "need at least one voltage level");
         assert!(
@@ -245,6 +223,12 @@ impl FreqModel {
             "voltages must be strictly ascending"
         );
         assert!(f_step_hz > 0.0, "frequency step must be positive");
+        self.table_over(&skyline(cells), voltages, f_step_hz)
+    }
+
+    /// The quantized, monotone (V, f) table of `cells`, every entry
+    /// rated by [`FreqModel::fmax_hz`] over all of `cells`.
+    fn table_over(&self, cells: &CoreCells, voltages: &[f64], f_step_hz: f64) -> VfTable {
         let mut entries: Vec<(f64, f64)> = Vec::with_capacity(voltages.len());
         let mut prev_f = 0.0f64;
         for &v in voltages {
@@ -258,13 +242,60 @@ impl FreqModel {
     }
 }
 
-/// Which pipeline-stage flavor limits a core's frequency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
-    /// A logic stage (chain of gates).
-    Logic,
-    /// An SRAM access stage (guard-banded worst array cell).
-    Sram,
+/// The cells of a core that can set its Fmax: its (Vth, Leff) skyline,
+/// the cells that no other cell matches or beats in both Vth and Leff.
+///
+/// Both stage delays, `leff·v / (v − vth[+guard])^α`, only grow with
+/// Vth and with a non-negative Leff. Every step that computes them is
+/// monotone under round-to-nearest: the temperature shift, the
+/// overdrive, `powf` in its base (glibc's `pow` errs by at most 0.52
+/// ULP, so it keeps the order of exact results 0.04 ULP apart, and at
+/// α = 1.3 a one-ULP step of the base moves `x^α` by at least 0.65
+/// ULP), the product, the quotient and the calibration scaling. A dominated cell therefore never has the larger
+/// delay, nor a non-finite delay its dominator lacks. Dropping it
+/// leaves [`FreqModel::fmax_hz`]'s maximum and its 0 Hz early return
+/// unchanged, and `f64::max` does not depend on order. Of duplicate
+/// cells the first stays. A cell with a non-finite Vth or Leff, or a
+/// negative Leff, falls outside the argument: it always stays and is
+/// never compared.
+///
+/// Built by insertion into a short list, without sorting: on paper dies
+/// a core's skyline holds about 5 of its ~120 cells.
+fn skyline(cells: &CoreCells) -> CoreCells {
+    let mut sky = CoreCells {
+        vth: Vec::with_capacity(16),
+        leff: Vec::with_capacity(16),
+    };
+    let mut unordered = Vec::new();
+    'cells: for (&vth, &leff) in cells.vth.iter().zip(&cells.leff) {
+        if !(vth.is_finite() && leff.is_finite() && leff >= 0.0) {
+            unordered.push((vth, leff));
+            continue;
+        }
+        // The list is an antichain, so a cell some member dominates
+        // cannot itself dominate another member: one pass both tests
+        // the cell and drops the members it dominates.
+        let mut i = 0;
+        while i < sky.vth.len() {
+            let (sv, sl) = (sky.vth[i], sky.leff[i]);
+            if sv >= vth && sl >= leff {
+                continue 'cells;
+            }
+            if vth >= sv && leff >= sl {
+                sky.vth.swap_remove(i);
+                sky.leff.swap_remove(i);
+            } else {
+                i += 1;
+            }
+        }
+        sky.vth.push(vth);
+        sky.leff.push(leff);
+    }
+    for (vth, leff) in unordered {
+        sky.vth.push(vth);
+        sky.leff.push(leff);
+    }
+    sky
 }
 
 /// Raw (uncalibrated) logic-stage delay: averages the alpha-power gate
@@ -369,16 +400,127 @@ impl VfTable {
     pub fn entries(&self) -> &[(f64, f64)] {
         &self.entries
     }
-
-    /// Highest level whose voltage is ≤ `v`, if any.
-    pub fn level_at_or_below(&self, v: f64) -> Option<usize> {
-        self.entries.iter().rposition(|&(lv, _)| lv <= v + 1e-12)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The paper's DVFS levels and frequency step (cmpsim's
+    /// `MachineConfig::paper_default`).
+    const PAPER_F_STEP_HZ: f64 = 100.0e6;
+
+    fn paper_voltages() -> Vec<f64> {
+        (0..9).map(|i| 0.6 + 0.05 * i as f64).collect()
+    }
+
+    /// Asserts that the skyline path agrees with the all-cells oracle
+    /// on `cells`, bit for bit: the raw Fmax at every paper voltage and
+    /// the whole table. Returns the skyline's size.
+    fn assert_matches_oracle(m: &FreqModel, cells: &CoreCells) -> usize {
+        let volts = paper_voltages();
+        let sky = skyline(cells);
+        for &v in &volts {
+            assert_eq!(
+                m.fmax_hz(&sky, v).to_bits(),
+                m.fmax_hz(cells, v).to_bits(),
+                "Fmax at {v} V of {cells:?}"
+            );
+        }
+        let bits = |t: &VfTable| -> Vec<(u64, u64)> {
+            t.entries()
+                .iter()
+                .map(|&(v, f)| (v.to_bits(), f.to_bits()))
+                .collect()
+        };
+        assert_eq!(
+            bits(&m.vf_table(cells, &volts, PAPER_F_STEP_HZ)),
+            bits(&m.table_over(cells, &volts, PAPER_F_STEP_HZ)),
+            "table of {cells:?}"
+        );
+        sky.len()
+    }
+
+    fn core(vth: &[f64], leff: &[f64]) -> CoreCells {
+        CoreCells {
+            vth: vth.to_vec(),
+            leff: leff.to_vec(),
+        }
+    }
+
+    #[test]
+    fn skyline_tables_match_the_all_cells_oracle_on_generated_dies() {
+        use floorplan::paper_20_core;
+        use varius::{DieGenerator, VariationConfig};
+        use vastats::SimRng;
+
+        // A one-ULP disagreement shows in a table only at a 100 MHz
+        // step boundary, so the sweep needs thousands of dies; the raw
+        // Fmax bits are compared as well.
+        let m = FreqModel::new(TimingParams::paper_default());
+        let fp = paper_20_core();
+        let mut dies = 0;
+        for (grid, seed) in [(20, 1), (30, 2), (60, 3)] {
+            let gen = DieGenerator::new(VariationConfig {
+                grid,
+                ..VariationConfig::paper_default()
+            })
+            .expect("valid config");
+            let mut rng = SimRng::seed_from(seed);
+            for _ in 0..700 {
+                let die = gen.generate(&mut rng);
+                for c in 0..fp.core_count() {
+                    assert_matches_oracle(&m, &die.core_cells(&fp, c));
+                }
+                dies += 1;
+            }
+        }
+        assert!(dies >= 2_000);
+    }
+
+    #[test]
+    fn skyline_matches_the_oracle_on_hand_built_cores() {
+        let m = FreqModel::new(TimingParams::paper_default());
+        // Tied Vth: only the longest gate can limit.
+        let tied_vth = core(&[0.27, 0.27, 0.27], &[0.98, 1.04, 1.01]);
+        assert_eq!(assert_matches_oracle(&m, &tied_vth), 1);
+        // Tied Leff: only the highest Vth.
+        let tied_leff = core(&[0.24, 0.29, 0.26], &[1.02, 1.02, 1.02]);
+        assert_eq!(assert_matches_oracle(&m, &tied_leff), 1);
+        // Duplicate cells: one copy stays.
+        let duplicates = core(&[0.26, 0.25, 0.26, 0.26], &[1.01, 0.99, 1.01, 1.01]);
+        assert_eq!(assert_matches_oracle(&m, &duplicates), 1);
+        assert_eq!(assert_matches_oracle(&m, &nominal_core()), 1);
+        // A chain keeps its top, whichever end comes first.
+        let rising = core(&[0.24, 0.25, 0.26, 0.27], &[0.97, 0.98, 0.99, 1.0]);
+        assert_eq!(assert_matches_oracle(&m, &rising), 1);
+        let falling = core(&[0.27, 0.26, 0.25, 0.24], &[1.0, 0.99, 0.98, 0.97]);
+        assert_eq!(assert_matches_oracle(&m, &falling), 1);
+        // An antichain keeps every cell; so does a cell too slow to
+        // switch at the lowest levels.
+        let crossing = core(&[0.28, 0.24, 0.26, 0.58], &[0.97, 1.05, 1.0, 0.9]);
+        assert_eq!(assert_matches_oracle(&m, &crossing), 4);
+
+        // NaN or +∞ Vth, and a −∞ Leff, set every level to 0 Hz in the
+        // all-cells loop; such cells stay in the skyline even where an
+        // ordinary cell would dominate them.
+        let volts = paper_voltages();
+        for cells in [
+            core(&[0.25, f64::NAN, 0.30], &[1.0, 0.9, 1.1]),
+            core(&[f64::NAN, 0.25], &[1.0, 1.0]),
+            core(&[0.25, f64::INFINITY, 0.30], &[1.0, 0.9, 1.1]),
+            core(&[0.30, 0.25], &[1.1, f64::NEG_INFINITY]),
+        ] {
+            assert_matches_oracle(&m, &cells);
+            let t = m.vf_table(&cells, &volts, PAPER_F_STEP_HZ);
+            assert!(t.entries().iter().all(|&(_, f)| f == 0.0), "{cells:?}");
+        }
+        // −∞ Vth (a zero delay) and a negative Leff (a negative delay)
+        // never limit the core, and never hide another cell.
+        let below_zero = core(&[f64::NEG_INFINITY, 0.26, 0.31], &[1.0, 1.0, -1.0]);
+        assert_eq!(assert_matches_oracle(&m, &below_zero), 3);
+        assert!(m.fmax_hz(&below_zero, 1.0) > 0.0);
+    }
 
     fn nominal_core() -> CoreCells {
         CoreCells {
@@ -510,12 +652,9 @@ mod tests {
     }
 
     #[test]
-    fn level_lookup() {
+    fn max_freq_is_the_top_entry() {
         let t = VfTable::from_entries(vec![(0.6, 2.0e9), (0.8, 3.0e9), (1.0, 4.0e9)]);
-        assert_eq!(t.level_at_or_below(0.59), None);
-        assert_eq!(t.level_at_or_below(0.6), Some(0));
-        assert_eq!(t.level_at_or_below(0.95), Some(1));
-        assert_eq!(t.level_at_or_below(1.2), Some(2));
+        assert_eq!(t.max_level(), 2);
         assert_eq!(t.max_freq(), 4.0e9);
     }
 
@@ -529,30 +668,6 @@ mod tests {
     #[should_panic(expected = "non-decreasing")]
     fn non_monotone_freq_rejected() {
         VfTable::from_entries(vec![(0.6, 3.0e9), (0.8, 2.0e9)]);
-    }
-
-    #[test]
-    fn critical_cell_finds_the_slow_cell() {
-        let m = FreqModel::new(TimingParams::paper_default());
-        let core = CoreCells {
-            vth: vec![0.24, 0.31, 0.25],
-            leff: vec![1.0, 1.05, 1.0],
-        };
-        let (idx, _) = m.critical_cell(&core, 1.0);
-        assert_eq!(idx, 1, "highest-Vth, longest-Leff cell limits the core");
-    }
-
-    #[test]
-    fn sram_guard_makes_sram_critical_at_low_voltage() {
-        // At low voltage the guard band dominates: the limiting stage
-        // should be the SRAM access.
-        let m = FreqModel::new(TimingParams::paper_default());
-        let core = CoreCells {
-            vth: vec![0.25],
-            leff: vec![1.0],
-        };
-        let (_, kind) = m.critical_cell(&core, 0.6);
-        assert_eq!(kind, StageKind::Sram);
     }
 
     #[test]

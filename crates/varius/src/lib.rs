@@ -41,7 +41,6 @@ use floorplan::Floorplan;
 use vastats::field::{FieldError, GaussianField, SphericalCorrelogram};
 use vastats::normal;
 use vastats::rng::SimRng;
-use vastats::Summary;
 
 /// Parameters of the variation model (paper Table 4).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -288,30 +287,6 @@ impl DieGenerator {
         self.die_from_sys(&sys, rng)
     }
 
-    /// Generates a batch of `count` dies (the paper uses 200), one
-    /// [`DieGenerator::generate`] at a time on the same RNG stream.
-    pub fn generate_batch(&self, count: usize, rng: &mut SimRng) -> Vec<Die> {
-        (0..count).map(|_| self.generate(rng)).collect()
-    }
-
-    /// Generates `count` dies with all systematic fields drawn up front
-    /// via [`GaussianField::sample_many`] — on circulant (large) grids
-    /// each FFT yields two fields, so a batch costs roughly half as
-    /// many transforms as [`DieGenerator::generate_batch`].
-    ///
-    /// The RNG is consumed in a different order than `generate_batch`
-    /// (all fields first, then each die's offsets and random
-    /// components), so the two produce different — equally
-    /// deterministic and identically distributed — dies for the same
-    /// seed. Pick one per stream and stick with it.
-    pub fn generate_many(&self, count: usize, rng: &mut SimRng) -> Vec<Die> {
-        self.field
-            .sample_many(count, rng)
-            .iter()
-            .map(|sys| self.die_from_sys(sys, rng))
-            .collect()
-    }
-
     /// Assembles one die from an already-drawn systematic field (as
     /// returned by this generator's [`GaussianField`]): die-to-die
     /// offsets, then per-point random components, in one fixed draw
@@ -444,18 +419,6 @@ impl Die {
             leff: pts.iter().map(|&p| self.leff[p]).collect(),
         }
     }
-
-    /// Per-core cells for every core in the floorplan.
-    pub fn all_core_cells(&self, floorplan: &Floorplan) -> Vec<CoreCells> {
-        (0..floorplan.core_count())
-            .map(|c| self.core_cells(floorplan, c))
-            .collect()
-    }
-
-    /// Summary statistics of the die-wide Vth map.
-    pub fn vth_summary(&self) -> Summary {
-        Summary::of(&self.vth)
-    }
 }
 
 /// The variation-map cells covered by one core.
@@ -513,6 +476,7 @@ impl CoreCells {
 mod tests {
     use super::*;
     use floorplan::paper_20_core;
+    use vastats::Summary;
 
     fn quick_cfg() -> VariationConfig {
         VariationConfig {
@@ -601,19 +565,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_has_distinct_dies() {
-        let gen = DieGenerator::new(quick_cfg()).unwrap();
-        let mut rng = SimRng::seed_from(7);
-        let batch = gen.generate_batch(5, &mut rng);
-        assert_eq!(batch.len(), 5);
-        for i in 0..5 {
-            for j in i + 1..5 {
-                assert_ne!(batch[i], batch[j]);
-            }
-        }
-    }
-
-    #[test]
     fn deterministic_per_seed() {
         let gen = DieGenerator::new(quick_cfg()).unwrap();
         let a = gen.generate(&mut SimRng::seed_from(9));
@@ -622,12 +573,21 @@ mod tests {
     }
 
     #[test]
-    fn generate_many_is_deterministic_and_statistically_sound() {
+    fn batched_fields_make_deterministic_and_statistically_sound_dies() {
         // Paper-default grid (60) so the batch exercises the circulant
-        // sampler's paired draws.
+        // sampler's paired draws, through the path fleet construction
+        // takes: every field first, then each die from its field.
         let gen = DieGenerator::new(VariationConfig::paper_default()).unwrap();
-        let a = gen.generate_many(5, &mut SimRng::seed_from(11));
-        let b = gen.generate_many(5, &mut SimRng::seed_from(11));
+        let batch = |seed| {
+            let mut rng = SimRng::seed_from(seed);
+            let fields = gen.field().sample_many(5, &mut rng);
+            fields
+                .iter()
+                .map(|sys| gen.die_from_field(sys, &mut rng))
+                .collect::<Vec<Die>>()
+        };
+        let a = batch(11);
+        let b = batch(11);
         assert_eq!(a, b);
         for i in 0..5 {
             for j in i + 1..5 {
@@ -686,7 +646,7 @@ mod tests {
         let gen = DieGenerator::new(cfg).unwrap();
         let mut rng = SimRng::seed_from(21);
         let die_means: Vec<f64> = (0..30)
-            .map(|_| gen.generate(&mut rng).vth_summary().mean)
+            .map(|_| Summary::of(gen.generate(&mut rng).vth()).mean)
             .collect();
         let s = Summary::of(&die_means);
         // Die means should spread with sigma ~ 25 mV.
@@ -704,7 +664,7 @@ mod tests {
         let gen = DieGenerator::new(cfg).unwrap();
         let mut rng = SimRng::seed_from(22);
         let die_means: Vec<f64> = (0..30)
-            .map(|_| gen.generate(&mut rng).vth_summary().mean)
+            .map(|_| Summary::of(gen.generate(&mut rng).vth()).mean)
             .collect();
         let s = Summary::of(&die_means);
         assert!(
