@@ -12,19 +12,20 @@
 //!
 //! * `--gate` — after writing the report, compare against the
 //!   committed baseline and exit non-zero unless the optimized kernels
-//!   hold their promised speedups ([`STEP_SPEEDUP_MIN`]× on
+//!   hold their promised speedups ([`GATED`]: [`STEP_SPEEDUP_MIN`]× on
 //!   `machine/step_1ms_20t`, [`FIELD_SPEEDUP_MIN`]× on the large-grid
 //!   field cases, [`PROFILE_SPEEDUP_MIN`]× on
 //!   `profile/thread_profiles_20t`, [`SANN_SPEEDUP_MIN`]× on
 //!   `solver/sann_20c`, [`CONSTRUCT_SPEEDUP_MIN`]× on
 //!   `construct/machine_grid60`). The baseline was timed on another day, so
-//!   each raw speedup is first multiplied by the host factor, the
+//!   each raw speedup is first multiplied by its case's host factor, the
 //!   repository benchmark's own rescaling: the fastest of
-//!   [`HOST_REFERENCE_RUNS`] timings of its host-reference kernel
-//!   before the cases and as many after, over
-//!   [`host::NOMINAL_S`]. A slow host phase slows the kernel and the
-//!   cases alike, and the product survives it. The written report
-//!   stays raw.
+//!   [`HOST_REFERENCE_RUNS`] timings of its host-reference kernel just
+//!   before the case and as many just after, over [`host::NOMINAL_S`].
+//!   A slow host phase slows the kernel and the case alike, and the
+//!   product survives it; bracketing each case on its own keeps a fast
+//!   moment elsewhere in the run from rescaling a case that ran in a
+//!   slow one. The written report stays raw.
 //! * `--cholesky-reference` — instead of benchmarking, time the
 //!   forced-Cholesky field path once per case and print ready-to-paste
 //!   baseline entries (a 64×64 dense factorization takes tens of
@@ -77,9 +78,20 @@ const SANN_SPEEDUP_MIN: f64 = 1.3;
 /// stands for nominal host speed like the rescaled timing it meets.
 const CONSTRUCT_SPEEDUP_MIN: f64 = 1.8;
 
-/// `--gate`: timings of the host-reference kernel taken before the
-/// cases, and again after them; the fastest of all sets the host
-/// factor.
+/// `--gate`: every gated case and the speedup it must hold over the
+/// committed baseline.
+const GATED: [(&str, f64); 6] = [
+    ("machine/step_1ms_20t", STEP_SPEEDUP_MIN),
+    ("field/build_64x64", FIELD_SPEEDUP_MIN),
+    ("field/sample_pair_64x64", FIELD_SPEEDUP_MIN),
+    ("profile/thread_profiles_20t", PROFILE_SPEEDUP_MIN),
+    ("solver/sann_20c", SANN_SPEEDUP_MIN),
+    ("construct/machine_grid60", CONSTRUCT_SPEEDUP_MIN),
+];
+
+/// `--gate`: timings of the host-reference kernel taken just before a
+/// gated case, and again just after it; the fastest of the bracket sets
+/// that case's host factor.
 const HOST_REFERENCE_RUNS: usize = 3;
 
 /// The committed pre-optimization reference the gate reads, found from
@@ -89,6 +101,31 @@ const BASELINE_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../results/BENCH_kernel_baseline.json"
 );
+
+/// The report being written and, under `--gate`, the host factor of
+/// each gated case.
+struct Bench {
+    report: BenchReport,
+    /// `Some` under `--gate`: each gated case's id and the host factor
+    /// of the host-reference timings bracketing it.
+    host_factors: Option<Vec<(String, f64)>>,
+}
+
+impl Bench {
+    /// Times `f` as case `group/name` and records it. Under `--gate`, a
+    /// gated case is bracketed by host-reference timings.
+    fn case(&mut self, group: &str, name: &str, f: impl FnMut()) {
+        let id = format!("{group}/{name}");
+        let bracket = self.host_factors.is_some() && GATED.iter().any(|&(g, _)| g == id);
+        let before_s = bracket.then(fastest_host_reference_s);
+        let m = report_case(group, name, f);
+        if let (Some(before_s), Some(factors)) = (before_s, self.host_factors.as_mut()) {
+            let fastest_s = before_s.min(fastest_host_reference_s());
+            factors.push((id, fastest_s / host::NOMINAL_S));
+        }
+        self.report.push_case(group, name, m);
+    }
+}
 
 /// Builds the paper-scale machine loaded with `threads` running threads.
 fn loaded_machine(threads: usize) -> Machine {
@@ -111,14 +148,12 @@ fn loaded_machine(threads: usize) -> Machine {
     machine
 }
 
-fn bench_step(report: &mut BenchReport) {
+fn bench_step(bench: &mut Bench) {
     for &threads in &[20usize, 8] {
         let mut machine = loaded_machine(threads);
-        let name = format!("step_1ms_{threads}t");
-        let m = report_case("machine", &name, || {
+        bench.case("machine", &format!("step_1ms_{threads}t"), || {
             black_box(machine.step(0.001));
         });
-        report.push_case("machine", &name, m);
     }
 
     // Where the step budget goes: run the instrumented step (same
@@ -146,24 +181,23 @@ fn bench_step(report: &mut BenchReport) {
             secs * 1e9 / PROFILE_STEPS as f64,
             100.0 * secs / total
         );
-        report.push_stage(stage, secs);
+        bench.report.push_stage(stage, secs);
     }
 }
 
-fn bench_view(report: &mut BenchReport) {
+fn bench_view(bench: &mut Bench) {
     let mut machine = loaded_machine(20);
     for _ in 0..50 {
         machine.step(0.001);
     }
-    let m = report_case("machine", "pm_view_from_machine", || {
+    bench.case("machine", "pm_view_from_machine", || {
         black_box(PmView::from_machine(&machine));
     });
-    report.push_case("machine", "pm_view_from_machine", m);
 }
 
 /// One OS-epoch re-profile of a full chip: every thread probed for two
 /// ticks on a random core of a scratch copy of the machine.
-fn bench_profile(report: &mut BenchReport) {
+fn bench_profile(bench: &mut Bench) {
     // A chip that has been running, as at every reschedule but the
     // first: its thermal step operator is built and its sensors read.
     let mut machine = loaded_machine(20);
@@ -171,65 +205,52 @@ fn bench_profile(report: &mut BenchReport) {
         machine.step(0.001);
     }
     let mut rng = SimRng::seed_from(10);
-    let m = report_case("profile", "thread_profiles_20t", || {
+    bench.case("profile", "thread_profiles_20t", || {
         black_box(thread_profiles(&machine, &mut rng));
     });
-    report.push_case("profile", "thread_profiles_20t", m);
 }
 
-fn bench_thermal(report: &mut BenchReport) {
+fn bench_thermal(bench: &mut Bench) {
     let fp = paper_20_core();
     let model = ThermalModel::new(&fp, ThermalParams::paper_default());
     let powers: Vec<f64> = (0..fp.blocks().len())
         .map(|i| 2.0 + (i % 5) as f64)
         .collect();
-    let temps = model.steady_state(&powers);
+    // Warm blocks: one simulated second of these powers from ambient.
+    let mut scratch = ThermalScratch::for_model(&model);
+    let mut temps = vec![model.params().ambient_k; powers.len()];
+    for _ in 0..100 {
+        model.transient_step_into(&mut temps, &powers, 0.01, &mut scratch);
+    }
 
-    let m = report_case("thermal", "transient_step_1ms", || {
+    bench.case("thermal", "transient_step_1ms", || {
         black_box(model.transient_step(black_box(&temps), &powers, 0.001));
     });
-    report.push_case("thermal", "transient_step_1ms", m);
 
-    let m = report_case("thermal", "steady_state", || {
-        black_box(model.steady_state(black_box(&powers)));
-    });
-    report.push_case("thermal", "steady_state", m);
-
-    // In-place variants: what Machine::step actually pays in steady
-    // state, with the scratch and output buffers reused across calls.
-    let mut scratch = ThermalScratch::for_model(&model);
+    // The in-place variant: what Machine::step actually pays in steady
+    // state, with the scratch buffer reused across calls.
     let mut t = temps.clone();
-    let m = report_case("thermal", "transient_step_into_1ms", || {
+    bench.case("thermal", "transient_step_into_1ms", || {
         t.copy_from_slice(&temps);
         model.transient_step_into(&mut t, &powers, 0.001, &mut scratch);
         black_box(&t);
     });
-    report.push_case("thermal", "transient_step_into_1ms", m);
-
-    let mut out = vec![0.0; powers.len()];
-    let m = report_case("thermal", "steady_state_into", || {
-        model.steady_state_into(black_box(&powers), &mut out, &mut scratch);
-        black_box(&out);
-    });
-    report.push_case("thermal", "steady_state_into", m);
 }
 
-fn bench_field(report: &mut BenchReport) {
+fn bench_field(bench: &mut Bench) {
     let corr = SphericalCorrelogram::new(VariationConfig::paper_default().phi);
 
     // 64×64 = 4096 cells: well past CHOLESKY_MAX_CELLS, so `build`
     // dispatches to the circulant-embedding sampler.
-    let m = report_case("field", "build_64x64", || {
+    bench.case("field", "build_64x64", || {
         black_box(GaussianField::build(64, 64, corr).expect("embedding admits 64x64"));
     });
-    report.push_case("field", "build_64x64", m);
 
     let field = GaussianField::build(64, 64, corr).expect("embedding admits 64x64");
     let mut rng = SimRng::seed_from(7);
-    let m = report_case("field", "sample_pair_64x64", || {
+    bench.case("field", "sample_pair_64x64", || {
         black_box(field.sample_many(2, &mut rng));
     });
-    report.push_case("field", "sample_pair_64x64", m);
 }
 
 /// What every trial and fleet chip pays once, at the evaluation's
@@ -237,19 +258,17 @@ fn bench_field(report: &mut BenchReport) {
 /// components), and one machine around a prebuilt die
 /// (`Context::make_machine`: the (V, f) tables, the leakage models and
 /// the thermal model).
-fn bench_construct(report: &mut BenchReport) {
+fn bench_construct(bench: &mut Bench) {
     let ctx = Context::new(60);
     let mut rng = SimRng::seed_from(8);
-    let m = report_case("construct", "die_grid60", || {
+    bench.case("construct", "die_grid60", || {
         black_box(ctx.make_die(&mut rng));
     });
-    report.push_case("construct", "die_grid60", m);
 
     let die = ctx.make_die(&mut SimRng::seed_from(12));
-    let m = report_case("construct", "machine_grid60", || {
+    bench.case("construct", "machine_grid60", || {
         black_box(ctx.make_machine(black_box(&die)));
     });
-    report.push_case("construct", "machine_grid60", m);
 }
 
 fn drifting_view(step: usize) -> PmView {
@@ -261,7 +280,7 @@ fn drifting_view(step: usize) -> PmView {
     )
 }
 
-fn bench_solver(report: &mut BenchReport) {
+fn bench_solver(bench: &mut Bench) {
     let budget_of = |v: &PmView| {
         let min_p = v.total_power(&v.min_levels());
         let max_p = v.total_power(&v.max_levels());
@@ -274,24 +293,21 @@ fn bench_solver(report: &mut BenchReport) {
     let mut manager = LinOpt::new();
     let mut rng = SimRng::seed_from(9);
     let mut step = 0usize;
-    let m = report_case("solver", "linopt_resolve_warm_20c", || {
+    bench.case("solver", "linopt_resolve_warm_20c", || {
         let view = drifting_view(step % 8);
         step += 1;
         let budget = budget_of(&view);
         black_box(manager.levels(&view, &budget, &mut rng));
     });
-    report.push_case("solver", "linopt_resolve_warm_20c", m);
 
     let view = drifting_view(0);
     let budget = budget_of(&view);
-    let m = report_case("solver", "linopt_cold_20c", || {
+    bench.case("solver", "linopt_cold_20c", || {
         black_box(linopt_levels(black_box(&view), &budget));
     });
-    report.push_case("solver", "linopt_cold_20c", m);
-    let m = report_case("solver", "foxton_star_20c", || {
+    bench.case("solver", "foxton_star_20c", || {
         black_box(foxton_star_levels(black_box(&view), &budget));
     });
-    report.push_case("solver", "foxton_star_20c", m);
 
     let n = 20usize;
     let build = || {
@@ -304,10 +320,9 @@ fn bench_solver(report: &mut BenchReport) {
         }
         lp
     };
-    let m = report_case("solver", "simplex_cold_20c", || {
+    bench.case("solver", "simplex_cold_20c", || {
         black_box(build().solve().expect("feasible"));
     });
-    report.push_case("solver", "simplex_cold_20c", m);
 
     // Warm re-solve through a reused workspace: rebuild the LP in place
     // (recycled rows), install the previous basis, solve without
@@ -318,7 +333,7 @@ fn bench_solver(report: &mut BenchReport) {
     let mut round = 0usize;
     let objective: Vec<f64> = (0..n).map(|i| 1.0 + i as f64 * 0.1).collect();
     let chip_row = vec![3.0; n];
-    let m = report_case("solver", "simplex_warm_ws_20c", || {
+    bench.case("solver", "simplex_warm_ws_20c", || {
         round += 1;
         let wiggle = 1.0 + 0.001 * (round % 7) as f64;
         lp.reset_maximize(&objective);
@@ -330,13 +345,12 @@ fn bench_solver(report: &mut BenchReport) {
         basis = s.basis;
         black_box(s.objective);
     });
-    report.push_case("solver", "simplex_warm_ws_20c", m);
 }
 
 /// One SAnn invocation at 20k evaluations on a real 20-thread view
 /// under the Cost-Performance budget: the annealing walk every SAnn
 /// arm pays per DVFS interval; beside it, the exact solver (ungated).
-fn bench_sann(report: &mut BenchReport) {
+fn bench_sann(bench: &mut Bench) {
     let mut machine = loaded_machine(20);
     for _ in 0..50 {
         machine.step(0.001);
@@ -344,14 +358,12 @@ fn bench_sann(report: &mut BenchReport) {
     let view = PmView::from_machine(&machine);
     let budget = PowerBudget::scaled(75.0, 20);
     let mut rng = SimRng::seed_from(11);
-    let m = report_case("solver", "sann_20c", || {
+    bench.case("solver", "sann_20c", || {
         black_box(sann_levels(black_box(&view), &budget, 20_000, &mut rng));
     });
-    report.push_case("solver", "sann_20c", m);
-    let m = report_case("solver", "exact_20c", || {
+    bench.case("solver", "exact_20c", || {
         black_box(exhaustive_levels(black_box(&view), &budget));
     });
-    report.push_case("solver", "exact_20c", m);
 }
 
 /// Times the forced-Cholesky field path once per case and prints the
@@ -402,10 +414,11 @@ fn fastest_host_reference_s() -> f64 {
 }
 
 /// Enforces the promised speedups against the committed baseline,
-/// each raw speedup multiplied by `host_factor` (this host's slowdown
-/// against [`host::NOMINAL_S`]). Returns false (after printing every
-/// violation) when any gated case falls short.
-fn gate(report: &BenchReport, host_factor: f64) -> bool {
+/// each raw speedup multiplied by its case's entry in `host_factors`
+/// (this host's slowdown against [`host::NOMINAL_S`] while the case
+/// ran). Returns false (after printing every violation) when any gated
+/// case falls short.
+fn gate(report: &BenchReport, host_factors: &[(String, f64)]) -> bool {
     let text = match std::fs::read_to_string(BASELINE_PATH) {
         Ok(t) => t,
         Err(e) => {
@@ -421,20 +434,16 @@ fn gate(report: &BenchReport, host_factor: f64) -> bool {
         }
     };
     let mut ok = true;
-    for (id, need) in [
-        ("machine/step_1ms_20t", STEP_SPEEDUP_MIN),
-        ("field/build_64x64", FIELD_SPEEDUP_MIN),
-        ("field/sample_pair_64x64", FIELD_SPEEDUP_MIN),
-        ("profile/thread_profiles_20t", PROFILE_SPEEDUP_MIN),
-        ("solver/sann_20c", SANN_SPEEDUP_MIN),
-        ("construct/machine_grid60", CONSTRUCT_SPEEDUP_MIN),
-    ] {
+    for (id, need) in GATED {
         let Some(then) = baseline_median(&doc, id) else {
             eprintln!("GATE FAIL: baseline has no case '{id}'");
             ok = false;
             continue;
         };
-        let Some(now) = report.median_of(id) else {
+        let (Some(now), Some(&(_, host_factor))) = (
+            report.median_of(id),
+            host_factors.iter().find(|(case, _)| case == id),
+        ) else {
             eprintln!("GATE FAIL: this run has no case '{id}'");
             ok = false;
             continue;
@@ -462,23 +471,24 @@ fn main() {
     }
     let gate_requested = args.iter().any(|a| a == "--gate");
 
-    let host_before_s = gate_requested.then(fastest_host_reference_s);
-    let mut report = BenchReport::new();
-    bench_step(&mut report);
-    bench_view(&mut report);
-    bench_profile(&mut report);
-    bench_thermal(&mut report);
-    bench_field(&mut report);
-    bench_construct(&mut report);
-    bench_solver(&mut report);
-    bench_sann(&mut report);
-    match report.write("kernel") {
+    let mut bench = Bench {
+        report: BenchReport::new(),
+        host_factors: gate_requested.then(Vec::new),
+    };
+    bench_step(&mut bench);
+    bench_view(&mut bench);
+    bench_profile(&mut bench);
+    bench_thermal(&mut bench);
+    bench_field(&mut bench);
+    bench_construct(&mut bench);
+    bench_solver(&mut bench);
+    bench_sann(&mut bench);
+    match bench.report.write("kernel") {
         Ok(path) => println!("wrote {}", path.display()),
         Err(e) => eprintln!("could not write BENCH_kernel.json: {e}"),
     }
-    if let Some(before_s) = host_before_s {
-        let host_factor = before_s.min(fastest_host_reference_s()) / host::NOMINAL_S;
-        if !gate(&report, host_factor) {
+    if let Some(host_factors) = &bench.host_factors {
+        if !gate(&bench.report, host_factors) {
             std::process::exit(1);
         }
     }

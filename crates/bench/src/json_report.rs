@@ -67,11 +67,6 @@ impl BenchReport {
         self.stages.push((stage.to_string(), seconds));
     }
 
-    /// Number of recorded cases.
-    pub fn case_count(&self) -> usize {
-        self.cases.len()
-    }
-
     /// Median of the case recorded under `id`, if any.
     pub fn median_of(&self, id: &str) -> Option<f64> {
         self.cases.iter().find(|c| c.id == id).map(|c| c.median_ns)

@@ -16,7 +16,7 @@
 //! contribute leakage plus access-driven dynamic power.
 
 use crate::cache::OccupancyScratch;
-use crate::faults::{FaultConfigError, FaultEvent, FaultPlan, FaultState, SensorFaults};
+use crate::faults::{FaultConfigError, FaultEvent, FaultPlan, FaultState};
 use crate::thread::Thread;
 use critpath::{FreqModel, TimingParams, VfTable};
 use floorplan::{BlockKind, Floorplan};
@@ -189,8 +189,10 @@ impl LeakMemo {
     }
 }
 
-/// The complete mutable state of a [`Machine`], captured for a
-/// checkpoint by [`Machine::export_state`].
+/// The complete mutable state of a [`Machine`]: the machine keeps its
+/// run-time state in this struct, a checkpoint stores it as it is
+/// ([`Machine::export_state`]), and a probe reset copies it
+/// ([`Machine::copy_state_from`]).
 ///
 /// Everything that evolves as the simulation steps is here; everything
 /// that is configuration (the die, the floorplan, the models, the
@@ -209,13 +211,16 @@ pub struct MachineState {
     pub assignment: Vec<Option<usize>>,
     /// Per core: current (V, f) level index.
     pub levels: Vec<usize>,
-    /// Per core: optional frequency cap below the table frequency.
+    /// Per core: optional frequency cap below the table frequency
+    /// (used by the UniFreq configuration, where all cores cycle at the
+    /// slowest active core's frequency while staying at their level's
+    /// voltage).
     pub freq_caps: Vec<Option<f64>>,
     /// Per core: remaining DVFS-transition stall (seconds).
     pub stall_s: Vec<f64>,
     /// Per-core power sensors from the last step (watts).
     pub last_core_power: Vec<f64>,
-    /// Per-core IPC sensors from the last step.
+    /// Per-core IPC sensors from the last step (0 when idle).
     pub last_core_ipc: Vec<f64>,
     /// Chip power meter from the last step (watts).
     pub last_total_power: f64,
@@ -227,8 +232,74 @@ pub struct MachineState {
     pub elapsed_s: f64,
     /// Accumulated instructions retired chip-wide.
     pub total_instructions: f64,
-    /// Fault timeline progress, when a plan is installed.
+    /// Fault timeline progress, when a plan is installed. `None` means
+    /// truthful sensors and an untouched simulation — the fast path
+    /// every fault-free run takes, bit for bit.
     pub faults: Option<FaultState>,
+}
+
+impl MachineState {
+    /// The state of a machine that has not run yet: `threads` loaded
+    /// and none assigned, each core at its entry of `levels` with no cap
+    /// and no stall, every one of `blocks` blocks at `ambient_k`, zeroed
+    /// sensors and statistics, and no fault progress.
+    fn initial(blocks: usize, ambient_k: f64, threads: Vec<Thread>, levels: Vec<usize>) -> Self {
+        let n = levels.len();
+        Self {
+            temps: vec![ambient_k; blocks],
+            threads,
+            assignment: vec![None; n],
+            levels,
+            freq_caps: vec![None; n],
+            stall_s: vec![0.0; n],
+            last_core_power: vec![0.0; n],
+            last_core_ipc: vec![0.0; n],
+            last_total_power: 0.0,
+            dtm_events: 0,
+            energy_j: 0.0,
+            elapsed_s: 0.0,
+            total_instructions: 0.0,
+            faults: None,
+        }
+    }
+
+    /// Overwrites this state with `src` field by field through
+    /// `clone_from`, so this state's vectors are reused (the derived
+    /// `Clone::clone_from` would reallocate them all).
+    fn copy_from(&mut self, src: &Self) {
+        // Exhaustive on purpose: a new field does not compile until it
+        // is copied here.
+        let Self {
+            temps,
+            threads,
+            assignment,
+            levels,
+            freq_caps,
+            stall_s,
+            last_core_power,
+            last_core_ipc,
+            last_total_power,
+            dtm_events,
+            energy_j,
+            elapsed_s,
+            total_instructions,
+            faults,
+        } = self;
+        temps.clone_from(&src.temps);
+        threads.clone_from(&src.threads);
+        assignment.clone_from(&src.assignment);
+        levels.clone_from(&src.levels);
+        freq_caps.clone_from(&src.freq_caps);
+        stall_s.clone_from(&src.stall_s);
+        last_core_power.clone_from(&src.last_core_power);
+        last_core_ipc.clone_from(&src.last_core_ipc);
+        *last_total_power = src.last_total_power;
+        *dtm_events = src.dtm_events;
+        *energy_j = src.energy_j;
+        *elapsed_s = src.elapsed_s;
+        *total_instructions = src.total_instructions;
+        faults.clone_from(&src.faults);
+    }
 }
 
 /// Why [`Machine::import_state`] rejected a [`MachineState`].
@@ -332,33 +403,15 @@ pub struct Machine {
     core_leak_models: Vec<BlockLeakage>,
     /// Per-L2-strip precomputed leakage models (SoA alongside `l2`).
     l2_leak_models: Vec<BlockLeakage>,
-    temps: Vec<f64>,
-    threads: Vec<Thread>,
-    /// Per core: index of the thread it runs, if any.
-    assignment: Vec<Option<usize>>,
-    /// Per core: current (V, f) level index into its table.
-    levels: Vec<usize>,
-    /// Per core: optional frequency cap below the table frequency
-    /// (used by the UniFreq configuration, where all cores cycle at the
-    /// slowest active core's frequency while staying at their level's
-    /// voltage).
-    freq_caps: Vec<Option<f64>>,
-    /// Per core: remaining DVFS-transition stall (seconds).
-    stall_s: Vec<f64>,
-    /// Sensors: per-core total power during the last step.
-    last_core_power: Vec<f64>,
-    /// Sensors: per-core IPC during the last step (0 when idle).
-    last_core_ipc: Vec<f64>,
-    last_total_power: f64,
-    /// Count of DTM throttle events since the last thread load.
-    dtm_events: usize,
-    energy_j: f64,
-    elapsed_s: f64,
-    total_instructions: f64,
-    /// Installed fault state, if any. `None` means truthful sensors
-    /// and an untouched simulation — the fast path every pre-existing
-    /// run takes, bit for bit.
-    faults: Option<SensorFaults>,
+    /// Everything the simulation mutates (see [`MachineState`]).
+    state: MachineState,
+    /// The installed fault plan, [`FaultPlan::none`] when none is.
+    /// Configuration: its progress is `state.faults`, which is `None`
+    /// exactly when no active plan is installed.
+    fault_plan: FaultPlan,
+    /// Fault transitions fired since the last
+    /// [`Machine::take_fault_events`]: per-step output, not state.
+    fault_events: Vec<FaultEvent>,
     /// Scratch: per-block power vector rebuilt by every `step`.
     scratch_block_power: Vec<f64>,
     /// Scratch: per-core static power, evaluated in one pass ahead of
@@ -454,9 +507,9 @@ impl Machine {
 
         let thermal = ThermalModel::new(floorplan, config.thermal);
         let thermal_scratch = ThermalScratch::for_model(&thermal);
-        let ambient = config.thermal.ambient_k;
         let blocks = floorplan.blocks().len();
         let strips = l2.len();
+        let state = MachineState::initial(blocks, config.thermal.ambient_k, Vec::new(), vec![0; n]);
 
         Self {
             config,
@@ -466,20 +519,9 @@ impl Machine {
             freq_model,
             core_leak_models,
             l2_leak_models,
-            temps: vec![ambient; blocks],
-            threads: Vec::new(),
-            assignment: vec![None; n],
-            levels: vec![0; n],
-            freq_caps: vec![None; n],
-            stall_s: vec![0.0; n],
-            last_core_power: vec![0.0; n],
-            last_core_ipc: vec![0.0; n],
-            last_total_power: 0.0,
-            dtm_events: 0,
-            energy_j: 0.0,
-            elapsed_s: 0.0,
-            total_instructions: 0.0,
-            faults: None,
+            state,
+            fault_plan: FaultPlan::none(),
+            fault_events: Vec::new(),
             scratch_block_power: vec![0.0; blocks],
             scratch_core_leak: vec![0.0; n],
             scratch_l2_leak: vec![0.0; strips],
@@ -560,21 +602,15 @@ impl Machine {
             threads.len(),
             self.cores.len()
         );
-        self.threads = threads;
-        let n = self.cores.len();
-        self.assignment = vec![None; n];
-        self.levels = (0..n).map(|c| self.cores[c].vf.max_level()).collect();
-        self.freq_caps = vec![None; n];
-        self.stall_s = vec![0.0; n];
-        self.last_core_power = vec![0.0; n];
-        self.last_core_ipc = vec![0.0; n];
-        self.last_total_power = 0.0;
-        self.dtm_events = 0;
-        self.energy_j = 0.0;
-        self.elapsed_s = 0.0;
-        self.total_instructions = 0.0;
-        self.temps = vec![self.config.thermal.ambient_k; self.temps.len()];
-        self.faults = None;
+        let top_levels = self.cores.iter().map(|c| c.vf.max_level()).collect();
+        self.state = MachineState::initial(
+            self.state.temps.len(),
+            self.config.thermal.ambient_k,
+            threads,
+            top_levels,
+        );
+        self.fault_plan = FaultPlan::none();
+        self.fault_events.clear();
         self.leak_memo.get_mut().invalidate();
     }
 
@@ -587,15 +623,20 @@ impl Machine {
     /// arms that reload the machine must re-install.
     pub fn install_faults(&mut self, plan: &FaultPlan) -> Result<(), FaultConfigError> {
         plan.validate(self.cores.len())?;
-        self.faults = plan
-            .is_active()
-            .then(|| SensorFaults::new(plan.clone(), self.cores.len()));
+        let active = plan.is_active();
+        self.fault_plan = if active {
+            plan.clone()
+        } else {
+            FaultPlan::none()
+        };
+        self.state.faults = active.then(|| FaultState::start(plan, self.cores.len()));
+        self.fault_events.clear();
         Ok(())
     }
 
     /// Whether a fault plan is currently installed.
     pub fn has_active_faults(&self) -> bool {
-        self.faults.is_some()
+        self.state.faults.is_some()
     }
 
     /// Whether `core` is still alive (always true without faults).
@@ -605,7 +646,7 @@ impl Machine {
     /// Panics if `core` is out of range.
     pub fn core_alive(&self, core: usize) -> bool {
         assert!(core < self.cores.len(), "core out of range");
-        self.faults.as_ref().is_none_or(|f| f.core_alive(core))
+        self.state.faults.as_ref().is_none_or(|f| f.alive[core])
     }
 
     /// Number of cores still alive.
@@ -619,16 +660,14 @@ impl Machine {
     /// applies to the nominal chip power budget (1.0 when no drop is
     /// open or no faults are installed).
     pub fn fault_budget_factor(&self) -> f64 {
-        self.faults.as_ref().map_or(1.0, |f| f.budget_factor())
+        self.state.faults.as_ref().map_or(1.0, |f| f.budget_factor)
     }
 
     /// Drains the fault transitions that fired since the last call.
     /// The runtime logs these as degradation events and reacts — e.g.
     /// rescheduling off a dead core.
     pub fn take_fault_events(&mut self) -> Vec<FaultEvent> {
-        self.faults
-            .as_mut()
-            .map_or_else(Vec::new, |f| f.take_events())
+        std::mem::take(&mut self.fault_events)
     }
 
     /// Adds one thread to the running set *without* resetting the
@@ -641,12 +680,12 @@ impl Machine {
     /// Panics if every core already has a thread.
     pub fn add_thread(&mut self, thread: Thread) -> usize {
         assert!(
-            self.threads.len() < self.cores.len(),
+            self.state.threads.len() < self.cores.len(),
             "cannot add thread: all {} cores are occupied",
             self.cores.len()
         );
-        self.threads.push(thread);
-        self.threads.len() - 1
+        self.state.threads.push(thread);
+        self.state.threads.len() - 1
     }
 
     /// Removes thread `tid` from the running set (a completed job
@@ -663,16 +702,19 @@ impl Machine {
     ///
     /// Panics if `tid` is out of range.
     pub fn remove_thread(&mut self, tid: usize) -> Thread {
-        assert!(tid < self.threads.len(), "thread index {tid} out of range");
-        let last = self.threads.len() - 1;
-        for slot in self.assignment.iter_mut() {
+        assert!(
+            tid < self.state.threads.len(),
+            "thread index {tid} out of range"
+        );
+        let last = self.state.threads.len() - 1;
+        for slot in self.state.assignment.iter_mut() {
             if *slot == Some(tid) {
                 *slot = None;
             }
         }
-        let removed = self.threads.swap_remove(tid);
+        let removed = self.state.threads.swap_remove(tid);
         if tid != last {
-            for slot in self.assignment.iter_mut() {
+            for slot in self.state.assignment.iter_mut() {
                 if *slot == Some(last) {
                     *slot = Some(tid);
                 }
@@ -696,7 +738,7 @@ impl Machine {
             stall_s >= 0.0 && !stall_s.is_nan(),
             "stall must be non-negative"
         );
-        self.stall_s[core] += stall_s;
+        self.state.stall_s[core] += stall_s;
     }
 
     /// Sets the core→thread assignment. `mapping[core]` is the thread
@@ -709,10 +751,13 @@ impl Machine {
     /// thread is mapped onto a core an installed fault plan has killed.
     pub fn assign(&mut self, mapping: &[Option<usize>]) {
         assert_eq!(mapping.len(), self.cores.len(), "mapping length mismatch");
-        let mut seen = vec![false; self.threads.len()];
+        let mut seen = vec![false; self.state.threads.len()];
         for (core, m) in mapping.iter().enumerate() {
             let Some(m) = m else { continue };
-            assert!(*m < self.threads.len(), "thread index {m} out of range");
+            assert!(
+                *m < self.state.threads.len(),
+                "thread index {m} out of range"
+            );
             assert!(!seen[*m], "thread {m} assigned to two cores");
             assert!(
                 self.core_alive(core),
@@ -720,12 +765,12 @@ impl Machine {
             );
             seen[*m] = true;
         }
-        self.assignment.copy_from_slice(mapping);
+        self.state.assignment.copy_from_slice(mapping);
     }
 
     /// Current assignment (core → thread index).
     pub fn assignment(&self) -> &[Option<usize>] {
-        &self.assignment
+        &self.state.assignment
     }
 
     /// Sets one core's (V, f) level.
@@ -739,14 +784,14 @@ impl Machine {
             level < self.cores[core].vf.len(),
             "level {level} out of range for core {core}"
         );
-        if level == self.levels[core] {
+        if level == self.state.levels[core] {
             return; // no transition, no cost, caps untouched
         }
         let dv = self.cores[core].vf.voltage_at(level)
-            - self.cores[core].vf.voltage_at(self.levels[core]);
-        self.stall_s[core] += self.config.transition.stall_s(dv);
-        self.levels[core] = level;
-        self.freq_caps[core] = None;
+            - self.cores[core].vf.voltage_at(self.state.levels[core]);
+        self.state.stall_s[core] += self.config.transition.stall_s(dv);
+        self.state.levels[core] = level;
+        self.state.freq_caps[core] = None;
     }
 
     /// Remaining DVFS-transition stall on a core (seconds).
@@ -755,7 +800,7 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn transition_stall_s(&self, core: usize) -> f64 {
-        self.stall_s[core]
+        self.state.stall_s[core]
     }
 
     /// Current (V, f) level of a core.
@@ -764,14 +809,14 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn level(&self, core: usize) -> usize {
-        self.levels[core]
+        self.state.levels[core]
     }
 
     /// Sets every core to its maximum (V, f) level.
     pub fn set_all_levels_max(&mut self) {
         for c in 0..self.cores.len() {
-            self.levels[c] = self.cores[c].vf.max_level();
-            self.freq_caps[c] = None;
+            self.state.levels[c] = self.cores[c].vf.max_level();
+            self.state.freq_caps[c] = None;
         }
     }
 
@@ -782,8 +827,8 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn effective_freq(&self, core: usize) -> f64 {
-        let f = self.cores[core].vf.freq_at(self.levels[core]);
-        match self.freq_caps[core] {
+        let f = self.cores[core].vf.freq_at(self.state.levels[core]);
+        match self.state.freq_caps[core] {
             Some(cap) => f.min(cap),
             None => f,
         }
@@ -798,7 +843,7 @@ impl Machine {
     /// Returns the chosen chip-wide frequency in Hz.
     pub fn set_uniform_frequency(&mut self) -> f64 {
         let active: Vec<usize> = (0..self.cores.len())
-            .filter(|&c| self.assignment[c].is_some())
+            .filter(|&c| self.state.assignment[c].is_some())
             .collect();
         if active.is_empty() {
             return 0.0;
@@ -808,8 +853,8 @@ impl Machine {
             .map(|&c| self.cores[c].vf.max_freq())
             .fold(f64::INFINITY, f64::min);
         for &c in &active {
-            self.levels[c] = self.cores[c].vf.max_level();
-            self.freq_caps[c] = Some(chip_f);
+            self.state.levels[c] = self.cores[c].vf.max_level();
+            self.state.freq_caps[c] = Some(chip_f);
         }
         chip_f
     }
@@ -823,18 +868,18 @@ impl Machine {
         };
         // Collect (thread index, effective frequency) of running threads
         // into a buffer reused across ticks (taken out of `self` so the
-        // borrow checker sees the later `self.threads` accesses as
+        // borrow checker sees the later `self.state.threads` accesses as
         // disjoint; restored on every exit path).
         let mut running = std::mem::take(&mut self.l2_running);
         running.clear();
         for core in 0..self.cores.len() {
-            if let Some(tid) = self.assignment[core] {
+            if let Some(tid) = self.state.assignment[core] {
                 let f = self.effective_freq(core);
                 if f > 0.0 {
                     // The demand loop below multiplies by `ipc_at(f)`
                     // every iteration; it only depends on `f`, so
                     // evaluate the miss-curve `powf` chain once here.
-                    let ipc_f = self.threads[tid].spec().ipc_at(f);
+                    let ipc_f = self.state.threads[tid].spec().ipc_at(f);
                     running.push((tid, f, ipc_f));
                 }
             }
@@ -844,7 +889,7 @@ impl Machine {
             return;
         }
         if running.len() == 1 {
-            self.threads[running[0].0].set_l2_alloc_mb(cache.capacity_mb);
+            self.state.threads[running[0].0].set_l2_alloc_mb(cache.capacity_mb);
             self.l2_running = running;
             return;
         }
@@ -853,10 +898,10 @@ impl Machine {
         current.extend(
             running
                 .iter()
-                .map(|&(tid, ..)| self.threads[tid].l2_alloc_mb()),
+                .map(|&(tid, ..)| self.state.threads[tid].l2_alloc_mb()),
         );
         let mut target = std::mem::take(&mut self.l2_target);
-        let threads = &self.threads;
+        let threads = &self.state.threads;
         crate::cache::solve_occupancy_into(
             running.len(),
             cache.capacity_mb,
@@ -875,17 +920,17 @@ impl Machine {
             // Occupancy drifts with the cache's churn rate, not
             // instantly; smooth per tick.
             let s = cache.smoothing;
-            self.threads[tid].set_l2_alloc_mb(old * (1.0 - s) + new * s);
+            self.state.threads[tid].set_l2_alloc_mb(old * (1.0 - s) + new * s);
         }
         // Smoothing breaks the exact tiling; renormalize.
         let sum: f64 = running
             .iter()
-            .map(|&(tid, ..)| self.threads[tid].l2_alloc_mb())
+            .map(|&(tid, ..)| self.state.threads[tid].l2_alloc_mb())
             .sum();
         if sum > 0.0 {
             for &(tid, ..) in &running {
-                let v = self.threads[tid].l2_alloc_mb() * cache.capacity_mb / sum;
-                self.threads[tid].set_l2_alloc_mb(v);
+                let v = self.state.threads[tid].l2_alloc_mb() * cache.capacity_mb / sum;
+                self.state.threads[tid].set_l2_alloc_mb(v);
             }
         }
         self.l2_running = running;
@@ -925,7 +970,7 @@ impl Machine {
         // Temperatures (and thus the sensor memo) change this step.
         self.leak_memo.get_mut().invalidate();
         self.scratch_block_power.clear();
-        self.scratch_block_power.resize(self.temps.len(), 0.0);
+        self.scratch_block_power.resize(self.state.temps.len(), 0.0);
         let mut instructions = 0.0;
         let mut l2_accesses_per_s = 0.0;
 
@@ -933,12 +978,18 @@ impl Machine {
         // inside the window are unscheduled immediately (they retire
         // nothing this step), sticking sensors freeze at their last
         // truthful reading.
-        if let Some(fs) = self.faults.as_mut() {
-            let power = &self.last_core_power;
-            let ipc = &self.last_core_ipc;
-            let died = fs.advance(dt_s, |c| power[c], |c| ipc[c]);
+        if let Some(fs) = self.state.faults.as_mut() {
+            let power = &self.state.last_core_power;
+            let ipc = &self.state.last_core_ipc;
+            let died = fs.advance(
+                &self.fault_plan,
+                dt_s,
+                |c| power[c],
+                |c| ipc[c],
+                &mut self.fault_events,
+            );
             for core in died {
-                self.assignment[core] = None;
+                self.state.assignment[core] = None;
             }
         }
 
@@ -948,16 +999,16 @@ impl Machine {
 
         // Hardware DTM: force overheating cores down one level.
         for core in 0..n {
-            if self.assignment[core].is_some()
-                && self.temps[self.cores[core].block_idx] > self.config.dtm_limit_k
-                && self.levels[core] > 0
+            if self.state.assignment[core].is_some()
+                && self.state.temps[self.cores[core].block_idx] > self.config.dtm_limit_k
+                && self.state.levels[core] > 0
             {
-                let new_level = self.levels[core] - 1;
+                let new_level = self.state.levels[core] - 1;
                 let vf = &self.cores[core].vf;
-                let dv = vf.voltage_at(new_level) - vf.voltage_at(self.levels[core]);
-                self.stall_s[core] += self.config.transition.stall_s(dv);
-                self.levels[core] = new_level;
-                self.dtm_events += 1;
+                let dv = vf.voltage_at(new_level) - vf.voltage_at(self.state.levels[core]);
+                self.state.stall_s[core] += self.config.transition.stall_s(dv);
+                self.state.levels[core] = new_level;
+                self.state.dtm_events += 1;
             }
         }
 
@@ -970,15 +1021,16 @@ impl Machine {
         for core in 0..n {
             let info = &self.cores[core];
             let mut leak = 0.0;
-            if self.assignment[core].is_some() {
-                let level = self.levels[core];
+            if self.state.assignment[core].is_some() {
+                let level = self.state.levels[core];
                 let v = info.vf.voltage_at(level);
                 let mut f = info.vf.freq_at(level);
-                if let Some(cap) = self.freq_caps[core] {
+                if let Some(cap) = self.state.freq_caps[core] {
                     f = f.min(cap);
                 }
                 if f > 0.0 {
-                    leak = self.core_leak_models[core].static_power(v, self.temps[info.block_idx]);
+                    leak = self.core_leak_models[core]
+                        .static_power(v, self.state.temps[info.block_idx]);
                 }
             }
             self.scratch_core_leak[core] = leak;
@@ -988,36 +1040,36 @@ impl Machine {
             .iter_mut()
             .zip(self.l2.iter().zip(&self.l2_leak_models))
         {
-            *leak = model.static_power(self.config.l2_voltage, self.temps[strip.block_idx]);
+            *leak = model.static_power(self.config.l2_voltage, self.state.temps[strip.block_idx]);
         }
         probe.end(StepPhase::Leakage);
 
         probe.begin(StepPhase::Dispatch);
         for core in 0..n {
             let info = &self.cores[core];
-            let Some(tid) = self.assignment[core] else {
+            let Some(tid) = self.state.assignment[core] else {
                 // Idle cores are powered off.
-                self.last_core_power[core] = 0.0;
-                self.last_core_ipc[core] = 0.0;
+                self.state.last_core_power[core] = 0.0;
+                self.state.last_core_ipc[core] = 0.0;
                 continue;
             };
-            let level = self.levels[core];
+            let level = self.state.levels[core];
             let v = info.vf.voltage_at(level);
             let mut f = info.vf.freq_at(level);
-            if let Some(cap) = self.freq_caps[core] {
+            if let Some(cap) = self.state.freq_caps[core] {
                 f = f.min(cap);
             }
             if f <= 0.0 {
-                self.last_core_power[core] = 0.0;
-                self.last_core_ipc[core] = 0.0;
+                self.state.last_core_power[core] = 0.0;
+                self.state.last_core_ipc[core] = 0.0;
                 continue;
             }
-            let thread = &mut self.threads[tid];
+            let thread = &mut self.state.threads[tid];
 
             // Consume any pending DVFS-transition stall: the core burns
             // power but retires nothing while the regulator ramps.
-            let stall = self.stall_s[core].min(dt_s);
-            self.stall_s[core] -= stall;
+            let stall = self.state.stall_s[core].min(dt_s);
+            self.state.stall_s[core] -= stall;
             let run_s = dt_s - stall;
 
             // One phase scan and one miss-curve evaluation per tick:
@@ -1036,8 +1088,8 @@ impl Machine {
             l2_accesses_per_s += thread.spec().l1_mpi() * ipc * f;
             let total = dyn_w + leak_w;
             self.scratch_block_power[info.block_idx] = total;
-            self.last_core_power[core] = total;
-            self.last_core_ipc[core] = ipc;
+            self.state.last_core_power[core] = total;
+            self.state.last_core_ipc[core] = ipc;
         }
 
         // L2: leakage at the fixed rail plus access-driven dynamic power,
@@ -1063,17 +1115,17 @@ impl Machine {
 
         probe.begin(StepPhase::Thermal);
         self.thermal.transient_step_into(
-            &mut self.temps,
+            &mut self.state.temps,
             &self.scratch_block_power,
             dt_s,
             &mut self.thermal_scratch,
         );
         probe.end(StepPhase::Thermal);
 
-        self.last_total_power = total_power;
-        self.energy_j += total_power * dt_s;
-        self.elapsed_s += dt_s;
-        self.total_instructions += instructions;
+        self.state.last_total_power = total_power;
+        self.state.energy_j += total_power * dt_s;
+        self.state.elapsed_s += dt_s;
+        self.state.total_instructions += instructions;
 
         StepStats {
             dt_s,
@@ -1098,14 +1150,14 @@ impl Machine {
     pub fn predicted_core_power(&self, core: usize, level: usize) -> Option<f64> {
         let info = &self.cores[core];
         assert!(level < info.vf.len(), "level out of range");
-        let tid = self.assignment[core]?;
+        let tid = self.state.assignment[core]?;
         let v = info.vf.voltage_at(level);
         let mut f = info.vf.freq_at(level);
-        if let Some(cap) = self.freq_caps[core] {
+        if let Some(cap) = self.state.freq_caps[core] {
             f = f.min(cap);
         }
-        let temp = self.temps[info.block_idx];
-        let thread = &self.threads[tid];
+        let temp = self.state.temps[info.block_idx];
+        let thread = &self.state.threads[tid];
         let dyn_w = if f > 0.0 {
             thread.dynamic_power_now(&self.config.dynamic, v, f)
         } else {
@@ -1131,8 +1183,8 @@ impl Machine {
             }
         };
         let raw = dyn_w + leak_w;
-        Some(match &self.faults {
-            Some(fs) => fs.predicted_power_reading(core, level, raw),
+        Some(match &self.state.faults {
+            Some(fs) => fs.predicted_power_reading(&self.fault_plan, core, level, raw),
             None => raw,
         })
     }
@@ -1145,17 +1197,17 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn profiled_core_ipc(&self, core: usize) -> Option<f64> {
-        let tid = self.assignment[core]?;
+        let tid = self.state.assignment[core]?;
         let info = &self.cores[core];
-        let f = info.vf.freq_at(self.levels[core]);
+        let f = info.vf.freq_at(self.state.levels[core]);
         let f = if f > 0.0 {
             f
         } else {
             info.vf.max_freq().max(1.0)
         };
-        let raw = self.threads[tid].ipc_now(f);
-        Some(match &self.faults {
-            Some(fs) => fs.ipc_reading(core, raw),
+        let raw = self.state.threads[tid].ipc_now(f);
+        Some(match &self.state.faults {
+            Some(fs) => fs.ipc_reading(&self.fault_plan, core, raw),
             None => raw,
         })
     }
@@ -1166,16 +1218,20 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn thread_of(&self, core: usize) -> Option<usize> {
-        self.assignment[core]
+        self.state.assignment[core]
     }
 
     /// Sensor: total power during the last step (watts). An installed
     /// fault plan distorts this reading via the chip meter's own noise
     /// channel; [`Machine::average_power`] stays truthful.
     pub fn sensor_total_power(&self) -> f64 {
-        match &self.faults {
-            Some(fs) => fs.total_power_reading(self.last_total_power, self.cores.len()),
-            None => self.last_total_power,
+        match &self.state.faults {
+            Some(fs) => fs.total_power_reading(
+                &self.fault_plan,
+                self.state.last_total_power,
+                self.cores.len(),
+            ),
+            None => self.state.last_total_power,
         }
     }
 
@@ -1185,9 +1241,9 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn sensor_core_power(&self, core: usize) -> f64 {
-        match &self.faults {
-            Some(fs) => fs.power_reading(core, self.last_core_power[core]),
-            None => self.last_core_power[core],
+        match &self.state.faults {
+            Some(fs) => fs.power_reading(&self.fault_plan, core, self.state.last_core_power[core]),
+            None => self.state.last_core_power[core],
         }
     }
 
@@ -1197,15 +1253,15 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn sensor_core_ipc(&self, core: usize) -> f64 {
-        match &self.faults {
-            Some(fs) => fs.ipc_reading(core, self.last_core_ipc[core]),
-            None => self.last_core_ipc[core],
+        match &self.state.faults {
+            Some(fs) => fs.ipc_reading(&self.fault_plan, core, self.state.last_core_ipc[core]),
+            None => self.state.last_core_ipc[core],
         }
     }
 
     /// Current block temperatures (kelvin).
     pub fn temperatures(&self) -> &[f64] {
-        &self.temps
+        &self.state.temps
     }
 
     /// Temperature of a core's block (kelvin).
@@ -1214,7 +1270,7 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn core_temperature(&self, core: usize) -> f64 {
-        self.temps[self.cores[core].block_idx]
+        self.state.temps[self.cores[core].block_idx]
     }
 
     /// Center of a core's floorplan block, in normalized die
@@ -1227,45 +1283,45 @@ impl Machine {
 
     /// The loaded threads.
     pub fn threads(&self) -> &[Thread] {
-        &self.threads
+        &self.state.threads
     }
 
     /// Hardware-DTM throttle events since the last thread load.
     pub fn dtm_events(&self) -> usize {
-        self.dtm_events
+        self.state.dtm_events
     }
 
     /// Accumulated energy since the last [`Machine::load_threads`]
     /// (joules).
     pub fn energy_j(&self) -> f64 {
-        self.energy_j
+        self.state.energy_j
     }
 
     /// Accumulated simulated time (seconds).
     pub fn elapsed_s(&self) -> f64 {
-        self.elapsed_s
+        self.state.elapsed_s
     }
 
     /// Accumulated instructions retired chip-wide.
     pub fn total_instructions(&self) -> f64 {
-        self.total_instructions
+        self.state.total_instructions
     }
 
     /// Average chip throughput in MIPS since the last load.
     pub fn average_mips(&self) -> f64 {
-        if self.elapsed_s == 0.0 {
+        if self.state.elapsed_s == 0.0 {
             0.0
         } else {
-            self.total_instructions / self.elapsed_s / 1e6
+            self.state.total_instructions / self.state.elapsed_s / 1e6
         }
     }
 
     /// Average chip power since the last load (watts).
     pub fn average_power(&self) -> f64 {
-        if self.elapsed_s == 0.0 {
+        if self.state.elapsed_s == 0.0 {
             0.0
         } else {
-            self.energy_j / self.elapsed_s
+            self.state.energy_j / self.state.elapsed_s
         }
     }
 
@@ -1274,22 +1330,11 @@ impl Machine {
     /// Call after draining [`Machine::take_fault_events`]: pending
     /// fault events are transient per-step output, not state.
     pub fn export_state(&self) -> MachineState {
-        MachineState {
-            temps: self.temps.clone(),
-            threads: self.threads.clone(),
-            assignment: self.assignment.clone(),
-            levels: self.levels.clone(),
-            freq_caps: self.freq_caps.clone(),
-            stall_s: self.stall_s.clone(),
-            last_core_power: self.last_core_power.clone(),
-            last_core_ipc: self.last_core_ipc.clone(),
-            last_total_power: self.last_total_power,
-            dtm_events: self.dtm_events,
-            energy_j: self.energy_j,
-            elapsed_s: self.elapsed_s,
-            total_instructions: self.total_instructions,
-            faults: self.faults.as_ref().map(SensorFaults::export_state),
-        }
+        debug_assert!(
+            self.fault_events.is_empty(),
+            "fault events must be drained before checkpointing"
+        );
+        self.state.clone()
     }
 
     /// Restores state captured by [`Machine::export_state`] onto a
@@ -1318,114 +1363,53 @@ impl Machine {
         if per_core.iter().any(|&len| len != n) {
             return Err(StateMismatch::CoreCount);
         }
-        if state.temps.len() != self.temps.len() {
+        if state.temps.len() != self.state.temps.len() {
             return Err(StateMismatch::Floorplan);
         }
         let threads = state.threads.len();
         if threads > n || state.assignment.iter().flatten().any(|&t| t >= threads) {
             return Err(StateMismatch::Threads);
         }
-        let faults_fit = match (&self.faults, &state.faults) {
-            (Some(fs), Some(st)) => fs.fits(st),
+        let faults_fit = match (&self.state.faults, &state.faults) {
+            (Some(_), Some(st)) => st.fits(&self.fault_plan, n),
             (None, None) => true,
             _ => false,
         };
         if !faults_fit {
             return Err(StateMismatch::FaultPlan);
         }
-        self.temps = state.temps.clone();
-        self.threads = state.threads.clone();
-        self.assignment = state.assignment.clone();
-        self.levels = state.levels.clone();
-        self.freq_caps = state.freq_caps.clone();
-        self.stall_s = state.stall_s.clone();
-        self.last_core_power = state.last_core_power.clone();
-        self.last_core_ipc = state.last_core_ipc.clone();
-        self.last_total_power = state.last_total_power;
-        self.dtm_events = state.dtm_events;
-        self.energy_j = state.energy_j;
-        self.elapsed_s = state.elapsed_s;
-        self.total_instructions = state.total_instructions;
-        if let (Some(fs), Some(st)) = (self.faults.as_mut(), state.faults.as_ref()) {
-            fs.import_state(st);
-        }
+        self.state.copy_from(state);
+        self.fault_events.clear();
         self.leak_memo.get_mut().invalidate();
         Ok(())
     }
 
-    /// Overwrites this machine's run-time state with `src`'s through
-    /// `clone_from`, so this machine's buffers are reused. Afterwards it
-    /// steps and reads exactly as a fresh `src.clone()` would: the cheap
-    /// way to reset a scratch copy between probes.
+    /// Overwrites this machine's run-time state with `src`'s, reusing
+    /// this machine's buffers. Afterwards it steps and reads exactly as
+    /// a fresh `src.clone()` would: the cheap way to reset a scratch
+    /// copy between probes.
     ///
-    /// Only what the simulation mutates is copied. The per-die data
-    /// (cores, L2 strips, thermal model, frequency and leakage models,
-    /// configuration) is identical on every machine built from the same
-    /// die and configuration, and scratch buffers are overwritten before
-    /// every read, so both are left alone; the leakage memo is dropped,
-    /// as [`import_state`](Self::import_state) does. `src` must
-    /// therefore be this machine's origin or another clone of it
-    /// (debug-asserted).
+    /// Only the [`MachineState`] and the pending fault events are
+    /// copied. The per-die data (cores, L2 strips, thermal model,
+    /// frequency and leakage models, configuration) and the installed
+    /// fault plan are identical on every clone of one machine, and
+    /// scratch buffers are overwritten before every read, so both are
+    /// left alone; the leakage memo is dropped, as
+    /// [`import_state`](Self::import_state) does. `src` must therefore
+    /// be this machine's origin or another clone of it, with the same
+    /// plan installed (debug-asserted).
     pub fn copy_state_from(&mut self, src: &Machine) {
         debug_assert!(
             self.core_leak_models == src.core_leak_models
                 && self.l2_leak_models == src.l2_leak_models
-                && self.cores.iter().zip(&src.cores).all(|(a, b)| a.vf == b.vf),
-            "copy_state_from needs a machine built from the same die"
+                && self.cores.iter().zip(&src.cores).all(|(a, b)| a.vf == b.vf)
+                && self.fault_plan == src.fault_plan,
+            "copy_state_from needs a clone of the same machine and fault plan"
         );
-        // Exhaustive on purpose: a new field does not compile until it
-        // is classified here as die data, scratch, or run-time state.
-        let Machine {
-            // Die data.
-            config: _,
-            cores: _,
-            l2: _,
-            thermal: _,
-            freq_model: _,
-            core_leak_models: _,
-            l2_leak_models: _,
-            // Scratch.
-            scratch_block_power: _,
-            scratch_core_leak: _,
-            scratch_l2_leak: _,
-            thermal_scratch: _,
-            l2_running: _,
-            l2_current: _,
-            l2_target: _,
-            l2_occupancy: _,
-            // Run-time state.
-            temps,
-            threads,
-            assignment,
-            levels,
-            freq_caps,
-            stall_s,
-            last_core_power,
-            last_core_ipc,
-            last_total_power,
-            dtm_events,
-            energy_j,
-            elapsed_s,
-            total_instructions,
-            faults,
-            leak_memo,
-        } = self;
-        temps.clone_from(&src.temps);
-        threads.clone_from(&src.threads);
-        assignment.clone_from(&src.assignment);
-        levels.clone_from(&src.levels);
-        freq_caps.clone_from(&src.freq_caps);
-        stall_s.clone_from(&src.stall_s);
-        last_core_power.clone_from(&src.last_core_power);
-        last_core_ipc.clone_from(&src.last_core_ipc);
-        *last_total_power = src.last_total_power;
-        *dtm_events = src.dtm_events;
-        *energy_j = src.energy_j;
-        *elapsed_s = src.elapsed_s;
-        *total_instructions = src.total_instructions;
-        faults.clone_from(&src.faults);
+        self.state.copy_from(&src.state);
+        self.fault_events.clone_from(&src.fault_events);
         // A cache, not state: memoized readings equal fresh ones.
-        leak_memo.get_mut().invalidate();
+        self.leak_memo.get_mut().invalidate();
     }
 }
 
@@ -1439,7 +1423,7 @@ impl Machine {
         };
         let mut running: Vec<(usize, f64)> = Vec::new();
         for core in 0..self.cores.len() {
-            if let Some(tid) = self.assignment[core] {
+            if let Some(tid) = self.state.assignment[core] {
                 let f = self.effective_freq(core);
                 if f > 0.0 {
                     running.push((tid, f));
@@ -1450,14 +1434,14 @@ impl Machine {
             return;
         }
         if running.len() == 1 {
-            self.threads[running[0].0].set_l2_alloc_mb(cache.capacity_mb);
+            self.state.threads[running[0].0].set_l2_alloc_mb(cache.capacity_mb);
             return;
         }
         let current: Vec<f64> = running
             .iter()
-            .map(|&(tid, _)| self.threads[tid].l2_alloc_mb())
+            .map(|&(tid, _)| self.state.threads[tid].l2_alloc_mb())
             .collect();
-        let threads = &self.threads;
+        let threads = &self.state.threads;
         let target = crate::cache::solve_occupancy(
             running.len(),
             cache.capacity_mb,
@@ -1470,16 +1454,16 @@ impl Machine {
         );
         for (&(tid, _), (&old, &new)) in running.iter().zip(current.iter().zip(target.iter())) {
             let s = cache.smoothing;
-            self.threads[tid].set_l2_alloc_mb(old * (1.0 - s) + new * s);
+            self.state.threads[tid].set_l2_alloc_mb(old * (1.0 - s) + new * s);
         }
         let sum: f64 = running
             .iter()
-            .map(|&(tid, _)| self.threads[tid].l2_alloc_mb())
+            .map(|&(tid, _)| self.state.threads[tid].l2_alloc_mb())
             .sum();
         if sum > 0.0 {
             for &(tid, _) in &running {
-                let v = self.threads[tid].l2_alloc_mb() * cache.capacity_mb / sum;
-                self.threads[tid].set_l2_alloc_mb(v);
+                let v = self.state.threads[tid].l2_alloc_mb() * cache.capacity_mb / sum;
+                self.state.threads[tid].set_l2_alloc_mb(v);
             }
         }
     }
@@ -1490,58 +1474,64 @@ impl Machine {
     fn step_reference(&mut self, dt_s: f64) -> StepStats {
         assert!(dt_s > 0.0, "time step must be positive");
         let n = self.cores.len();
-        let mut block_power = vec![0.0; self.temps.len()];
+        let mut block_power = vec![0.0; self.state.temps.len()];
         let mut instructions = 0.0;
         let mut l2_accesses_per_s = 0.0;
 
-        if let Some(fs) = self.faults.as_mut() {
-            let power = &self.last_core_power;
-            let ipc = &self.last_core_ipc;
-            let died = fs.advance(dt_s, |c| power[c], |c| ipc[c]);
+        if let Some(fs) = self.state.faults.as_mut() {
+            let power = &self.state.last_core_power;
+            let ipc = &self.state.last_core_ipc;
+            let died = fs.advance(
+                &self.fault_plan,
+                dt_s,
+                |c| power[c],
+                |c| ipc[c],
+                &mut self.fault_events,
+            );
             for core in died {
-                self.assignment[core] = None;
+                self.state.assignment[core] = None;
             }
         }
 
         self.update_l2_shares_reference();
 
         for core in 0..n {
-            if self.assignment[core].is_some()
-                && self.temps[self.cores[core].block_idx] > self.config.dtm_limit_k
-                && self.levels[core] > 0
+            if self.state.assignment[core].is_some()
+                && self.state.temps[self.cores[core].block_idx] > self.config.dtm_limit_k
+                && self.state.levels[core] > 0
             {
-                let new_level = self.levels[core] - 1;
+                let new_level = self.state.levels[core] - 1;
                 let dv = self.cores[core].vf.voltage_at(new_level)
-                    - self.cores[core].vf.voltage_at(self.levels[core]);
-                self.stall_s[core] += self.config.transition.stall_s(dv);
-                self.levels[core] = new_level;
-                self.dtm_events += 1;
+                    - self.cores[core].vf.voltage_at(self.state.levels[core]);
+                self.state.stall_s[core] += self.config.transition.stall_s(dv);
+                self.state.levels[core] = new_level;
+                self.state.dtm_events += 1;
             }
         }
 
         for core in 0..n {
             let info = &self.cores[core];
-            let Some(tid) = self.assignment[core] else {
-                self.last_core_power[core] = 0.0;
-                self.last_core_ipc[core] = 0.0;
+            let Some(tid) = self.state.assignment[core] else {
+                self.state.last_core_power[core] = 0.0;
+                self.state.last_core_ipc[core] = 0.0;
                 continue;
             };
-            let level = self.levels[core];
+            let level = self.state.levels[core];
             let v = info.vf.voltage_at(level);
             let mut f = info.vf.freq_at(level);
-            if let Some(cap) = self.freq_caps[core] {
+            if let Some(cap) = self.state.freq_caps[core] {
                 f = f.min(cap);
             }
             if f <= 0.0 {
-                self.last_core_power[core] = 0.0;
-                self.last_core_ipc[core] = 0.0;
+                self.state.last_core_power[core] = 0.0;
+                self.state.last_core_ipc[core] = 0.0;
                 continue;
             }
-            let temp = self.temps[info.block_idx];
-            let thread = &mut self.threads[tid];
+            let temp = self.state.temps[info.block_idx];
+            let thread = &mut self.state.threads[tid];
 
-            let stall = self.stall_s[core].min(dt_s);
-            self.stall_s[core] -= stall;
+            let stall = self.state.stall_s[core].min(dt_s);
+            self.state.stall_s[core] -= stall;
             let run_s = dt_s - stall;
 
             let ipc = thread.ipc_now(f);
@@ -1553,15 +1543,15 @@ impl Machine {
             l2_accesses_per_s += thread.spec().l1_mpi() * ipc * f;
             let total = dyn_w + leak_w;
             block_power[info.block_idx] = total;
-            self.last_core_power[core] = total;
-            self.last_core_ipc[core] = ipc;
+            self.state.last_core_power[core] = total;
+            self.state.last_core_ipc[core] = ipc;
         }
 
         let l2_dynamic = l2_accesses_per_s * self.config.l2_access_energy_j;
         let strips = self.l2.len().max(1) as f64;
         let mut total_power = 0.0;
         for (strip, model) in self.l2.iter().zip(&self.l2_leak_models) {
-            let temp = self.temps[strip.block_idx];
+            let temp = self.state.temps[strip.block_idx];
             let leak = model.static_power(self.config.l2_voltage, temp);
             let p = leak + l2_dynamic / strips;
             block_power[strip.block_idx] = p;
@@ -1570,12 +1560,14 @@ impl Machine {
             total_power += p;
         }
 
-        self.temps = self.thermal.transient_step(&self.temps, &block_power, dt_s);
+        self.state.temps = self
+            .thermal
+            .transient_step(&self.state.temps, &block_power, dt_s);
 
-        self.last_total_power = total_power;
-        self.energy_j += total_power * dt_s;
-        self.elapsed_s += dt_s;
-        self.total_instructions += instructions;
+        self.state.last_total_power = total_power;
+        self.state.energy_j += total_power * dt_s;
+        self.state.elapsed_s += dt_s;
+        self.state.total_instructions += instructions;
 
         StepStats {
             dt_s,
@@ -1620,6 +1612,47 @@ mod tests {
         m
     }
 
+    /// The fields in which `a` and `b` agree, fault progress field by
+    /// field when both carry it.
+    fn shared_fields(a: &MachineState, b: &MachineState) -> Vec<&'static str> {
+        let mut same = vec![
+            ("temps", a.temps == b.temps),
+            ("threads", a.threads == b.threads),
+            ("assignment", a.assignment == b.assignment),
+            ("levels", a.levels == b.levels),
+            ("freq_caps", a.freq_caps == b.freq_caps),
+            ("stall_s", a.stall_s == b.stall_s),
+            ("last_core_power", a.last_core_power == b.last_core_power),
+            ("last_core_ipc", a.last_core_ipc == b.last_core_ipc),
+            ("last_total_power", a.last_total_power == b.last_total_power),
+            ("dtm_events", a.dtm_events == b.dtm_events),
+            ("energy_j", a.energy_j == b.energy_j),
+            ("elapsed_s", a.elapsed_s == b.elapsed_s),
+            (
+                "total_instructions",
+                a.total_instructions == b.total_instructions,
+            ),
+        ];
+        match (&a.faults, &b.faults) {
+            (Some(fa), Some(fb)) => same.extend([
+                ("faults.now_s", fa.now_s == fb.now_s),
+                ("faults.tick", fa.tick == fb.tick),
+                ("faults.alive", fa.alive == fb.alive),
+                ("faults.stuck", fa.stuck == fb.stuck),
+                (
+                    "faults.fired_failures",
+                    fa.fired_failures == fb.fired_failures,
+                ),
+                ("faults.fired_stuck", fa.fired_stuck == fb.fired_stuck),
+                ("faults.budget_factor", fa.budget_factor == fb.budget_factor),
+            ]),
+            (fa, fb) => same.push(("faults", fa == fb)),
+        }
+        same.into_iter()
+            .filter_map(|(name, same)| same.then_some(name))
+            .collect()
+    }
+
     /// A scratch copy reset by `copy_state_from` is indistinguishable
     /// from a fresh clone, however far it drifted in between: same
     /// state, same steps, same sensor readings and fault timeline.
@@ -1645,7 +1678,8 @@ mod tests {
             .with_seed(4)
             .with_sensor_noise(0.03)
             .with_stuck_sensor(2, 6.0)
-            .with_core_failure(5, 12.0);
+            .with_core_failure(5, 12.0)
+            .with_budget_drop(8.0, 30.0, 0.7);
         src.install_faults(&plan).unwrap();
         for _ in 0..4 {
             src.step(0.001);
@@ -1656,8 +1690,8 @@ mod tests {
 
         // Drift in every run-time field: new assignment, a capped
         // frequency, a stall on an idle core (never drains), steps past
-        // both fault events and through DTM, a memo filled at other
-        // temperatures.
+        // all three fault events (left pending) and through DTM, a memo
+        // filled at other temperatures.
         let mut scratch = src.clone();
         let mut mapping = vec![None; scratch.core_count()];
         mapping[7] = Some(0);
@@ -1668,7 +1702,12 @@ mod tests {
             scratch.step(0.001);
         }
         scratch.predicted_core_power(7, 1);
-        assert!(scratch.dtm_events() > src.dtm_events());
+        assert_eq!(
+            shared_fields(&scratch.state, &src.state),
+            Vec::<&str>::new(),
+            "the probe must differ from its source in every field"
+        );
+        assert_eq!(scratch.fault_events.len(), 3);
         scratch.copy_state_from(&src);
 
         let mut fresh = src.clone();
@@ -1769,7 +1808,10 @@ mod tests {
             );
             assert_eq!(original.core_alive(c), restored.core_alive(c));
         }
-        assert_eq!(original.energy_j.to_bits(), restored.energy_j.to_bits());
+        assert_eq!(
+            original.state.energy_j.to_bits(),
+            restored.state.energy_j.to_bits()
+        );
     }
 
     #[test]
@@ -1797,6 +1839,18 @@ mod tests {
             |s| s.faults.as_mut().unwrap().fired_failures.push(false),
             StateMismatch::FaultPlan,
         );
+        reject(
+            |s| s.faults.as_mut().unwrap().fired_stuck.push(false),
+            StateMismatch::FaultPlan,
+        );
+        reject(
+            |s| s.faults.as_mut().unwrap().alive.truncate(1),
+            StateMismatch::FaultPlan,
+        );
+        reject(
+            |s| s.faults.as_mut().unwrap().stuck.push(None),
+            StateMismatch::FaultPlan,
+        );
     }
 
     /// `step_profiled` must simulate exactly like `step` (same
@@ -1817,8 +1871,11 @@ mod tests {
             );
             assert_eq!(a.instructions.to_bits(), b.instructions.to_bits());
         }
-        for i in 0..plain.temps.len() {
-            assert_eq!(plain.temps[i].to_bits(), profiled.temps[i].to_bits());
+        for i in 0..plain.state.temps.len() {
+            assert_eq!(
+                plain.state.temps[i].to_bits(),
+                profiled.state.temps[i].to_bits()
+            );
         }
         assert!(times.l2_occupancy_s > 0.0, "occupancy phase unattributed");
         assert!(times.leakage_s > 0.0, "leakage phase unattributed");
@@ -1878,25 +1935,31 @@ mod tests {
                     "instructions diverge at tick {tick} ({threads} threads)"
                 );
             }
-            for i in 0..fast.temps.len() {
-                assert_eq!(fast.temps[i].to_bits(), reference.temps[i].to_bits());
+            for i in 0..fast.state.temps.len() {
+                assert_eq!(
+                    fast.state.temps[i].to_bits(),
+                    reference.state.temps[i].to_bits()
+                );
             }
-            assert_eq!(fast.energy_j.to_bits(), reference.energy_j.to_bits());
-            assert_eq!(fast.dtm_events, reference.dtm_events);
+            assert_eq!(
+                fast.state.energy_j.to_bits(),
+                reference.state.energy_j.to_bits()
+            );
+            assert_eq!(fast.state.dtm_events, reference.state.dtm_events);
             if dtm_limit < 378.0 {
-                assert!(fast.dtm_events > 0, "DTM case never fired");
+                assert!(fast.state.dtm_events > 0, "DTM case never fired");
             }
             for c in 0..fast.core_count() {
                 assert_eq!(
-                    fast.last_core_power[c].to_bits(),
-                    reference.last_core_power[c].to_bits()
+                    fast.state.last_core_power[c].to_bits(),
+                    reference.state.last_core_power[c].to_bits()
                 );
                 assert_eq!(
-                    fast.last_core_ipc[c].to_bits(),
-                    reference.last_core_ipc[c].to_bits()
+                    fast.state.last_core_ipc[c].to_bits(),
+                    reference.state.last_core_ipc[c].to_bits()
                 );
             }
-            for (t_fast, t_ref) in fast.threads.iter().zip(&reference.threads) {
+            for (t_fast, t_ref) in fast.state.threads.iter().zip(&reference.state.threads) {
                 assert_eq!(
                     t_fast.l2_alloc_mb().to_bits(),
                     t_ref.l2_alloc_mb().to_bits()
@@ -2411,6 +2474,64 @@ mod tests {
         let mut mapping = vec![None; 20];
         mapping[5] = Some(0);
         m.assign(&mapping);
+    }
+
+    /// `load_threads` leaves nothing of the previous run behind: a
+    /// machine that ran through every fault kind, DTM, stalls, caps and
+    /// level changes exports exactly the state of a fresh machine that
+    /// loaded the same threads.
+    #[test]
+    fn load_threads_resets_every_field_to_a_fresh_load() {
+        let (die, fp) = test_die();
+        let config = MachineConfig {
+            dtm_limit_k: 318.2,
+            ..MachineConfig::paper_default()
+        };
+        let mut used = Machine::new(&die, &fp, config.clone());
+        let pool = app_pool(&config.dynamic);
+        let mut rng = SimRng::seed_from(31);
+        used.load_threads(Workload::draw(&pool, 6, &mut rng).spawn_threads(&mut rng));
+        used.assign(&(0..20).map(|c| (c < 6).then_some(c)).collect::<Vec<_>>());
+        let plan = FaultPlan::none()
+            .with_seed(8)
+            .with_sensor_noise(0.02)
+            .with_budget_drop(1.0, 6.0, 0.8)
+            .with_stuck_sensor(1, 2.0)
+            .with_core_failure(2, 3.0);
+        used.install_faults(&plan).unwrap();
+        used.set_level(10, 0);
+        used.charge_stall(11, 0.05);
+        used.set_uniform_frequency();
+        let mut fired = Vec::new();
+        for _ in 0..5 {
+            used.step(0.001);
+            fired.extend(used.take_fault_events());
+        }
+        for event in [
+            FaultEvent::BudgetDropBegan { factor: 0.8 },
+            FaultEvent::SensorStuck { core: 1 },
+            FaultEvent::CoreFailed { core: 2 },
+        ] {
+            assert!(fired.contains(&event), "{event:?} never fired");
+        }
+        for _ in 0..3 {
+            used.step(0.001); // the restore stays pending
+        }
+        assert!(used.dtm_events() > 0);
+
+        let threads = Workload::draw(&pool, 4, &mut rng).spawn_threads(&mut rng);
+        let mut fresh = Machine::new(&die, &fp, config);
+        fresh.load_threads(threads.clone());
+        assert_eq!(
+            shared_fields(&used.state, &fresh.state),
+            Vec::<&str>::new(),
+            "the used machine must differ from a fresh load in every field"
+        );
+        used.load_threads(threads);
+        assert_eq!(used.export_state(), fresh.export_state());
+        assert!(used.take_fault_events().is_empty());
+        assert!(!used.has_active_faults());
+        assert_eq!(used.fault_plan, FaultPlan::none());
     }
 
     #[test]

@@ -114,13 +114,6 @@ impl Thread {
         self.l2_alloc_mb = mb;
     }
 
-    /// Instantaneous DRAM misses per second at frequency `f_hz`, given
-    /// the current phase and L2 share — the demand signal the occupancy
-    /// model feeds on.
-    pub fn dram_misses_per_s(&self, f_hz: f64) -> f64 {
-        self.spec.dram_mpi_at_share(self.l2_alloc_mb) * self.ipc_now(f_hz) * f_hz
-    }
-
     /// Instantaneous dynamic power (watts) at the given operating point
     /// (includes the current phase's multiplier).
     pub fn dynamic_power_now(&self, model: &DynamicPower, v: f64, f_hz: f64) -> f64 {

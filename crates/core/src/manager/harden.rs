@@ -102,13 +102,6 @@ impl From<FaultEvent> for DegradationEvent {
     }
 }
 
-/// Per-core smoothing state.
-#[derive(Debug, Clone)]
-struct CoreState {
-    ipc: f64,
-    power_w: Vec<f64>,
-}
-
 /// Cumulative counts of the conditioner's interventions — the
 /// observability layer's window into how hard the sanitizer is working.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -125,12 +118,14 @@ pub struct ConditionStats {
     pub migration_resets: u64,
 }
 
-/// Checkpointed state of a [`SensorConditioner`]: the per-core EWMA
+/// The run-time state of a [`SensorConditioner`], which it keeps in
+/// this form and a checkpoint stores as it is: the per-core EWMA
 /// filters, the resident-thread identity tracking, the uncore filter,
 /// and the cumulative intervention counters.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct ConditionerState {
-    /// Per-core smoothing state as `(ipc, per-level power_w)`.
+    /// Per-core smoothing state as `(ipc, per-level power_w)`: the last
+    /// conditioned reading, before the monotonicity repair.
     pub cores: Vec<Option<(f64, Vec<f64>)>>,
     /// Resident thread per core at the last assignment note.
     pub residents: Vec<Option<usize>>,
@@ -163,12 +158,10 @@ pub struct HardenedState {
 #[derive(Debug, Clone)]
 pub struct SensorConditioner {
     alpha: f64,
-    state: Vec<Option<CoreState>>,
-    /// Resident thread per core at the last [`Self::note_assignment`],
-    /// so migrations that dodge a full reschedule still reset state.
-    residents: Vec<Option<usize>>,
-    uncore_w: Option<f64>,
-    stats: ConditionStats,
+    /// The filters, resident tracking and counters. Residents are kept
+    /// per core so migrations that dodge a full reschedule still reset
+    /// a core's filter ([`Self::note_assignment`]).
+    state: ConditionerState,
 }
 
 impl SensorConditioner {
@@ -193,10 +186,12 @@ impl SensorConditioner {
     pub fn new(cores: usize) -> Self {
         Self {
             alpha: Self::DEFAULT_ALPHA,
-            state: vec![None; cores],
-            residents: vec![None; cores],
-            uncore_w: None,
-            stats: ConditionStats::default(),
+            state: ConditionerState {
+                cores: vec![None; cores],
+                residents: vec![None; cores],
+                uncore_w: None,
+                stats: ConditionStats::default(),
+            },
         }
     }
 
@@ -217,7 +212,7 @@ impl SensorConditioner {
     /// bleed into new ones). The chip-level uncore filter survives:
     /// no reschedule invalidates what the L2 draws.
     pub fn clear(&mut self) {
-        self.state.iter_mut().for_each(|s| *s = None);
+        self.state.cores.iter_mut().for_each(|s| *s = None);
     }
 
     /// Reconciles the filter with the current thread-to-core
@@ -227,16 +222,16 @@ impl SensorConditioner {
     /// the EWMA can never blend two threads' readings even when no
     /// full reschedule (and hence no [`Self::clear`]) happened.
     pub fn note_assignment(&mut self, assignment: &[Option<usize>]) {
-        if self.residents.len() != assignment.len() {
+        let st = &mut self.state;
+        if st.residents.len() != assignment.len() {
             // Machine shape changed; restart identity tracking.
-            self.residents = vec![None; assignment.len()];
-            self.state = vec![None; assignment.len()];
+            st.residents = vec![None; assignment.len()];
+            st.cores = vec![None; assignment.len()];
         }
-        for (core, (&now, seen)) in assignment.iter().zip(&mut self.residents).enumerate() {
+        for ((&now, seen), filter) in assignment.iter().zip(&mut st.residents).zip(&mut st.cores) {
             if *seen != now {
-                if self.state[core].is_some() {
-                    self.state[core] = None;
-                    self.stats.migration_resets += 1;
+                if filter.take().is_some() {
+                    st.stats.migration_resets += 1;
                 }
                 *seen = now;
             }
@@ -245,62 +240,43 @@ impl SensorConditioner {
 
     /// Cumulative intervention counts since construction.
     pub fn stats(&self) -> ConditionStats {
-        self.stats
+        self.state.stats
     }
 
     /// Captures the filter state for a checkpoint.
     pub fn export_state(&self) -> ConditionerState {
-        ConditionerState {
-            cores: self
-                .state
-                .iter()
-                .map(|s| s.as_ref().map(|c| (c.ipc, c.power_w.clone())))
-                .collect(),
-            residents: self.residents.clone(),
-            uncore_w: self.uncore_w,
-            stats: self.stats,
-        }
+        self.state.clone()
     }
 
     /// Restores filter state captured by
     /// [`SensorConditioner::export_state`]. The smoothing weight is
     /// configuration and is kept as constructed.
     pub fn import_state(&mut self, state: &ConditionerState) {
-        self.state = state
-            .cores
-            .iter()
-            .map(|s| {
-                s.as_ref().map(|(ipc, power_w)| CoreState {
-                    ipc: *ipc,
-                    power_w: power_w.clone(),
-                })
-            })
-            .collect();
-        self.residents = state.residents.clone();
-        self.uncore_w = state.uncore_w;
-        self.stats = state.stats;
+        self.state.clone_from(state);
     }
 
     /// Returns the sanitized, smoothed copy of `view`.
     pub fn condition(&mut self, view: &PmView) -> PmView {
-        let mut present = vec![false; self.state.len()];
+        let alpha = self.alpha;
+        let st = &mut self.state;
+        let mut present = vec![false; st.cores.len()];
         let cores: Vec<CoreView> = view
             .cores()
             .iter()
             .map(|c| {
                 present[c.core] = true;
-                let prev = self.state[c.core].take();
+                let prev = st.cores[c.core].take();
 
                 // Clamp, falling back to the previous accepted reading
                 // (or zero) when a sample is unusable.
-                let prev_ipc = prev.as_ref().map(|p| p.ipc);
+                let prev_ipc = prev.as_ref().map(|&(ipc, _)| ipc);
                 let mut ipc = if c.ipc.is_finite() && c.ipc >= 0.0 {
                     if c.ipc > MAX_IPC {
-                        self.stats.saturated += 1;
+                        st.stats.saturated += 1;
                     }
                     c.ipc.min(MAX_IPC)
                 } else {
-                    self.stats.clamped += 1;
+                    st.stats.clamped += 1;
                     prev_ipc.unwrap_or(0.0)
                 };
                 let mut power_w: Vec<f64> = c
@@ -310,32 +286,29 @@ impl SensorConditioner {
                     .map(|(l, &p)| {
                         if p.is_finite() && p >= 0.0 {
                             if p > MAX_CORE_POWER_W {
-                                self.stats.saturated += 1;
+                                st.stats.saturated += 1;
                             }
                             p.min(MAX_CORE_POWER_W)
                         } else {
-                            self.stats.clamped += 1;
+                            st.stats.clamped += 1;
                             prev.as_ref()
-                                .and_then(|s| s.power_w.get(l).copied())
+                                .and_then(|(_, prev_w)| prev_w.get(l).copied())
                                 .unwrap_or(0.0)
                         }
                     })
                     .collect();
                 // EWMA against the previous conditioned reading.
-                if let Some(p) = prev.filter(|p| p.power_w.len() == power_w.len()) {
-                    ipc = self.alpha * ipc + (1.0 - self.alpha) * p.ipc;
+                if let Some((prev_ipc, prev_w)) = prev.filter(|(_, w)| w.len() == power_w.len()) {
+                    ipc = alpha * ipc + (1.0 - alpha) * prev_ipc;
                     for (l, w) in power_w.iter_mut().enumerate() {
-                        *w = self.alpha * *w + (1.0 - self.alpha) * p.power_w[l];
+                        *w = alpha * *w + (1.0 - alpha) * prev_w[l];
                     }
                 }
                 // The smoothing state keeps the un-repaired curve:
                 // feeding the cummax output back into the EWMA would
                 // ratchet the bias of each repair into the state, where
                 // it accumulates instead of averaging out.
-                self.state[c.core] = Some(CoreState {
-                    ipc,
-                    power_w: power_w.clone(),
-                });
+                st.cores[c.core] = Some((ipc, power_w.clone()));
                 // Power is physically non-decreasing in voltage; noise
                 // can bend the curve backwards and break the fit. The
                 // repair runs *after* the EWMA, on the emitted copy
@@ -346,7 +319,7 @@ impl SensorConditioner {
                 // noise instead.
                 for l in 1..power_w.len() {
                     if power_w[l] < power_w[l - 1] {
-                        self.stats.monotone_repairs += 1;
+                        st.stats.monotone_repairs += 1;
                         power_w[l] = power_w[l - 1];
                     }
                 }
@@ -360,22 +333,22 @@ impl SensorConditioner {
             })
             .collect();
         // Cores that left the view (idle or dead) lose their state.
-        for (core, seen) in present.iter().enumerate() {
+        for (filter, seen) in st.cores.iter_mut().zip(&present) {
             if !seen {
-                self.state[core] = None;
+                *filter = None;
             }
         }
         let raw_uncore = view.uncore_power();
         let mut uncore = if raw_uncore.is_finite() && raw_uncore >= 0.0 {
             raw_uncore
         } else {
-            self.stats.clamped += 1;
-            self.uncore_w.unwrap_or(0.0)
+            st.stats.clamped += 1;
+            st.uncore_w.unwrap_or(0.0)
         };
-        if let Some(prev) = self.uncore_w {
+        if let Some(prev) = st.uncore_w {
             uncore = Self::UNCORE_ALPHA * uncore + (1.0 - Self::UNCORE_ALPHA) * prev;
         }
-        self.uncore_w = Some(uncore);
+        st.uncore_w = Some(uncore);
         PmView::from_cores(cores).with_uncore_power(uncore)
     }
 }
@@ -415,12 +388,6 @@ impl HardenedManager {
             hardened,
             last_report: None,
         })
-    }
-
-    /// Overrides the conditioner's EWMA weight.
-    pub fn with_alpha(mut self, alpha: f64) -> Self {
-        self.conditioner = self.conditioner.with_alpha(alpha);
-        self
     }
 
     /// Whether a manager runs at all (`false` for [`ManagerSpec::None`],

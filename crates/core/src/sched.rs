@@ -156,9 +156,6 @@ pub trait Scheduler: Send {
         rng: &mut SimRng,
     ) -> Vec<Option<usize>>;
 
-    /// Clears any cross-interval state (start of a new trial).
-    fn reset(&mut self) {}
-
     /// Captures the scheduler's cross-interval state for a checkpoint.
     /// The paper's Table 1 policies are stateless; history-keeping
     /// schedulers override this (mirroring

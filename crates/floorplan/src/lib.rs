@@ -29,16 +29,6 @@ pub enum BlockKind {
     L2(usize),
 }
 
-impl BlockKind {
-    /// Returns the core index if this block is a core.
-    pub fn core_index(&self) -> Option<usize> {
-        match *self {
-            BlockKind::Core(i) => Some(i),
-            BlockKind::L2(_) => None,
-        }
-    }
-}
-
 /// One rectangular block of the floorplan.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Block {

@@ -12,7 +12,7 @@
 //!    than high-Vth cores save, producing the core-to-core static-power
 //!    spread of Figure 4(a);
 //! 2. **temperature feedback** — leakage grows super-linearly with
-//!    temperature (iterated against the thermal model per Su et al.);
+//!    temperature (coupled to the thermal model tick by tick);
 //! 3. **DIBL** — leakage grows with supply voltage beyond the linear
 //!    `V·I` term, so lowering V in DVFS saves static power too.
 //!
@@ -32,6 +32,7 @@
 //!   core/L2 block and hits every tick.
 
 use crate::fastexp::fast_exp;
+use std::sync::OnceLock;
 use varius::CoreCells;
 
 /// Boltzmann constant over electron charge, volts per kelvin.
@@ -223,17 +224,16 @@ impl LeakagePower {
                 * inv_n;
             -beta * vmin + mean.ln()
         };
+        let cosines = cheb_cosines();
         let mut node_vals = [0.0; CHEB_N];
-        for (j, val) in node_vals.iter_mut().enumerate() {
-            let t = (std::f64::consts::PI * (j as f64 + 0.5) / CHEB_N as f64).cos();
+        for (val, &t) in node_vals.iter_mut().zip(&cosines[1]) {
             *val = ln_m_exact(beta_mid + beta_half * t);
         }
         let mut cheb = [0.0; CHEB_N];
-        for (k, coeff) in cheb.iter_mut().enumerate() {
+        for (coeff, cos_k) in cheb.iter_mut().zip(cosines) {
             let mut acc = 0.0;
-            for (j, &val) in node_vals.iter().enumerate() {
-                let angle = std::f64::consts::PI * k as f64 * (j as f64 + 0.5) / CHEB_N as f64;
-                acc += val * angle.cos();
+            for (&val, &c) in node_vals.iter().zip(cos_k) {
+                acc += val * c;
             }
             *coeff = 2.0 * acc / CHEB_N as f64;
         }
@@ -280,6 +280,26 @@ impl LeakagePower {
 /// land far below the 1e-6 accuracy contract while keeping the
 /// per-query Horner chain short.
 const CHEB_N: usize = 16;
+
+/// The block fit's `cos(πk(j + ½)/N)`, indexed `[k][j]`: the weights of
+/// the Chebyshev transform, with the nodes in `t` as row 1 (`π·1` is
+/// exactly `π`). The table depends on [`CHEB_N`] alone, so it is built
+/// once, on first use, from the expression
+/// [`LeakagePower::block_model`] used to evaluate for every block, and
+/// every fit keeps its bits.
+fn cheb_cosines() -> &'static [[f64; CHEB_N]; CHEB_N] {
+    static TABLE: OnceLock<[[f64; CHEB_N]; CHEB_N]> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut table = [[0.0; CHEB_N]; CHEB_N];
+        for (k, row) in table.iter_mut().enumerate() {
+            for (j, c) in row.iter_mut().enumerate() {
+                let angle = std::f64::consts::PI * k as f64 * (j as f64 + 0.5) / CHEB_N as f64;
+                *c = angle.cos();
+            }
+        }
+        table
+    })
+}
 
 /// Temperature range (kelvin) the block model is fitted over:
 /// −20 °C … 180 °C, a wide margin around anything the thermal model
@@ -522,6 +542,16 @@ mod tests {
         }
         // The contract has real headroom, not a knife edge.
         assert!(worst < 1e-7, "worst rel err {worst:.3e}");
+    }
+
+    /// Row 1 of the shared cosine table holds the Chebyshev nodes bit
+    /// for bit as `block_model` used to evaluate them for every block.
+    #[test]
+    fn cosine_table_row_one_is_the_chebyshev_nodes() {
+        for (j, &t) in cheb_cosines()[1].iter().enumerate() {
+            let node = (std::f64::consts::PI * (j as f64 + 0.5) / CHEB_N as f64).cos();
+            assert_eq!(t.to_bits(), node.to_bits(), "node {j}");
+        }
     }
 
     #[test]

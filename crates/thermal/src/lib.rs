@@ -3,7 +3,10 @@
 //! The paper estimates on-chip temperatures with HotSpot and iterates
 //! temperature against leakage per Su et al. (§6.2): temperature is
 //! estimated from the current total power, leakage is re-estimated from
-//! the new temperature, and the loop repeats to convergence.
+//! the new temperature, and the loop repeats to convergence. Here the
+//! simulated machine couples the two tick by tick instead: each step
+//! evaluates leakage at the current block temperatures, and the step's
+//! block powers drive the next transient step.
 //!
 //! This crate models the die as one RC node per floorplan block:
 //!
@@ -16,8 +19,7 @@
 //!   transient time constant used by the runtime simulator's
 //!   quasi-static temperature updates.
 //!
-//! Steady state solves the SPD conductance system directly (Cholesky);
-//! transients compose the stability-bounded forward-Euler sub-steps
+//! Transients compose the stability-bounded forward-Euler sub-steps
 //! into one dense affine operator per tick length (`T' = M·T + B·P +
 //! d`), built on first use and cached, so a runtime tick costs a single
 //! small matrix-vector product instead of a sub-step loop.
@@ -26,13 +28,17 @@
 //!
 //! ```
 //! use floorplan::paper_20_core;
-//! use thermal::{ThermalModel, ThermalParams};
+//! use thermal::{ThermalModel, ThermalParams, ThermalScratch};
 //!
 //! let fp = paper_20_core();
 //! let model = ThermalModel::new(&fp, ThermalParams::paper_default());
-//! // 5 W in every block.
+//! let mut scratch = ThermalScratch::for_model(&model);
+//! // 5 W in every block for 100 ticks of 1 ms, from ambient.
 //! let powers = vec![5.0; fp.blocks().len()];
-//! let temps = model.steady_state(&powers);
+//! let mut temps = vec![model.params().ambient_k; fp.blocks().len()];
+//! for _ in 0..100 {
+//!     model.transient_step_into(&mut temps, &powers, 1e-3, &mut scratch);
+//! }
 //! assert!(temps.iter().all(|&t| t > model.params().ambient_k));
 //! ```
 
@@ -43,7 +49,6 @@
 
 use floorplan::Floorplan;
 use std::cell::RefCell;
-use vastats::matrix::{LowerTriangular, SymMatrix};
 
 /// Distinct tick lengths the step-operator cache holds before evicting
 /// the oldest entry. Real runs use one or two tick lengths; the cap
@@ -79,7 +84,7 @@ impl ThermalParams {
     }
 }
 
-/// Reusable buffers for the in-place thermal APIs.
+/// Reusable buffer for [`ThermalModel::transient_step_into`].
 ///
 /// Owned by the caller (one per `Machine`). [`ThermalScratch::for_model`]
 /// pre-sizes it; a `Default` one is resized lazily on first use. Never
@@ -87,19 +92,16 @@ impl ThermalParams {
 /// across models of the same size or recreated freely.
 #[derive(Debug, Clone, Default)]
 pub struct ThermalScratch {
-    /// Net heat flow per node within one Euler sub-step.
+    /// The step operator's mat-vec output.
     flow: Vec<f64>,
-    /// Forward-substitution work buffer for `steady_state_into`.
-    w: Vec<f64>,
 }
 
 impl ThermalScratch {
-    /// A scratch pre-sized for `model`, so the in-place entry points
-    /// never touch buffer lengths on the hot path.
+    /// A scratch pre-sized for `model`, so the in-place step never
+    /// touches buffer lengths on the hot path.
     pub fn for_model(model: &ThermalModel) -> Self {
         Self {
             flow: vec![0.0; model.n],
-            w: vec![0.0; model.n],
         }
     }
 }
@@ -138,15 +140,13 @@ pub struct ThermalModel {
     /// Heat capacity per block (J/K).
     capacity: Vec<f64>,
     /// Lateral conductances: (i, j, g) with i < j. Feeds the step-
-    /// operator build and the reference tests.
+    /// operator build and the test oracles.
     g_lateral: Vec<(usize, usize, f64)>,
     /// Total conductance per node (vertical + incident lateral), W/K.
     g_total: Vec<f64>,
     /// Smallest node time constant `C/G` (seconds); bounds the stable
     /// forward-Euler sub-step. Derived once here instead of per call.
     min_tau: f64,
-    /// Cholesky factor of the conductance matrix.
-    factor: LowerTriangular,
     /// Number of blocks.
     n: usize,
     /// Step operators by tick length, built lazily on first use of a
@@ -206,20 +206,6 @@ impl ThermalModel {
             })
             .collect();
 
-        // Conductance matrix: diag(Gv) + graph Laplacian of lateral G.
-        let mut g = SymMatrix::zeros(n);
-        for (i, &gv) in g_vertical.iter().enumerate() {
-            g.set(i, i, gv);
-        }
-        for &(i, j, gl) in &g_lateral {
-            g.set(i, j, g.get(i, j) - gl);
-            g.set(i, i, g.get(i, i) + gl);
-            g.set(j, j, g.get(j, j) + gl);
-        }
-        let factor = g
-            .cholesky()
-            .expect("conductance matrix is positive definite by construction");
-
         // Per-node total conductance and the smallest time constant,
         // accumulated in exactly the order the per-call scan used to
         // (vertical first, then incident edges in g_lateral order).
@@ -239,7 +225,6 @@ impl ThermalModel {
             g_lateral,
             g_total,
             min_tau,
-            factor,
             n,
             step_ops: RefCell::new(Vec::new()),
             wrap_scratch: RefCell::new(ThermalScratch::default()),
@@ -267,43 +252,6 @@ impl ThermalModel {
     /// construction.
     pub fn min_time_constant(&self) -> f64 {
         self.min_tau
-    }
-
-    /// Steady-state block temperatures (kelvin) for the given per-block
-    /// powers (watts).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `powers.len()` does not match the block count.
-    pub fn steady_state(&self, powers: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; self.n];
-        let mut scratch = ThermalScratch::for_model(self);
-        self.steady_state_into(powers, &mut out, &mut scratch);
-        out
-    }
-
-    /// Allocation-free [`steady_state`](Self::steady_state): writes the
-    /// temperatures into `out`, reusing `scratch`'s buffers. Bit-identical
-    /// to the allocating API.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `powers.len()` or `out.len()` does not match the block
-    /// count.
-    pub fn steady_state_into(&self, powers: &[f64], out: &mut [f64], scratch: &mut ThermalScratch) {
-        assert_eq!(powers.len(), self.n, "power vector length mismatch");
-        assert_eq!(out.len(), self.n, "output vector length mismatch");
-        if scratch.w.len() != self.n {
-            scratch.w.resize(self.n, 0.0);
-        }
-        // G (T - T_amb 1) = P  =>  T = T_amb + G^{-1} P
-        // (the Laplacian part cancels on the uniform ambient offset).
-        self.factor.solve_into(powers, &mut scratch.w, out);
-        for r in out.iter_mut() {
-            // IEEE-754 addition commutes bit-for-bit, so this matches
-            // the reference's `ambient_k + x` exactly.
-            *r += self.params.ambient_k;
-        }
     }
 
     /// One transient step of length `dt_s` seconds:
@@ -497,45 +445,6 @@ impl ThermalModel {
             d,
         }
     }
-
-    /// Su et al.'s leakage-temperature fixed point: alternates
-    /// steady-state temperature with a caller-provided power model
-    /// `powers_at(temps) -> powers` until the largest temperature change
-    /// is below `tol_k` or `max_iters` is reached.
-    ///
-    /// Returns `(temperatures, powers, iterations)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the callback returns a power vector of the wrong length.
-    pub fn converge_with_leakage<F>(
-        &self,
-        mut powers_at: F,
-        tol_k: f64,
-        max_iters: usize,
-    ) -> (Vec<f64>, Vec<f64>, usize)
-    where
-        F: FnMut(&[f64]) -> Vec<f64>,
-    {
-        let mut temps = vec![self.params.ambient_k; self.n];
-        let mut powers = powers_at(&temps);
-        assert_eq!(powers.len(), self.n, "power callback length mismatch");
-        for iter in 1..=max_iters {
-            let new_temps = self.steady_state(&powers);
-            let delta = new_temps
-                .iter()
-                .zip(&temps)
-                .map(|(a, b)| (a - b).abs())
-                .fold(0.0f64, f64::max);
-            temps = new_temps;
-            powers = powers_at(&temps);
-            assert_eq!(powers.len(), self.n, "power callback length mismatch");
-            if delta < tol_k {
-                return (temps, powers, iter);
-            }
-        }
-        (temps, powers, max_iters)
-    }
 }
 
 #[cfg(test)]
@@ -581,10 +490,27 @@ impl ThermalModel {
         t
     }
 
-    /// The pre-optimization `steady_state`, retained as the reference.
-    fn steady_state_reference(&self, powers: &[f64]) -> Vec<f64> {
+    /// Steady-state block temperatures (kelvin) for per-block `powers`
+    /// (watts), the physics oracle of the transient tests: solves
+    /// `G·(T − T_amb) = P` (the lateral Laplacian cancels on the uniform
+    /// ambient offset) with a Cholesky factor of the conductance matrix
+    /// `diag(Gv)` + lateral graph Laplacian, built on demand.
+    fn steady_state(&self, powers: &[f64]) -> Vec<f64> {
+        use vastats::matrix::SymMatrix;
         assert_eq!(powers.len(), self.n, "power vector length mismatch");
-        let rise = self.factor.solve(powers);
+        let mut g = SymMatrix::zeros(self.n);
+        for (i, &gv) in self.g_vertical.iter().enumerate() {
+            g.set(i, i, gv);
+        }
+        for &(i, j, gl) in &self.g_lateral {
+            g.set(i, j, g.get(i, j) - gl);
+            g.set(i, i, g.get(i, i) + gl);
+            g.set(j, j, g.get(j, j) + gl);
+        }
+        let factor = g
+            .cholesky()
+            .expect("conductance matrix is positive definite by construction");
+        let rise = factor.solve(powers);
         rise.iter().map(|r| self.params.ambient_k + r).collect()
     }
 }
@@ -704,28 +630,6 @@ mod tests {
     }
 
     #[test]
-    fn leakage_fixed_point_converges() {
-        let (_, m) = model();
-        let n = m.node_count();
-        // Leakage grows mildly with temperature: P = 2 + 0.02*(T-ambient).
-        let (temps, powers, iters) = m.converge_with_leakage(
-            |t| t.iter().map(|&ti| 2.0 + 0.02 * (ti - 318.15)).collect(),
-            0.01,
-            100,
-        );
-        assert!(iters < 100, "did not converge");
-        assert_eq!(temps.len(), n);
-        // Fixed point: recomputing temperatures from final powers changes
-        // nothing.
-        let t2 = m.steady_state(&powers);
-        for (a, b) in t2.iter().zip(&temps) {
-            assert!((a - b).abs() < 0.05);
-        }
-        // Feedback raises power above the cold estimate.
-        assert!(powers.iter().all(|&p| p > 2.0));
-    }
-
-    #[test]
     fn energy_conservation_at_steady_state() {
         let (_, m) = model();
         let powers: Vec<f64> = (0..m.node_count()).map(|i| i as f64 * 0.3).collect();
@@ -739,10 +643,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "length mismatch")]
+    #[should_panic(expected = "power vector length mismatch")]
     fn wrong_power_length_panics() {
         let (_, m) = model();
-        m.steady_state(&[1.0, 2.0]);
+        m.transient_step(&vec![318.15; m.node_count()], &[1.0, 2.0], 1e-3);
     }
 
     /// The tolerance contract of the tentpole: the dense affine step
@@ -804,27 +708,6 @@ mod tests {
         for i in 0..n {
             assert_eq!(again[i].to_bits(), first[i].to_bits(), "node {i}");
             assert_eq!(independent[i].to_bits(), first[i].to_bits(), "node {i}");
-        }
-    }
-
-    /// Steady-state paths keep the original bit-identity contract.
-    #[test]
-    fn steady_state_paths_bit_identical_to_reference() {
-        let (_, m) = model();
-        let n = m.node_count();
-        let mut scratch = ThermalScratch::for_model(&m);
-        for seed in 0..8u64 {
-            let powers: Vec<f64> = (0..n)
-                .map(|i| 0.3 * ((i as u64 * 7 + seed * 13) % 29) as f64)
-                .collect();
-            let reference = m.steady_state_reference(&powers);
-            let wrapper = m.steady_state(&powers);
-            let mut out = vec![0.0; n];
-            m.steady_state_into(&powers, &mut out, &mut scratch);
-            for i in 0..n {
-                assert_eq!(out[i].to_bits(), reference[i].to_bits());
-                assert_eq!(wrapper[i].to_bits(), reference[i].to_bits());
-            }
         }
     }
 }

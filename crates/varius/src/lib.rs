@@ -436,21 +436,6 @@ impl CoreCells {
         vastats::descriptive::mean(&self.vth)
     }
 
-    /// Minimum Vth over the core (volts) — the leakiest cell.
-    pub fn vth_min(&self) -> f64 {
-        self.vth.iter().copied().fold(f64::INFINITY, f64::min)
-    }
-
-    /// Maximum Vth over the core (volts) — the slowest cell for logic.
-    pub fn vth_max(&self) -> f64 {
-        self.vth.iter().copied().fold(f64::NEG_INFINITY, f64::max)
-    }
-
-    /// Mean normalized Leff over the core.
-    pub fn leff_mean(&self) -> f64 {
-        vastats::descriptive::mean(&self.leff)
-    }
-
     /// Returns a copy with every cell's Vth shifted by `dv` volts —
     /// the effect of applying a body bias to the whole core (forward
     /// body bias lowers Vth: pass a negative `dv`).

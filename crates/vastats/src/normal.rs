@@ -65,13 +65,6 @@ impl Normal {
         self.mu + self.sigma * standard_sample(rng)
     }
 
-    /// Fills `out` with independent samples.
-    pub fn sample_into(&self, rng: &mut SimRng, out: &mut [f64]) {
-        for slot in out {
-            *slot = self.sample(rng);
-        }
-    }
-
     /// Probability density at `x`.
     pub fn pdf(&self, x: f64) -> f64 {
         if self.sigma == 0.0 {

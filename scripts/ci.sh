@@ -75,8 +75,8 @@ if [[ "$mode" == bench-smoke ]]; then
   # machine/step_1ms_20t, >=10x on the large-grid field cases, >=3x on
   # profile/thread_profiles_20t, >=1.3x on solver/sann_20c, >=1.8x on
   # construct/machine_grid60), each raw speedup multiplied by the host
-  # factor of the benchmark's host-reference kernel, timed in the same
-  # process.
+  # factor of the benchmark's host-reference kernel, timed just before
+  # and just after that case.
   (cd "$tmp" && "$bin_dir/kernel" --gate)
   (cd "$tmp" && "$bin_dir/all" --scale smoke)
   (cd "$tmp" && "$bin_dir/trace" --scale smoke)
