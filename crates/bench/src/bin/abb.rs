@@ -9,14 +9,14 @@ use vastats::SimRng;
 
 fn main() {
     let h = Harness::from_args();
-    let ctx = Context::new(h.scale().grid);
-    let mut rng = SimRng::seed_from(h.seed());
+    let ctx = Context::new(h.scale.grid);
+    let mut rng = SimRng::seed_from(h.seed);
 
     println!(
         "{:>5} {:>14} {:>14} {:>16} {:>16}",
         "die", "spread before", "spread after", "static before W", "static after W"
     );
-    let dies = h.scale().dies.min(10);
+    let dies = h.scale.dies.min(10);
     let mut spread_cut = 0.0;
     let mut leak_cost = 0.0;
     for die_idx in 0..dies {

@@ -1,49 +1,5 @@
-//! Ablations of LinOpt's design choices (DESIGN.md §5): power-fit point
-//! count, rounding policy, IPC-frequency-independence error, DVFS
-//! domain granularity, and voltage-transition costs.
-
-use vasched::experiments::ablation;
-use vasp_bench::harness::Harness;
+//! Ablations of LinOpt's design choices (DESIGN.md §5).
 
 fn main() {
-    let h = Harness::from_args();
-    for threads in [8usize, 20] {
-        println!("\n== LinOpt variants, {threads} threads ==");
-        println!(
-            "{:>28} {:>12} {:>12} {:>10}",
-            "variant", "MIPS", "power (W)", "feasible"
-        );
-        for (label, point) in ablation::linopt_variants(h.scale(), h.seed(), threads) {
-            println!(
-                "{label:>28} {:>12.0} {:>12.2} {:>10}",
-                point.mips, point.power_w, point.feasible
-            );
-        }
-        let err = ablation::ipc_frequency_error(h.scale(), h.seed(), threads);
-        println!(
-            "IPC-frequency independence: mean relative IPC error {:.2}%",
-            err * 100.0
-        );
-    }
-
-    let g = ablation::granularity(h.scale(), h.seed());
-    h.report(
-        "ablation_granularity",
-        "DVFS granularity (x = cores per voltage domain; Herbert & Marculescu: finer is better)",
-        &[g],
-    );
-
-    let t = ablation::transition_cost(h.scale(), h.seed(), 20);
-    h.report(
-        "ablation_transition",
-        "DVFS interval under XScale transition costs (x = interval ms, normalized to 10 ms)",
-        &[t],
-    );
-
-    let g = ablation::gain_vs_sigma(h.scale(), h.seed(), 8);
-    h.report(
-        "ablation_gain_vs_sigma",
-        "Variation-aware scheduling gain vs Vth sigma/mu (must vanish at sigma -> 0)",
-        &[g],
-    );
+    vasp_bench::figures::standalone(vasp_bench::figures::ablations);
 }

@@ -14,12 +14,12 @@ use vastats::SimRng;
 
 fn main() {
     let h = Harness::from_args();
-    let ctx = Context::new(h.scale().grid);
+    let ctx = Context::new(h.scale.grid);
     let pool = app_pool(&ctx.machine_config().dynamic);
     let threads = 10; // half load: idle cores exist to migrate onto
     let budget = PowerBudget::high_performance(threads);
     let runtime = RuntimeConfig::builder()
-        .duration_ms(h.scale().duration_ms.max(200.0))
+        .duration_ms(h.scale.duration_ms.max(200.0))
         .os_interval_ms(100.0)
         .build()
         .expect("bench timeline is valid");
@@ -47,8 +47,8 @@ fn main() {
         let mut max_aging = 0.0;
         let mut mean_aging = 0.0;
         let mut migrations = 0usize;
-        for trial in 0..h.scale().trials {
-            let seed = h.seed().wrapping_add(trial as u64 * 101);
+        for trial in 0..h.scale.trials {
+            let seed = h.seed.wrapping_add(trial as u64 * 101);
             let mut rng = SimRng::seed_from(seed);
             let die = ctx.make_die(&mut rng);
             let mut machine = ctx.make_machine(&die);
@@ -69,14 +69,14 @@ fn main() {
             mean_aging += out.mean_aging_s;
             migrations += out.migrations;
         }
-        let n = h.scale().trials as f64;
+        let n = h.scale.trials as f64;
         println!(
             "{label:<22} {:>10.0} {:>12.1} {:>12.4} {:>12.4} {:>11}",
             mips / n,
             peak / n,
             max_aging / n,
             mean_aging / n,
-            migrations / h.scale().trials
+            migrations / h.scale.trials
         );
     }
     println!("\n(aging in nominal-equivalent seconds at 95 C / 1 V; chip lifetime");
@@ -84,7 +84,7 @@ fn main() {
 
     println!("\n== workload-mix sensitivity (VarF&AppIPC+LinOpt vs Random+Foxton*, 16 threads) ==");
     println!("{:<16} {:>14}", "mix", "relative MIPS");
-    for (name, ratio) in vasched::experiments::ablation::mix_sensitivity(h.scale(), h.seed()) {
+    for (name, ratio) in vasched::experiments::ablation::mix_sensitivity(&h.scale, h.seed) {
         println!("{name:<16} {ratio:>14.4}");
     }
     println!("(variation-aware gains feed on heterogeneity: homogeneous mixes");

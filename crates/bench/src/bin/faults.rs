@@ -1,60 +1,6 @@
 //! Fault-injection study (beyond the paper): sensor-noise and
-//! core-failure sweeps under the 40 W serving budget, plus the two
-//! graceful-degradation scenarios (budget tracking through faults, and
-//! solver fallback under a deep transient budget drop).
-
-use vasched::experiments::faults::{self, DegradationReport};
-use vasp_bench::harness::Harness;
-
-fn print_reports(title: &str, reports: &[DegradationReport]) {
-    println!("\n== {title} ==");
-    println!(
-        "{:<12} {:>10} {:>14} {:>11} {:>10} {:>9}",
-        "manager", "MIPS", "|P-40W| (W)", "fallbacks", "failures", "parked"
-    );
-    for r in reports {
-        println!(
-            "{:<12} {:>10.0} {:>14.3} {:>11.2} {:>10.2} {:>9.2}",
-            r.label, r.mips, r.deviation_w, r.solver_fallbacks, r.core_failures, r.threads_parked
-        );
-    }
-}
+//! core-failure sweeps plus the graceful-degradation scenarios.
 
 fn main() {
-    let h = Harness::from_args();
-
-    let noise = faults::noise_sweep(h.scale(), h.seed());
-    h.report(
-        "faults_noise_mips",
-        "Sensor noise: throughput (MIPS) vs noise sigma (40 W budget, 20 threads)",
-        &noise.mips,
-    );
-    h.report(
-        "faults_noise_deviation",
-        "Sensor noise: mean |power - 40 W| (W) vs noise sigma",
-        &noise.budget_deviation_w,
-    );
-
-    let failures = faults::failure_sweep(h.scale(), h.seed());
-    h.report(
-        "faults_failures_mips",
-        "Core failures: throughput (MIPS) vs failed cores (sigma = 0.05 noise floor)",
-        &failures.mips,
-    );
-    h.report(
-        "faults_failures_deviation",
-        "Core failures: mean |power - 40 W| (W) vs failed cores",
-        &failures.budget_deviation_w,
-    );
-
-    print_reports(
-        "Tracking scenario: sigma = 0.05 noise + 2 core failures",
-        &faults::tracking_scenario(h.scale(), h.seed()),
-    );
-    print_reports(
-        "Fallback scenario: + budget drop to 25% over [40%, 70%) of the run",
-        &faults::fallback_scenario(h.scale(), h.seed()),
-    );
-    println!("\n(LinOpt should hold |P-40W| near the clean baseline while degrading");
-    println!(" throughput smoothly; fallbacks > 0 shows the chip-wide safety net)");
+    vasp_bench::figures::standalone(vasp_bench::figures::faults);
 }

@@ -1,38 +1,6 @@
-//! Figure 4: histograms of per-die core-to-core power and frequency
-//! ratios over a batch of dies (σ/µ = 0.12).
-
-use vasched::experiments::{variation, Series};
-use vasp_bench::harness::Harness;
-use vastats::{bootstrap::mean_ci, SimRng};
+//! Figure 4: per-die core-to-core power and frequency ratios
+//! (`results/fig04.csv`), their histograms and bootstrap CIs.
 
 fn main() {
-    let h = Harness::from_args();
-    let data = variation::fig4(h.scale(), h.seed());
-    let mut ci_rng = SimRng::seed_from(h.seed() ^ 0xC1);
-
-    println!(
-        "Figure 4(a): max/min core power ratio, {} dies",
-        data.power_ratios.len()
-    );
-    println!("{}", data.power_histogram(14));
-    let ci = mean_ci(&data.power_ratios, 0.95, 2000, &mut ci_rng);
-    println!(
-        "mean power ratio: {:.3} [95% CI {:.3}-{:.3}] (paper: ~1.53, mostly 1.4-1.7)",
-        ci.mean, ci.lo, ci.hi
-    );
-
-    println!("\nFigure 4(b): max/min core frequency ratio");
-    println!("{}", data.freq_histogram(10));
-    let ci = mean_ci(&data.freq_ratios, 0.95, 2000, &mut ci_rng);
-    println!(
-        "mean frequency ratio: {:.3} [95% CI {:.3}-{:.3}] (paper: ~1.33, mostly 1.2-1.5)",
-        ci.mean, ci.lo, ci.hi
-    );
-
-    let dies: Vec<f64> = (0..data.power_ratios.len()).map(|i| i as f64).collect();
-    let series = vec![
-        Series::new("power_ratio", dies.clone(), data.power_ratios.clone()),
-        Series::new("freq_ratio", dies, data.freq_ratios.clone()),
-    ];
-    h.report("fig04", "Figure 4 raw per-die ratios", &series);
+    vasp_bench::figures::standalone(vasp_bench::figures::fig4);
 }

@@ -1,14 +1,5 @@
 //! Figure 5: mean core-to-core power/frequency ratio vs Vth σ/µ.
 
-use vasched::experiments::variation;
-use vasp_bench::harness::Harness;
-
 fn main() {
-    let h = Harness::from_args();
-    let (power, freq) = variation::fig5(h.scale(), h.seed());
-    h.report(
-        "fig05",
-        "Figure 5: max/min ratios vs Vth sigma/mu (paper: both grow with sigma)",
-        &[power, freq],
-    );
+    vasp_bench::figures::standalone(vasp_bench::figures::fig5);
 }

@@ -1,18 +1,6 @@
 //! Figure 6: core power vs frequency for the fastest (MaxF) and
-//! slowest (MinF) cores of one die, V = 0.6-1.0 V, running bzip2.
-
-use vasched::experiments::variation;
-use vasp_bench::harness::Harness;
+//! slowest (MinF) cores of one die.
 
 fn main() {
-    let h = Harness::from_args();
-    let (maxf, minf) = variation::fig6(h.scale(), h.seed());
-    println!("(x = frequency, y = power; both normalized to MaxF at 1 V)");
-    println!("Paper's shape: MinF is more power-efficient at low frequency,");
-    println!("MaxF at high frequency, with a crossover in between.");
-    h.report(
-        "fig06",
-        "Figure 6: power vs frequency, MaxF and MinF cores",
-        &[maxf, minf],
-    );
+    vasp_bench::figures::standalone(vasp_bench::figures::fig6);
 }

@@ -1,20 +1,5 @@
-//! Figure 7: UniFreq power (a) and ED² (b) vs thread count for
-//! Random / VarP / VarP&AppP, relative to Random.
-
-use vasched::experiments::scheduling;
-use vasp_bench::harness::Harness;
+//! Figure 7: UniFreq power (a) and ED² (b) vs thread count.
 
 fn main() {
-    let h = Harness::from_args();
-    let (power, ed2) = scheduling::fig7(h.scale(), h.seed());
-    h.report(
-        "fig07a",
-        "Figure 7(a): UniFreq relative power (paper: VarP saves ~10% at 4 threads, nothing at 20)",
-        &power,
-    );
-    h.report(
-        "fig07b",
-        "Figure 7(b): UniFreq relative ED^2 (paper: tracks the power savings)",
-        &ed2,
-    );
+    vasp_bench::figures::standalone(vasp_bench::figures::fig7);
 }

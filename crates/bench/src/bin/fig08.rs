@@ -1,16 +1,5 @@
-//! Figure 8: NUniFreq power (a) and ED² (b) vs thread count for
-//! Random / VarP / VarP&AppP, relative to Random.
-
-use vasched::experiments::scheduling;
-use vasp_bench::harness::Harness;
+//! Figure 8: NUniFreq power (a) and ED² (b) vs thread count.
 
 fn main() {
-    let h = Harness::from_args();
-    let (power, ed2) = scheduling::fig8(h.scale(), h.seed());
-    h.report(
-        "fig08a",
-        "Figure 8(a): NUniFreq relative power (paper: ~14% savings at 4 threads)",
-        &power,
-    );
-    h.report("fig08b", "Figure 8(b): NUniFreq relative ED^2 (paper: smaller gains than 7b - VarP picks slow cores)", &ed2);
+    vasp_bench::figures::standalone(vasp_bench::figures::fig8);
 }

@@ -1,25 +1,6 @@
-//! Figures 9 and 10: NUniFreq frequency (9a), throughput (9b) and ED²
-//! (10) vs thread count for Random / VarF / VarF&AppIPC.
-
-use vasched::experiments::scheduling;
-use vasp_bench::harness::Harness;
+//! Figures 9 and 10: NUniFreq frequency, throughput and ED² vs
+//! thread count.
 
 fn main() {
-    let h = Harness::from_args();
-    let (freq, mips, ed2) = scheduling::fig9_fig10(h.scale(), h.seed());
-    h.report(
-        "fig09a",
-        "Figure 9(a): relative frequency (paper: VarF +10% at 4 threads, ~0 at 20)",
-        &freq,
-    );
-    h.report(
-        "fig09b",
-        "Figure 9(b): relative MIPS (paper: VarF&AppIPC +5-10% across loads)",
-        &mips,
-    );
-    h.report(
-        "fig10",
-        "Figure 10: relative ED^2 (paper: VarF&AppIPC 10-13% below Random at 8-20 threads)",
-        &ed2,
-    );
+    vasp_bench::figures::standalone(vasp_bench::figures::fig9_10);
 }

@@ -1,30 +1,6 @@
-//! Figures 11 and 13: NUniFreq+DVFS throughput and ED², plain (11) and
-//! weighted (13), relative to Random+Foxton*, Cost-Performance env.
-
-use vasched::experiments::dvfs;
-use vasp_bench::harness::Harness;
+//! Figures 11 and 13: NUniFreq+DVFS throughput and ED², plain and
+//! weighted.
 
 fn main() {
-    let h = Harness::from_args();
-    let (mips, ed2, wmips, wed2) = dvfs::fig11_fig13(h.scale(), h.seed());
-    h.report(
-        "fig11a",
-        "Figure 11(a): relative MIPS (paper: LinOpt +12-17%, SAnn ~+2% over LinOpt)",
-        &mips,
-    );
-    h.report(
-        "fig11b",
-        "Figure 11(b): relative ED^2 (paper: LinOpt -30-38%)",
-        &ed2,
-    );
-    h.report(
-        "fig13a",
-        "Figure 13(a): relative weighted MIPS (paper: LinOpt +9-14%)",
-        &wmips,
-    );
-    h.report(
-        "fig13b",
-        "Figure 13(b): relative weighted ED^2 (paper: LinOpt -24-33%)",
-        &wed2,
-    );
+    vasp_bench::figures::standalone(vasp_bench::figures::fig11_13);
 }

@@ -1,15 +1,5 @@
-//! Figure 12: throughput vs power environment (50/75/100 W) at
-//! 20 threads, relative to Random+Foxton*.
-
-use vasched::experiments::dvfs;
-use vasp_bench::harness::Harness;
+//! Figure 12: throughput vs power environment at 20 threads.
 
 fn main() {
-    let h = Harness::from_args();
-    let series = dvfs::fig12(h.scale(), h.seed());
-    h.report(
-        "fig12",
-        "Figure 12: relative MIPS per power target (paper: LinOpt +16%/+12%/+11% at 50/75/100 W)",
-        &series,
-    );
+    vasp_bench::figures::standalone(vasp_bench::figures::fig12);
 }

@@ -1,14 +1,5 @@
 //! Figure 14: power deviation from Ptarget vs LinOpt interval.
 
-use vasched::experiments::granularity;
-use vasp_bench::harness::Harness;
-
 fn main() {
-    let h = Harness::from_args();
-    let series = granularity::fig14(h.scale(), h.seed(), &[4, 20]);
-    h.report(
-        "fig14",
-        "Figure 14: % deviation from Ptarget vs LinOpt interval (paper: <1% at 10 ms)",
-        &series,
-    );
+    vasp_bench::figures::standalone(vasp_bench::figures::fig14);
 }

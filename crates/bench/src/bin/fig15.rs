@@ -1,15 +1,5 @@
 //! Figure 15: LinOpt execution time vs thread count, per environment.
 
-use vasched::experiments::timing;
-use vasp_bench::harness::Harness;
-
 fn main() {
-    let h = Harness::from_args();
-    let series = timing::fig15(h.scale(), h.seed(), 200);
-    println!("(y = microseconds per LinOpt invocation, median of 200 runs)");
-    h.report(
-        "fig15",
-        "Figure 15: LinOpt execution time (paper: grows with threads and looser targets; <=6 us at 20 threads on 4 GHz)",
-        &series,
-    );
+    vasp_bench::figures::standalone(vasp_bench::figures::fig15);
 }

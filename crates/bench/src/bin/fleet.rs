@@ -65,16 +65,10 @@ fn mega_params(scale: &Scale) -> (usize, f64, usize) {
 /// runs; returns `false` when the jobs floor is missed or the trace,
 /// metrics, or counters depend on the worker count.
 fn run_mega(h: &Harness, report: &mut BenchReport) -> bool {
-    let (chips, duration_ms, jobs_floor) = mega_params(h.scale());
-    let site = ServingSite::at_grid(h.scale().grid);
+    let (chips, duration_ms, jobs_floor) = mega_params(&h.scale);
+    let site = ServingSite::at_grid(h.scale.grid);
     let config = fleet_config(duration_ms, chips, fleet::DEFAULT_BUDGET_PER_CHIP_W);
-    let spec = fleet_spec(
-        &site,
-        chips,
-        DispatchPolicy::VariationAware,
-        config,
-        h.seed(),
-    );
+    let spec = fleet_spec(&site, chips, DispatchPolicy::VariationAware, config, h.seed);
     let workers = TrialRunner::new().workers();
     let start = Instant::now();
     let out = run_fleet(&spec, workers).expect("mega spec is valid");
@@ -231,7 +225,7 @@ fn main() {
     let mut report = BenchReport::new();
 
     let start = Instant::now();
-    let chip_sweep = fleet::dispatch_chip_sweep(h.scale(), h.seed());
+    let chip_sweep = fleet::dispatch_chip_sweep(&h.scale, h.seed);
     report.push_stage("chip_sweep", start.elapsed().as_secs_f64());
     h.report(
         "fleet_throughput",
@@ -250,7 +244,7 @@ fn main() {
     );
 
     let start = Instant::now();
-    let budget_sweep = fleet::dispatch_budget_sweep(h.scale(), h.seed());
+    let budget_sweep = fleet::dispatch_budget_sweep(&h.scale, h.seed);
     report.push_stage("budget_sweep", start.elapsed().as_secs_f64());
     h.report(
         "fleet_budget_throughput",

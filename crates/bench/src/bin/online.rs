@@ -1,36 +1,6 @@
-//! Online serving sweep (beyond the paper): completed-job throughput,
-//! p95 latency, utilization, and chip power vs Poisson arrival rate,
-//! per power manager, under the tight serving budget.
-
-use vasched::experiments::online;
-use vasp_bench::harness::Harness;
+//! Online serving sweep (beyond the paper): throughput, latency,
+//! utilization, power and dropped jobs vs arrival rate.
 
 fn main() {
-    let h = Harness::from_args();
-    let sweep = online::arrival_sweep(h.scale(), h.seed());
-    h.report(
-        "online_throughput",
-        "Online serving: completed jobs/s vs arrival rate (LinOpt sustains the most under the 40 W budget)",
-        &sweep.throughput_jobs_per_s,
-    );
-    h.report(
-        "online_p95_latency",
-        "Online serving: p95 arrival-to-completion latency (ms) vs arrival rate",
-        &sweep.p95_latency_ms,
-    );
-    h.report(
-        "online_utilization",
-        "Online serving: busy-core fraction vs arrival rate",
-        &sweep.utilization,
-    );
-    h.report(
-        "online_power",
-        "Online serving: average chip power (W) vs arrival rate (budget 40 W)",
-        &sweep.avg_power_w,
-    );
-    h.report(
-        "online_dropped",
-        "Online serving: jobs dropped from the latency summary per trial (shed by admission; 0 without an SLO policy)",
-        &sweep.dropped_jobs,
-    );
+    vasp_bench::figures::standalone(vasp_bench::figures::online);
 }

@@ -8,7 +8,7 @@ use vasp_bench::harness::Harness;
 
 fn main() {
     let h = Harness::from_args();
-    let sweep = slo::window_sweep(h.scale(), h.seed());
+    let sweep = slo::window_sweep(&h.scale, h.seed);
     println!(
         "(x = reschedule window ms; offered load {} jobs/s, slack {}x, {} ms migration penalty)",
         slo::SLO_ARRIVAL_RATE_PER_S,

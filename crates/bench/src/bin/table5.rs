@@ -1,13 +1,5 @@
 //! Table 5: per-application dynamic power (4 GHz / 1 V) and IPC.
 
-use vasched::experiments::variation;
-
 fn main() {
-    println!("Table 5: application characteristics (calibration check)");
-    println!("{:>10} {:>18} {:>8}", "app", "dynamic power (W)", "IPC");
-    for (name, power, ipc) in variation::table5() {
-        println!("{name:>10} {power:>18.1} {ipc:>8.1}");
-    }
-    println!("\n(paper values are reproduced exactly by construction;");
-    println!(" the test suite asserts every cell)");
+    vasp_bench::figures::standalone(vasp_bench::figures::table5);
 }

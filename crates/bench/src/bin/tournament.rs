@@ -111,7 +111,7 @@ fn main() {
 
     // Part 1: the tournament at the requested fidelity.
     let start = Instant::now();
-    let result = tournament::run(h.scale(), h.seed());
+    let result = tournament::run(&h.scale, h.seed);
     report.push_stage("tournament", start.elapsed().as_secs_f64());
 
     println!(

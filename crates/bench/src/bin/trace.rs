@@ -25,7 +25,7 @@ fn main() {
     let h = Harness::from_args();
     let threads = 20;
     let runtime = RuntimeConfig::builder()
-        .duration_ms(h.scale().duration_ms)
+        .duration_ms(h.scale.duration_ms)
         .build()
         .expect("scale duration is a valid timeline");
     let arm = |label: &str, manager: ManagerSpec| TrialArm {
@@ -37,12 +37,12 @@ fn main() {
         rng_salt: None,
     };
 
-    let ctx = Context::new(h.scale().grid);
+    let ctx = Context::new(h.scale.grid);
     let pool = cmpsim::app_pool(&ctx.machine_config().dynamic);
     let spec = TrialSpec::builder(&ctx, &pool)
         .threads(threads)
         .trials(1)
-        .seed(h.seed())
+        .seed(h.seed)
         .plan(SeedPlan::default())
         .arm(arm("LinOpt", ManagerSpec::LinOpt))
         .arm(arm("Foxton*", ManagerSpec::FoxtonStar))

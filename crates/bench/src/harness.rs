@@ -1,15 +1,15 @@
-//! Bin-side harness: the boilerplate every figure binary used to
+//! Bin-side harness: the boilerplate every binary would otherwise
 //! repeat — CLI parsing, series reporting, label slugs, and writing
 //! non-CSV artifacts under `results/` — behind one entry point.
 //!
-//! A figure binary reduces to:
+//! A binary reduces to:
 //!
 //! ```no_run
 //! use vasp_bench::harness::Harness;
 //!
 //! let h = Harness::from_args();
-//! let series = vasched::experiments::granularity::fig14(h.scale(), h.seed(), &[4, 20]);
-//! h.report("fig14", "Figure 14: deviation vs interval", &series);
+//! let series = vasched::experiments::slo::window_sweep(&h.scale, h.seed);
+//! h.report("slo_shed", "SLO serving: jobs shed per second", &series.shed_jobs_per_s);
 //! ```
 //!
 //! [`Harness::report`] prints the aligned table and writes the CSV
@@ -19,55 +19,89 @@
 //! turns arm labels into filesystem-safe file-name fragments
 //! (`Foxton*` → `foxton_star`).
 
-use crate::{parse_args, report, Options};
+use crate::DEFAULT_SEED;
 use std::path::PathBuf;
-use vasched::experiments::Scale;
-use vasched::experiments::Series;
+use vasched::experiments::{write_csv, Scale, Series};
 
-/// One binary's run context: the parsed standard CLI (`--scale`,
-/// `--seed`, `--threads`) plus the output conventions all bins share.
+/// One binary's run context: the standard CLI (`--scale`, `--seed`,
+/// `--threads`) plus the output conventions all bins share.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Harness {
-    opts: Options,
+    /// Experiment fidelity (`--scale`, default quick).
+    pub scale: Scale,
+    /// Master seed (`--seed`, default [`DEFAULT_SEED`]).
+    pub seed: u64,
+    /// Trial-runner worker count (`--threads`, default 0 = all
+    /// available cores).
+    pub threads: usize,
 }
 
 impl Harness {
     /// Parses the process arguments and installs `--threads` as the
-    /// trial engine's default — the first line of every `main`.
+    /// trial engine's process-wide default — the first line of every
+    /// `main`.
     ///
     /// # Panics
     ///
-    /// Panics with a usage message on unknown arguments (see
-    /// [`parse_args`]).
+    /// Panics with a usage message on unknown arguments or bad values —
+    /// appropriate for a CLI entry point.
     pub fn from_args() -> Self {
-        Self { opts: parse_args() }
+        let mut h = Self {
+            scale: Scale::quick(),
+            seed: DEFAULT_SEED,
+            threads: 0,
+        };
+        let mut args = std::env::args().skip(1);
+        while let Some(arg) = args.next() {
+            let mut value = || args.next().unwrap_or_else(|| panic!("{arg} needs a value"));
+            match arg.as_str() {
+                "--scale" => {
+                    h.scale = match value().as_str() {
+                        "smoke" => Scale::smoke(),
+                        "quick" => Scale::quick(),
+                        "paper" => Scale::paper(),
+                        other => panic!("unknown scale '{other}' (smoke|quick|paper)"),
+                    }
+                }
+                "--seed" => h.seed = value().parse().expect("--seed must be an unsigned integer"),
+                "--threads" => {
+                    h.threads = value()
+                        .parse()
+                        .expect("--threads must be an unsigned integer")
+                }
+                other => {
+                    panic!("unknown argument '{other}' (supported: --scale, --seed, --threads)")
+                }
+            }
+        }
+        vasched::engine::set_default_workers(h.threads);
+        h
     }
 
-    /// A harness over explicit options (tests; no CLI, no engine
-    /// side effects).
-    pub fn with_options(opts: Options) -> Self {
-        Self { opts }
-    }
-
-    /// The parsed options.
-    pub fn options(&self) -> &Options {
-        &self.opts
-    }
-
-    /// Experiment fidelity from `--scale`.
-    pub fn scale(&self) -> &Scale {
-        &self.opts.scale
-    }
-
-    /// Master seed from `--seed`.
-    pub fn seed(&self) -> u64 {
-        self.opts.seed
-    }
-
-    /// Prints `series` as an aligned table and writes
-    /// `results/<name>.csv`.
+    /// Prints `series` as an aligned table (one row per x value, one
+    /// column per series) and writes `results/<name>.csv`.
     pub fn report(&self, name: &str, title: &str, series: &[Series]) {
-        report(name, title, series);
+        println!("\n== {title} ==");
+        if let Some(first) = series.first() {
+            print!("{:>10}", "x");
+            for s in series {
+                print!("  {:>22}", s.label);
+            }
+            println!();
+            for (i, &x) in first.x.iter().enumerate() {
+                print!("{x:>10.3}");
+                for s in series {
+                    print!("  {:>22.4}", s.y[i]);
+                }
+                println!();
+            }
+        } else {
+            println!("(no data)");
+        }
+        match write_csv(name, series) {
+            Ok(path) => println!("wrote {}", path.display()),
+            Err(e) => eprintln!("could not write CSV: {e}"),
+        }
     }
 
     /// Writes a non-CSV artifact (JSONL trace, markdown report) to
@@ -106,7 +140,14 @@ pub fn slug(label: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::DEFAULT_SEED;
+
+    fn smoke() -> Harness {
+        Harness {
+            scale: Scale::smoke(),
+            seed: DEFAULT_SEED,
+            threads: 1,
+        }
+    }
 
     #[test]
     fn slug_flattens_labels_to_file_name_fragments() {
@@ -117,14 +158,21 @@ mod tests {
     }
 
     #[test]
+    fn report_writes_csv_and_handles_empty() {
+        smoke().report("bench_lib_test_empty", "empty", &[]);
+        let series = vec![Series::new("s", vec![1.0], vec![2.0])];
+        smoke().report("bench_lib_test", "test", &series);
+        let body = std::fs::read_to_string("results/bench_lib_test.csv").unwrap();
+        assert!(body.contains("s,1,2"));
+        // Only this test's own files: other tests write under the same
+        // (gitignored) `results/` concurrently.
+        let _ = std::fs::remove_file("results/bench_lib_test.csv");
+        let _ = std::fs::remove_file("results/bench_lib_test_empty.csv");
+    }
+
+    #[test]
     fn artifact_writes_under_results() {
-        let h = Harness::with_options(Options {
-            scale: Scale::smoke(),
-            seed: DEFAULT_SEED,
-            threads: 1,
-        });
-        assert_eq!(h.seed(), DEFAULT_SEED);
-        let path = h.artifact("harness_test.txt", "hello\n");
+        let path = smoke().artifact("harness_test.txt", "hello\n");
         let body = std::fs::read_to_string(&path).unwrap();
         assert_eq!(body, "hello\n");
         // Only this test's own file: other tests write under the same

@@ -50,15 +50,6 @@ impl DvfsTransition {
         }
     }
 
-    /// On-chip regulator (Kim et al.): nanosecond-class transitions,
-    /// negligible at millisecond ticks.
-    pub fn on_chip() -> Self {
-        Self {
-            s_per_volt: 0.0,
-            overhead_s: 0.0,
-        }
-    }
-
     /// Stall incurred for a voltage change of `dv` volts.
     pub fn stall_s(&self, dv: f64) -> f64 {
         if dv == 0.0 {
@@ -2298,9 +2289,13 @@ mod tests {
     fn transition_stall_suppresses_instructions() {
         let mut with_cost = loaded_machine(1, 21);
         let mut free = loaded_machine(1, 21);
-        // Give `free` an on-chip regulator.
+        // Give `free` an on-chip regulator (nanosecond-class
+        // transitions, negligible at millisecond ticks).
         let mut cfg = free.config().clone();
-        cfg.transition = DvfsTransition::on_chip();
+        cfg.transition = DvfsTransition {
+            s_per_volt: 0.0,
+            overhead_s: 0.0,
+        };
         let (die_cfg, fp) = test_die();
         let mut free2 = Machine::new(&die_cfg, &fp, cfg);
         let pool = app_pool(&free2.config().dynamic);

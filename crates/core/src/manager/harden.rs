@@ -29,7 +29,7 @@ use crate::manager::{
     SolveReport, SolveStatus, SolverError,
 };
 use crate::runtime::{ConfigError, RuntimeConfig};
-use cmpsim::{FaultEvent, Machine};
+use cmpsim::{FaultEvent, Machine, StateMismatch};
 use std::fmt;
 use vastats::SimRng;
 
@@ -251,8 +251,19 @@ impl SensorConditioner {
     /// Restores filter state captured by
     /// [`SensorConditioner::export_state`]. The smoothing weight is
     /// configuration and is kept as constructed.
-    pub fn import_state(&mut self, state: &ConditionerState) {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StateMismatch::CoreCount`], before changing anything,
+    /// if the state's per-core filters or residents do not cover
+    /// exactly this conditioner's cores.
+    pub fn import_state(&mut self, state: &ConditionerState) -> Result<(), StateMismatch> {
+        let n = self.state.cores.len();
+        if state.cores.len() != n || state.residents.len() != n {
+            return Err(StateMismatch::CoreCount);
+        }
         self.state.clone_from(state);
+        Ok(())
     }
 
     /// Returns the sanitized, smoothed copy of `view`.
@@ -486,12 +497,18 @@ impl HardenedManager {
     /// Restores state captured by [`HardenedManager::export_state`]
     /// onto a front end freshly built from the same [`ManagerSpec`] and
     /// core count.
-    pub fn import_state(&mut self, state: &HardenedState) {
+    ///
+    /// # Errors
+    ///
+    /// Returns the conditioner's [`StateMismatch`], before changing
+    /// anything, if the state was taken for another core count.
+    pub fn import_state(&mut self, state: &HardenedState) -> Result<(), StateMismatch> {
+        self.conditioner.import_state(&state.conditioner)?;
         if let (Some(pm), Some(st)) = (self.primary.as_deref_mut(), state.primary.as_ref()) {
             pm.restore(st);
         }
-        self.conditioner.import_state(&state.conditioner);
         self.last_report = None;
+        Ok(())
     }
 }
 

@@ -373,11 +373,6 @@ impl LinOpt {
             ws: LinOptWorkspace::default(),
         }
     }
-
-    /// Whether a warm-start basis is currently cached.
-    pub fn has_warm_basis(&self) -> bool {
-        self.basis.is_some()
-    }
 }
 
 impl Default for LinOpt {
@@ -640,8 +635,11 @@ mod tests {
             let cold = linopt_levels(&v, &budget);
             assert_eq!(warm, cold, "step {step}");
         }
-        assert!(manager.has_warm_basis());
-        assert!(!LinOpt::new().has_warm_basis());
+        assert!(matches!(manager.snapshot(), ControlState::Basis(Some(_))));
+        assert!(matches!(
+            LinOpt::new().snapshot(),
+            ControlState::Basis(None)
+        ));
     }
 
     #[test]

@@ -347,12 +347,6 @@ impl ManagerSpec {
         }
     }
 
-    /// The integral regulator with an explicit gain (validated by
-    /// [`ManagerSpec::build`]: must be finite and positive).
-    pub fn integral_regulator_with_gain(gain: f64) -> Self {
-        ManagerSpec::IntegralRegulator { gain }
-    }
-
     /// Name as used in the paper's figures and in every trace/report
     /// this spec's manager appears in. Stable across releases.
     pub fn name(&self) -> &'static str {
@@ -473,9 +467,9 @@ mod tests {
             ManagerSpec::DomainLinOpt {
                 cores_per_domain: 0,
             },
-            ManagerSpec::integral_regulator_with_gain(0.0),
-            ManagerSpec::integral_regulator_with_gain(-0.5),
-            ManagerSpec::integral_regulator_with_gain(f64::NAN),
+            ManagerSpec::IntegralRegulator { gain: 0.0 },
+            ManagerSpec::IntegralRegulator { gain: -0.5 },
+            ManagerSpec::IntegralRegulator { gain: f64::NAN },
         ];
         for kind in bad {
             assert!(matches!(kind.build(&rt), Err(ConfigError::BadManager)));

@@ -66,19 +66,6 @@ pub fn weighted_mips(per_thread_mips: &[f64], reference_mips: &[f64]) -> f64 {
         .sum()
 }
 
-/// Normalizes a series to its first element (the paper's figures
-/// normalize every series to the `Random`/`Random+Foxton*` baseline).
-///
-/// # Panics
-///
-/// Panics if the series is empty or the first element is zero.
-pub fn normalize_to_first(series: &[f64]) -> Vec<f64> {
-    assert!(!series.is_empty(), "cannot normalize an empty series");
-    let base = series[0];
-    assert!(base != 0.0, "baseline must be non-zero");
-    series.iter().map(|&x| x / base).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,12 +95,6 @@ mod tests {
         let w1 = weighted_mips(&[50.0, 4000.0], &[100.0, 4000.0]);
         let w2 = weighted_mips(&[100.0, 2000.0], &[100.0, 4000.0]);
         assert!((w1 - w2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn normalize_to_first_baseline_is_one() {
-        let n = normalize_to_first(&[4.0, 2.0, 8.0]);
-        assert_eq!(n, vec![1.0, 0.5, 2.0]);
     }
 
     #[test]

@@ -512,7 +512,8 @@ impl<'a> OnlineSim<'a> {
     /// regenerated schedule) are checked before touching the machine;
     /// [`SnapshotGuard::Machine`] comes from
     /// [`Machine::import_state`], after the machine was reset and the
-    /// fault plan re-installed.
+    /// fault plan re-installed, and [`SnapshotGuard::Conditioner`]
+    /// from the power manager's state import after that.
     #[allow(clippy::too_many_arguments)] // mirrors OnlineSim::new
     pub fn resume(
         machine: &'a mut Machine,
@@ -583,7 +584,9 @@ impl<'a> OnlineSim<'a> {
         let mut scheduler = policy.build(&rt)?;
         scheduler.restore(&snapshot.scheduler);
         let mut power_manager = HardenedManager::new(manager, machine.core_count(), hardened, &rt)?;
-        power_manager.import_state(&snapshot.manager);
+        power_manager
+            .import_state(&snapshot.manager)
+            .map_err(|_| TrialError::SnapshotMismatch(SnapshotGuard::Conditioner))?;
 
         *rng = SimRng::from_state(snapshot.rng);
         let cores = core_profiles(machine);
@@ -1565,6 +1568,7 @@ mod tests {
             SnapshotGuard::TickBeyondHorizon,
             SnapshotGuard::JobTables,
             SnapshotGuard::Machine(StateMismatch::CoreCount),
+            SnapshotGuard::Conditioner,
         ] {
             let mut bad = snapshot.clone();
             match guard {
@@ -1573,6 +1577,7 @@ mod tests {
                 SnapshotGuard::TickBeyondHorizon => bad.tick = bad.total_ticks + 1,
                 SnapshotGuard::JobTables => bad.thread_job.push(0),
                 SnapshotGuard::Machine(_) => bad.machine.levels.push(0),
+                SnapshotGuard::Conditioner => bad.manager.conditioner.cores.truncate(3),
             }
             let mut m2 = machine(3);
             let mut rng2 = SimRng::seed_from(9);

@@ -172,6 +172,9 @@ pub enum SnapshotGuard {
     /// The machine state does not fit the supplied machine or fault
     /// plan ([`cmpsim::Machine::import_state`]).
     Machine(StateMismatch),
+    /// The power manager's sensor-conditioner state was taken for
+    /// another core count ([`crate::manager::HardenedManager::import_state`]).
+    Conditioner,
 }
 
 impl Snapshot {

@@ -241,19 +241,6 @@ impl ThermalModel {
         self.n
     }
 
-    /// Total conductance of node `i` to its neighbours and ambient
-    /// (W/K), precomputed at construction.
-    pub fn node_conductance(&self, i: usize) -> f64 {
-        self.g_total[i]
-    }
-
-    /// Smallest node time constant `C/G` in seconds — the quantity that
-    /// bounds the stable forward-Euler sub-step. Precomputed at
-    /// construction.
-    pub fn min_time_constant(&self) -> f64 {
-        self.min_tau
-    }
-
     /// One transient step of length `dt_s` seconds:
     /// `C dT/dt = P − G·(T − T_amb)`.
     ///

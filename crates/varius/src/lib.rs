@@ -81,20 +81,6 @@ impl VariationConfig {
         }
     }
 
-    /// Adds a die-to-die component on top of the within-die defaults.
-    pub fn with_d2d(mut self, sigma_over_mu: f64) -> Self {
-        self.d2d_sigma_over_mu = sigma_over_mu;
-        self
-    }
-
-    /// Same as [`paper_default`](Self::paper_default) but with a
-    /// different total σ/µ — used for the paper's Figure 5 sweep over
-    /// {0.03, 0.06, 0.09, 0.12}.
-    pub fn with_sigma_over_mu(mut self, s: f64) -> Self {
-        self.vth_sigma_over_mu = s;
-        self
-    }
-
     /// Validates the configuration.
     ///
     /// # Errors
@@ -503,7 +489,10 @@ mod tests {
 
     #[test]
     fn zero_variation_produces_uniform_die() {
-        let cfg = quick_cfg().with_sigma_over_mu(0.0);
+        let cfg = VariationConfig {
+            vth_sigma_over_mu: 0.0,
+            ..quick_cfg()
+        };
         let gen = DieGenerator::new(cfg).unwrap();
         let die = gen.generate(&mut SimRng::seed_from(4));
         assert!(die.vth().iter().all(|&v| (v - 0.25).abs() < 1e-12));
@@ -625,9 +614,9 @@ mod tests {
         let cfg = VariationConfig {
             grid: 16,
             vth_sigma_over_mu: 0.02, // small WID so D2D dominates
+            d2d_sigma_over_mu: 0.10,
             ..VariationConfig::paper_default()
-        }
-        .with_d2d(0.10);
+        };
         let gen = DieGenerator::new(cfg).unwrap();
         let mut rng = SimRng::seed_from(21);
         let die_means: Vec<f64> = (0..30)
@@ -661,7 +650,10 @@ mod tests {
 
     #[test]
     fn invalid_d2d_rejected() {
-        let bad = VariationConfig::paper_default().with_d2d(1.5);
+        let bad = VariationConfig {
+            d2d_sigma_over_mu: 1.5,
+            ..VariationConfig::paper_default()
+        };
         assert!(DieGenerator::new(bad).is_err());
     }
 

@@ -29,12 +29,12 @@
 # checks them in its cargo test step.
 #   scripts/ci.sh results-check additionally rebuilds every committed
 #                               results/*.csv with the bin that writes
-#                               it (all, fig04, ablation, slo, fleet,
-#                               tournament) at paper scale and the
-#                               default seed, each in a temp directory
-#                               so results/ is never overwritten, and
-#                               cmp's it against the committed file;
-#                               fig15.csv (host timings) is skipped
+#                               it (all, slo, fleet, tournament) at
+#                               paper scale and the default seed, each
+#                               in a temp directory so results/ is
+#                               never overwritten, and cmp's it against
+#                               the committed file; fig15.csv (host
+#                               timings) is skipped
 #
 # The bins write results/ relative to their working directory, so every
 # mode runs them in a temp directory: no mode rewrites the committed
@@ -109,21 +109,18 @@ if [[ "$mode" == results-check ]]; then
   # source. Each bin runs once at paper scale in its own temp
   # directory (the bins write results/ relative to their cwd). A CSV
   # belongs to the bin named by owner_of; `all` owns the rest, because
-  # it offsets the seed per figure and the standalone figNN bins do
-  # not. ablation also writes ablation_granularity/transition.csv, but
-  # the committed copies come from `all`.
+  # it runs every figure of vasp_bench::figures, and each figure bin
+  # (fig04 ... faults) writes the same bytes as its stage of `all`.
   owner_of() {
     case "$1" in
       fig15.csv) ;; # host timings: never reproducible
-      fig04.csv) echo fig04 ;;
-      ablation_gain_vs_sigma.csv) echo ablation ;;
       slo_*.csv) echo slo ;;
       fleet_*.csv) echo fleet ;;
       tournament_*.csv) echo tournament ;;
       *) echo all ;;
     esac
   }
-  for bin in all fig04 ablation slo fleet tournament; do
+  for bin in all slo fleet tournament; do
     mkdir -p "$tmp/$bin"
     (cd "$tmp/$bin" && "$bin_dir/$bin" --scale paper > run.log)
   done

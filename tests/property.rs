@@ -804,3 +804,152 @@ fn json_writer_parser_round_trip_on_arbitrary_documents() {
         );
     }
 }
+
+/// Resume works from any checkpoint: across dies, schedulers, managers,
+/// fault plans and service policies, a run checkpointed at a drawn tick
+/// in `[0, total_ticks]` (both ends pinned once) and right after each
+/// core failure (a pending forced reschedule), round-tripped through
+/// the snapshot JSON and resumed on a fresh machine with a garbage RNG
+/// ends exactly as the uninterrupted run: outcome, trace and RNG state.
+#[test]
+fn resume_from_any_checkpoint_matches_the_uninterrupted_run() {
+    use vasp::cmpsim::{app_pool, FaultPlan, Machine, MachineConfig, Mix};
+    use vasp::floorplan::paper_20_core;
+    use vasp::varius::{DieGenerator, VariationConfig};
+    use vasp::vasched::manager::DegradationEvent;
+    use vasp::vasched::online::{ArrivalConfig, OnlineConfig, OnlineSim, ServicePolicy, Snapshot};
+    use vasp::vasched::runtime::{NullObserver, RuntimeConfig, TrialObserver};
+
+    /// Flags the step in which a core failed.
+    #[derive(Default)]
+    struct CoreFailed(bool);
+    impl TrialObserver for CoreFailed {
+        fn on_degradation(&mut self, _tick: usize, event: DegradationEvent) {
+            self.0 |= matches!(event, DegradationEvent::CoreFailed { .. });
+        }
+    }
+
+    let cfg = VariationConfig {
+        grid: 20,
+        ..VariationConfig::paper_default()
+    };
+    let generator = DieGenerator::new(cfg).expect("valid config");
+    let schedulers = [
+        SchedulerSpec::VarFAppIpc,
+        SchedulerSpec::Random,
+        SchedulerSpec::ThermalMap,
+    ];
+    let managers = [
+        ManagerSpec::None,
+        ManagerSpec::FoxtonStar,
+        ManagerSpec::LinOpt,
+        ManagerSpec::integral_regulator(),
+        ManagerSpec::ChipWide,
+        ManagerSpec::SAnn { evaluations: 400 },
+    ];
+    // Manager × faults × service is full factorial over each block of
+    // 24 cases; the scheduler rotates so every manager meets every
+    // scheduler.
+    for case in 0usize..48 {
+        let mut gen = SimRng::seed_from(0x2E5_0000 + case as u64);
+        let manager = managers[case % 6];
+        let policy = schedulers[(case % 6 + case / 6) % 3];
+        let plan = if (case / 6) % 2 == 1 {
+            FaultPlan::none()
+                .with_seed(case as u64)
+                .with_sensor_noise(gen.uniform(0.0, 0.1))
+                .with_stuck_sensor(gen.index(20), gen.uniform(0.0, 40.0))
+                .with_core_failure(gen.index(20), gen.uniform(1.0, 40.0))
+                .with_budget_drop(gen.uniform(0.0, 20.0), 35.0, 0.6)
+        } else {
+            FaultPlan::none()
+        };
+        let service = if (case / 12) % 2 == 1 {
+            ServicePolicy {
+                reschedule_window_ms: 10.0,
+                deadline_slack: 2.0,
+            }
+        } else {
+            ServicePolicy::default()
+        };
+        let config = OnlineConfig {
+            runtime: RuntimeConfig::builder()
+                .duration_ms(50.0)
+                .os_interval_ms(25.0)
+                .build()
+                .unwrap(),
+            arrivals: ArrivalConfig::poisson(gen.uniform(200.0, 3000.0), 20.0e6),
+            initial_jobs: gen.index(21),
+            migration_penalty_ms: 0.5,
+            service,
+        };
+        // A budget that binds, so every manager carries state across
+        // intervals.
+        let budget = PowerBudget {
+            chip_w: gen.uniform(25.0, 50.0),
+            per_core_w: 12.0,
+        };
+        let die = generator.generate(&mut SimRng::seed_from(gen.next_u64()));
+        let machine = Machine::new(&die, &paper_20_core(), MachineConfig::paper_default());
+        let pool = app_pool(&machine.config().dynamic);
+        let context = format!("case {case}: {policy:?} + {manager:?}, plan {plan:?}");
+
+        // The uninterrupted run, checkpointed on the way (`checkpoint`
+        // and the observer only read the simulation).
+        let (mut m1, mut rng1) = (machine.clone(), SimRng::seed_from(gen.next_u64()));
+        let residents = config.draw_residents(&pool, Mix::Balanced, &mut rng1);
+        let mut sim = OnlineSim::new(
+            &mut m1,
+            residents.as_ref(),
+            &pool,
+            Mix::Balanced,
+            policy,
+            manager,
+            budget,
+            &config,
+            &plan,
+            &mut rng1,
+        )
+        .expect("valid run");
+        let cut = match case {
+            0 => 0,
+            1 => sim.total_ticks(),
+            _ => gen.index(sim.total_ticks() + 1),
+        };
+        let mut failed = CoreFailed::default();
+        let mut checkpoints = Vec::new();
+        loop {
+            if sim.tick() == cut || std::mem::take(&mut failed.0) {
+                checkpoints.push((sim.tick(), sim.checkpoint().to_json()));
+            }
+            if sim.tick() == sim.total_ticks() {
+                break;
+            }
+            sim.step(&mut failed);
+        }
+        let full = sim.finish();
+
+        for (cut, json) in checkpoints {
+            let snapshot = Snapshot::from_json(&json, &pool).expect("snapshot JSON round trip");
+            let (mut m2, mut rng2) = (machine.clone(), SimRng::seed_from(0xDEAD));
+            let mut sim = OnlineSim::resume(
+                &mut m2,
+                &pool,
+                Mix::Balanced,
+                policy,
+                manager,
+                budget,
+                &config,
+                &plan,
+                &mut rng2,
+                &snapshot,
+            )
+            .unwrap_or_else(|e| panic!("{context}: resume at tick {cut}: {e}"));
+            sim.run(&mut NullObserver);
+            let resumed = sim.finish();
+            assert_eq!(resumed.trace(), full.trace(), "{context}, cut {cut}");
+            assert_eq!(resumed, full, "{context}, cut {cut}");
+            assert_eq!(rng2, rng1, "{context}, cut {cut}: RNG end state");
+        }
+    }
+}
