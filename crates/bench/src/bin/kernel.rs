@@ -62,8 +62,11 @@ const STEP_SPEEDUP_MIN: f64 = 8.0;
 const FIELD_SPEEDUP_MIN: f64 = 10.0;
 
 /// `--gate`: required speedup of `profile/thread_profiles_20t` over the
-/// committed clone-per-thread baseline, from reusing one probe machine.
-const PROFILE_SPEEDUP_MIN: f64 = 3.0;
+/// committed clone-per-thread baseline, from probing one core instead of
+/// stepping a copy of the machine. Raised from 3× (one reused copy);
+/// three gate runs of the one-core probe read 33–45× raw and 56–61×
+/// rescaled, so the floor holds in slow host phases with room.
+const PROFILE_SPEEDUP_MIN: f64 = 15.0;
 
 /// `--gate`: required speedup of `solver/sann_20c` over the committed
 /// exact-only baseline, from screening one-level moves with an O(1)
@@ -168,10 +171,9 @@ fn bench_step(bench: &mut Bench) {
     for _ in 0..PROFILE_STEPS {
         black_box(machine.step_profiled(0.001, &mut times));
     }
-    let total = times.l2_occupancy_s + times.leakage_s + times.dispatch_s + times.thermal_s;
+    let total = times.l2_occupancy_s + times.dispatch_s + times.thermal_s;
     for (stage, secs) in [
         ("step_l2_occupancy", times.l2_occupancy_s),
-        ("step_leakage", times.leakage_s),
         ("step_dispatch", times.dispatch_s),
         ("step_thermal", times.thermal_s),
     ] {
@@ -196,7 +198,7 @@ fn bench_view(bench: &mut Bench) {
 }
 
 /// One OS-epoch re-profile of a full chip: every thread probed for two
-/// ticks on a random core of a scratch copy of the machine.
+/// ticks alone on a random core (`Machine::probe_thread`).
 fn bench_profile(bench: &mut Bench) {
     // A chip that has been running, as at every reschedule but the
     // first: its thermal step operator is built and its sensors read.

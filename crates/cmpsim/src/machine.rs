@@ -15,6 +15,7 @@
 //! assumption in §7.3). The L2 strips stay on a fixed voltage rail and
 //! contribute leakage plus access-driven dynamic power.
 
+use crate::apps::AppSpec;
 use crate::cache::OccupancyScratch;
 use crate::faults::{FaultConfigError, FaultEvent, FaultPlan, FaultState};
 use crate::thread::Thread;
@@ -133,6 +134,53 @@ struct CoreInfo {
     center: (f64, f64),
 }
 
+impl CoreInfo {
+    /// Effective frequency at `level` under the optional cap (Hz).
+    fn freq(&self, level: usize, cap: Option<f64>) -> f64 {
+        let f = self.vf.freq_at(level);
+        match cap {
+            Some(cap) => f.min(cap),
+            None => f,
+        }
+    }
+
+    /// The stall a move from level `from` to level `to` costs.
+    fn level_change_stall_s(&self, from: usize, to: usize, transition: &DvfsTransition) -> f64 {
+        transition.stall_s(self.vf.voltage_at(to) - self.vf.voltage_at(from))
+    }
+}
+
+/// A busy core's operating point and block temperature going into a
+/// tick; [`Machine::tick_core`] updates its level and stall.
+#[derive(Debug, Clone, Copy)]
+struct CoreOp {
+    /// (V, f) level; DTM may demote it.
+    level: usize,
+    /// UniFreq frequency cap.
+    cap: Option<f64>,
+    /// Pending stall (seconds); the tick drains it first.
+    stall_s: f64,
+    /// The core block's temperature (kelvin).
+    temp_k: f64,
+}
+
+/// What a busy core did in one tick.
+#[derive(Debug, Clone, Copy)]
+struct CoreTick {
+    /// Effective frequency (Hz).
+    f: f64,
+    /// Seconds the thread ran: the tick less the stall it drained.
+    run_s: f64,
+    /// IPC at the thread's phase and L2 share.
+    ipc: f64,
+    /// Dynamic plus static power (watts).
+    power_w: f64,
+}
+
+/// Tick length of the two steps [`Machine::probe_thread`] reads its
+/// sensors after (seconds).
+const PROBE_TICK_S: f64 = 0.001;
+
 /// Per-L2-strip immutable data.
 #[derive(Debug, Clone)]
 struct L2Info {
@@ -181,9 +229,8 @@ impl LeakMemo {
 }
 
 /// The complete mutable state of a [`Machine`]: the machine keeps its
-/// run-time state in this struct, a checkpoint stores it as it is
-/// ([`Machine::export_state`]), and a probe reset copies it
-/// ([`Machine::copy_state_from`]).
+/// run-time state in this struct, and a checkpoint stores it as it is
+/// ([`Machine::export_state`]).
 ///
 /// Everything that evolves as the simulation steps is here; everything
 /// that is configuration (the die, the floorplan, the models, the
@@ -253,44 +300,6 @@ impl MachineState {
             faults: None,
         }
     }
-
-    /// Overwrites this state with `src` field by field through
-    /// `clone_from`, so this state's vectors are reused (the derived
-    /// `Clone::clone_from` would reallocate them all).
-    fn copy_from(&mut self, src: &Self) {
-        // Exhaustive on purpose: a new field does not compile until it
-        // is copied here.
-        let Self {
-            temps,
-            threads,
-            assignment,
-            levels,
-            freq_caps,
-            stall_s,
-            last_core_power,
-            last_core_ipc,
-            last_total_power,
-            dtm_events,
-            energy_j,
-            elapsed_s,
-            total_instructions,
-            faults,
-        } = self;
-        temps.clone_from(&src.temps);
-        threads.clone_from(&src.threads);
-        assignment.clone_from(&src.assignment);
-        levels.clone_from(&src.levels);
-        freq_caps.clone_from(&src.freq_caps);
-        stall_s.clone_from(&src.stall_s);
-        last_core_power.clone_from(&src.last_core_power);
-        last_core_ipc.clone_from(&src.last_core_ipc);
-        *last_total_power = src.last_total_power;
-        *dtm_events = src.dtm_events;
-        *energy_j = src.energy_j;
-        *elapsed_s = src.elapsed_s;
-        *total_instructions = src.total_instructions;
-        faults.clone_from(&src.faults);
-    }
 }
 
 /// Why [`Machine::import_state`] rejected a [`MachineState`].
@@ -321,15 +330,14 @@ pub struct StepStats {
 
 /// Accumulated wall-clock attribution of [`Machine::step_profiled`]
 /// across the step's phases, in seconds. Whatever a step spends outside
-/// the four phases (fault advance, DTM, accounting) is the difference
-/// to the caller's own total.
+/// the three phases (fault advance, accounting) is the difference to
+/// the caller's own total.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct StepPhaseTimes {
     /// Shared-L2 occupancy fixed point (`update_l2_shares`).
     pub l2_occupancy_s: f64,
-    /// Per-core and per-L2-strip static power evaluation.
-    pub leakage_s: f64,
-    /// Thread dispatch: phase scan, IPC/dynamic power, retirement.
+    /// Every core's tick (DTM, stall, static power, phase scan,
+    /// IPC/dynamic power, retirement) and the L2 strips' power.
     pub dispatch_s: f64,
     /// Thermal transient step.
     pub thermal_s: f64,
@@ -339,7 +347,6 @@ pub struct StepPhaseTimes {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum StepPhase {
     L2Occupancy,
-    Leakage,
     Dispatch,
     Thermal,
 }
@@ -371,7 +378,6 @@ impl StepProbe for TimingProbe<'_> {
         let dt = self.start.elapsed().as_secs_f64();
         match phase {
             StepPhase::L2Occupancy => self.times.l2_occupancy_s += dt,
-            StepPhase::Leakage => self.times.leakage_s += dt,
             StepPhase::Dispatch => self.times.dispatch_s += dt,
             StepPhase::Thermal => self.times.thermal_s += dt,
         }
@@ -405,13 +411,6 @@ pub struct Machine {
     fault_events: Vec<FaultEvent>,
     /// Scratch: per-block power vector rebuilt by every `step`.
     scratch_block_power: Vec<f64>,
-    /// Scratch: per-core static power, evaluated in one pass ahead of
-    /// thread dispatch (same inputs, so the same values the inline
-    /// evaluation produced) — gives the leakage phase one timeable
-    /// boundary.
-    scratch_core_leak: Vec<f64>,
-    /// Scratch: per-L2-strip static power, same pre-pass.
-    scratch_l2_leak: Vec<f64>,
     /// Scratch: thermal stepping buffers reused by every `step`.
     thermal_scratch: ThermalScratch,
     /// Scratch: `update_l2_shares` running-thread list — (thread index,
@@ -499,7 +498,6 @@ impl Machine {
         let thermal = ThermalModel::new(floorplan, config.thermal);
         let thermal_scratch = ThermalScratch::for_model(&thermal);
         let blocks = floorplan.blocks().len();
-        let strips = l2.len();
         let state = MachineState::initial(blocks, config.thermal.ambient_k, Vec::new(), vec![0; n]);
 
         Self {
@@ -514,8 +512,6 @@ impl Machine {
             fault_plan: FaultPlan::none(),
             fault_events: Vec::new(),
             scratch_block_power: vec![0.0; blocks],
-            scratch_core_leak: vec![0.0; n],
-            scratch_l2_leak: vec![0.0; strips],
             thermal_scratch,
             l2_running: Vec::new(),
             l2_current: Vec::new(),
@@ -778,9 +774,11 @@ impl Machine {
         if level == self.state.levels[core] {
             return; // no transition, no cost, caps untouched
         }
-        let dv = self.cores[core].vf.voltage_at(level)
-            - self.cores[core].vf.voltage_at(self.state.levels[core]);
-        self.state.stall_s[core] += self.config.transition.stall_s(dv);
+        self.state.stall_s[core] += self.cores[core].level_change_stall_s(
+            self.state.levels[core],
+            level,
+            &self.config.transition,
+        );
         self.state.levels[core] = level;
         self.state.freq_caps[core] = None;
     }
@@ -818,11 +816,7 @@ impl Machine {
     ///
     /// Panics if `core` is out of range.
     pub fn effective_freq(&self, core: usize) -> f64 {
-        let f = self.cores[core].vf.freq_at(self.state.levels[core]);
-        match self.state.freq_caps[core] {
-            Some(cap) => f.min(cap),
-            None => f,
-        }
+        self.cores[core].freq(self.state.levels[core], self.state.freq_caps[core])
     }
 
     /// Configures the UniFreq mode of §4.1: every active core cycles at
@@ -960,8 +954,11 @@ impl Machine {
         let n = self.cores.len();
         // Temperatures (and thus the sensor memo) change this step.
         self.leak_memo.get_mut().invalidate();
-        self.scratch_block_power.clear();
-        self.scratch_block_power.resize(self.state.temps.len(), 0.0);
+        // Out of `self` while the cores tick (`tick_core` reads `self`);
+        // put back before returning.
+        let mut block_power = std::mem::take(&mut self.scratch_block_power);
+        block_power.clear();
+        block_power.resize(self.state.temps.len(), 0.0);
         let mut instructions = 0.0;
         let mut l2_accesses_per_s = 0.0;
 
@@ -988,111 +985,48 @@ impl Machine {
         self.update_l2_shares();
         probe.end(StepPhase::L2Occupancy);
 
-        // Hardware DTM: force overheating cores down one level.
-        for core in 0..n {
-            if self.state.assignment[core].is_some()
-                && self.state.temps[self.cores[core].block_idx] > self.config.dtm_limit_k
-                && self.state.levels[core] > 0
-            {
-                let new_level = self.state.levels[core] - 1;
-                let vf = &self.cores[core].vf;
-                let dv = vf.voltage_at(new_level) - vf.voltage_at(self.state.levels[core]);
-                self.state.stall_s[core] += self.config.transition.stall_s(dv);
-                self.state.levels[core] = new_level;
-                self.state.dtm_events += 1;
-            }
-        }
-
-        // Static power in one pass ahead of dispatch. The (V, T) inputs
-        // are exactly what the dispatch loop would have handed the
-        // models inline (levels and temperatures do not move between
-        // here and there), so the hoist changes no value — it gives the
-        // leakage phase a single timeable boundary.
-        probe.begin(StepPhase::Leakage);
-        for core in 0..n {
-            let info = &self.cores[core];
-            let mut leak = 0.0;
-            if self.state.assignment[core].is_some() {
-                let level = self.state.levels[core];
-                let v = info.vf.voltage_at(level);
-                let mut f = info.vf.freq_at(level);
-                if let Some(cap) = self.state.freq_caps[core] {
-                    f = f.min(cap);
-                }
-                if f > 0.0 {
-                    leak = self.core_leak_models[core]
-                        .static_power(v, self.state.temps[info.block_idx]);
-                }
-            }
-            self.scratch_core_leak[core] = leak;
-        }
-        for (leak, (strip, model)) in self
-            .scratch_l2_leak
-            .iter_mut()
-            .zip(self.l2.iter().zip(&self.l2_leak_models))
-        {
-            *leak = model.static_power(self.config.l2_voltage, self.state.temps[strip.block_idx]);
-        }
-        probe.end(StepPhase::Leakage);
-
         probe.begin(StepPhase::Dispatch);
         for core in 0..n {
-            let info = &self.cores[core];
-            let Some(tid) = self.state.assignment[core] else {
-                // Idle cores are powered off.
-                self.state.last_core_power[core] = 0.0;
-                self.state.last_core_ipc[core] = 0.0;
-                continue;
-            };
-            let level = self.state.levels[core];
-            let v = info.vf.voltage_at(level);
-            let mut f = info.vf.freq_at(level);
-            if let Some(cap) = self.state.freq_caps[core] {
-                f = f.min(cap);
+            // Idle cores are powered off, and so is a core whose
+            // effective frequency is zero.
+            let (mut power_w, mut ipc) = (0.0, 0.0);
+            if let Some(tid) = self.state.assignment[core] {
+                let mut op = CoreOp {
+                    level: self.state.levels[core],
+                    cap: self.state.freq_caps[core],
+                    stall_s: self.state.stall_s[core],
+                    temp_k: self.state.temps[self.cores[core].block_idx],
+                };
+                let thread = &self.state.threads[tid];
+                let ran = self.tick_core(
+                    core,
+                    &mut op,
+                    thread.spec(),
+                    thread.phase_now(),
+                    thread.l2_alloc_mb(),
+                    dt_s,
+                );
+                if op.level != self.state.levels[core] {
+                    self.state.dtm_events += 1;
+                }
+                self.state.levels[core] = op.level;
+                self.state.stall_s[core] = op.stall_s;
+                if let Some(ran) = ran {
+                    let thread = &mut self.state.threads[tid];
+                    instructions += thread.run_at(ran.run_s, ran.f, ran.ipc);
+                    l2_accesses_per_s += thread.spec().l1_mpi() * ran.ipc * ran.f;
+                    block_power[self.cores[core].block_idx] = ran.power_w;
+                    (power_w, ipc) = (ran.power_w, ran.ipc);
+                }
             }
-            if f <= 0.0 {
-                self.state.last_core_power[core] = 0.0;
-                self.state.last_core_ipc[core] = 0.0;
-                continue;
-            }
-            let thread = &mut self.state.threads[tid];
-
-            // Consume any pending DVFS-transition stall: the core burns
-            // power but retires nothing while the regulator ramps.
-            let stall = self.state.stall_s[core].min(dt_s);
-            self.state.stall_s[core] -= stall;
-            let run_s = dt_s - stall;
-
-            // One phase scan and one miss-curve evaluation per tick:
-            // `ipc_now`, `dynamic_power_now`, and `run` each redo the
-            // phase lookup (and `run` the whole IPC) internally, so
-            // evaluate the shared pieces once. Same expression trees,
-            // so the results are bit-identical (pinned by the
-            // `step_bit_identical_to_reference` test).
-            let (ipc_mult, power_mult) = thread.phase_now();
-            let ipc = thread.spec().ipc_at_share(f, thread.l2_alloc_mb()) * ipc_mult;
-            let dyn_w = self.config.dynamic.power(thread.activity_now(), v, f) * power_mult;
-            let leak_w = self.scratch_core_leak[core];
-            let retired = thread.run_at(run_s, f, ipc);
-
-            instructions += retired;
-            l2_accesses_per_s += thread.spec().l1_mpi() * ipc * f;
-            let total = dyn_w + leak_w;
-            self.scratch_block_power[info.block_idx] = total;
-            self.state.last_core_power[core] = total;
+            self.state.last_core_power[core] = power_w;
             self.state.last_core_ipc[core] = ipc;
         }
 
-        // L2: leakage at the fixed rail plus access-driven dynamic power,
-        // split evenly between the two strips.
         let l2_dynamic = l2_accesses_per_s * self.config.l2_access_energy_j;
-        let strips = self.l2.len().max(1) as f64;
+        self.put_l2_power(&mut block_power, l2_dynamic);
         let mut total_power = 0.0;
-        for (strip, leak) in self.l2.iter().zip(&self.scratch_l2_leak) {
-            let p = leak + l2_dynamic / strips;
-            self.scratch_block_power[strip.block_idx] = p;
-        }
-        for &p in &self.scratch_block_power {
+        for &p in &block_power {
             total_power += p;
         }
         // A floorplan without L2 strips leaves the access-driven dynamic
@@ -1107,11 +1041,12 @@ impl Machine {
         probe.begin(StepPhase::Thermal);
         self.thermal.transient_step_into(
             &mut self.state.temps,
-            &self.scratch_block_power,
+            &block_power,
             dt_s,
             &mut self.thermal_scratch,
         );
         probe.end(StepPhase::Thermal);
+        self.scratch_block_power = block_power;
 
         self.state.last_total_power = total_power;
         self.state.energy_j += total_power * dt_s;
@@ -1122,6 +1057,177 @@ impl Machine {
             dt_s,
             total_power_w: total_power,
             instructions,
+        }
+    }
+
+    /// One tick of a busy `core` running a thread of `spec` at phase
+    /// multipliers `phase` with `l2_mb` of the shared L2: the per-core
+    /// physics of a step, which [`Machine::step`] and
+    /// [`Machine::probe_thread`] both run. Hardware DTM first forces an
+    /// overheating core down one level; the pending stall then drains
+    /// before the thread runs (the core burns power but retires nothing
+    /// while the regulator ramps or the migration settles). Updates `op`
+    /// and returns what the core drew and ran, or `None` when its
+    /// effective frequency is zero: it then draws nothing and its stall
+    /// waits.
+    fn tick_core(
+        &self,
+        core: usize,
+        op: &mut CoreOp,
+        spec: &AppSpec,
+        phase: (f64, f64),
+        l2_mb: f64,
+        dt_s: f64,
+    ) -> Option<CoreTick> {
+        let info = &self.cores[core];
+        if op.temp_k > self.config.dtm_limit_k && op.level > 0 {
+            let level = op.level - 1;
+            op.stall_s += info.level_change_stall_s(op.level, level, &self.config.transition);
+            op.level = level;
+        }
+        let v = info.vf.voltage_at(op.level);
+        let f = info.freq(op.level, op.cap);
+        if f <= 0.0 {
+            return None;
+        }
+        let stall = op.stall_s.min(dt_s);
+        op.stall_s -= stall;
+        let (ipc_mult, power_mult) = phase;
+        let ipc = spec.ipc_at_share(f, l2_mb) * ipc_mult;
+        let dyn_w = self.config.dynamic.power(spec.activity(), v, f) * power_mult;
+        let leak_w = self.core_leak_models[core].static_power(v, op.temp_k);
+        Some(CoreTick {
+            f,
+            run_s: dt_s - stall,
+            ipc,
+            power_w: dyn_w + leak_w,
+        })
+    }
+
+    /// Writes each L2 strip's power into `block_power`: leakage at the
+    /// fixed rail and the strip's temperature, plus an even split of
+    /// the access-driven dynamic power `l2_dynamic` (watts).
+    fn put_l2_power(&self, block_power: &mut [f64], l2_dynamic: f64) {
+        let strips = self.l2.len().max(1) as f64;
+        for (strip, model) in self.l2.iter().zip(&self.l2_leak_models) {
+            let leak =
+                model.static_power(self.config.l2_voltage, self.state.temps[strip.block_idx]);
+            block_power[strip.block_idx] = leak + l2_dynamic / strips;
+        }
+    }
+
+    /// The `(power, IPC)` readings of `core`'s sensors that a copy of
+    /// this machine shows after it runs thread `thread` alone on `core`,
+    /// at the core's top level, for two 1 ms steps: how scheduling
+    /// profiles a thread (paper §5.2), without copying the machine or
+    /// changing it. `block_power` is scratch that a caller probing many
+    /// threads reuses; what it holds on entry is ignored.
+    ///
+    /// On that copy every other core idles, so the readings depend only
+    /// on this core, its thread, the L2 strips (their power heats the
+    /// core block) and the core block's temperature after the first
+    /// step, which one row of the thermal step gives
+    /// ([`ThermalModel::transient_step_row`], bit-identical to the full
+    /// step). Both steps run [`Machine::step`]'s per-core physics. Under
+    /// an installed fault plan a clone of the fault progress advances
+    /// with them, so a stuck sensor freezes the probe core's last
+    /// reading and a core failure idles the core, as on the copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `thread` or `core` is out of range, or `core` has
+    /// failed.
+    pub fn probe_thread(
+        &self,
+        thread: usize,
+        core: usize,
+        block_power: &mut Vec<f64>,
+    ) -> (f64, f64) {
+        assert!(self.core_alive(core), "cannot probe on dead core {core}");
+        let info = &self.cores[core];
+        let t = &self.state.threads[thread];
+        // `set_level(core, top)`: a move costs a stall and drops the cap.
+        let top = info.vf.max_level();
+        let mut op = CoreOp {
+            level: self.state.levels[core],
+            cap: self.state.freq_caps[core],
+            stall_s: self.state.stall_s[core],
+            temp_k: self.state.temps[info.block_idx],
+        };
+        if op.level != top {
+            op.stall_s += info.level_change_stall_s(op.level, top, &self.config.transition);
+            op.level = top;
+            op.cap = None;
+        }
+        let mut faults = self.state.faults.clone();
+        let mut events = Vec::new();
+        let mut busy = true;
+        let mut reading = (
+            self.state.last_core_power[core],
+            self.state.last_core_ipc[core],
+        );
+        let mut phase = t.phase_now();
+        let mut l2_mb = t.l2_alloc_mb();
+        for step in 0..2 {
+            if let Some(fs) = faults.as_mut() {
+                // The sensors a sticking core freezes: this machine's
+                // before the first step, the probe's after it (every
+                // other core idle).
+                let last = |c: usize| match (c == core, step) {
+                    (true, _) => reading,
+                    (false, 0) => (self.state.last_core_power[c], self.state.last_core_ipc[c]),
+                    (false, _) => (0.0, 0.0),
+                };
+                let died = fs.advance(
+                    &self.fault_plan,
+                    PROBE_TICK_S,
+                    |c| last(c).0,
+                    |c| last(c).1,
+                    &mut events,
+                );
+                busy &= !died.contains(&core);
+            }
+            if !busy {
+                reading = (0.0, 0.0);
+                continue;
+            }
+            // The occupancy solve hands a lone running thread the whole
+            // cache.
+            if let Some(cache) = self.config.cache {
+                if info.freq(op.level, op.cap) > 0.0 {
+                    l2_mb = cache.capacity_mb;
+                }
+            }
+            let ran = self.tick_core(core, &mut op, t.spec(), phase, l2_mb, PROBE_TICK_S);
+            reading = ran.map_or((0.0, 0.0), |r| (r.power_w, r.ipc));
+            if step == 0 {
+                // The core block after the first step, heated by this
+                // core and the L2 strips alone.
+                block_power.clear();
+                block_power.resize(self.state.temps.len(), 0.0);
+                block_power[info.block_idx] = reading.0;
+                let l2_accesses_per_s = ran.map_or(0.0, |r| t.spec().l1_mpi() * r.ipc * r.f);
+                self.put_l2_power(
+                    block_power,
+                    l2_accesses_per_s * self.config.l2_access_energy_j,
+                );
+                op.temp_k = self.thermal.transient_step_row(
+                    &self.state.temps,
+                    block_power,
+                    PROBE_TICK_S,
+                    info.block_idx,
+                );
+                if let Some(r) = ran {
+                    phase = t.phase_after(r.run_s);
+                }
+            }
+        }
+        match &faults {
+            Some(fs) => (
+                fs.power_reading(&self.fault_plan, core, reading.0),
+                fs.ipc_reading(&self.fault_plan, core, reading.1),
+            ),
+            None => reading,
         }
     }
 
@@ -1143,10 +1249,7 @@ impl Machine {
         assert!(level < info.vf.len(), "level out of range");
         let tid = self.state.assignment[core]?;
         let v = info.vf.voltage_at(level);
-        let mut f = info.vf.freq_at(level);
-        if let Some(cap) = self.state.freq_caps[core] {
-            f = f.min(cap);
-        }
+        let f = info.freq(level, self.state.freq_caps[core]);
         let temp = self.state.temps[info.block_idx];
         let thread = &self.state.threads[tid];
         let dyn_w = if f > 0.0 {
@@ -1369,38 +1472,10 @@ impl Machine {
         if !faults_fit {
             return Err(StateMismatch::FaultPlan);
         }
-        self.state.copy_from(state);
+        self.state.clone_from(state);
         self.fault_events.clear();
         self.leak_memo.get_mut().invalidate();
         Ok(())
-    }
-
-    /// Overwrites this machine's run-time state with `src`'s, reusing
-    /// this machine's buffers. Afterwards it steps and reads exactly as
-    /// a fresh `src.clone()` would: the cheap way to reset a scratch
-    /// copy between probes.
-    ///
-    /// Only the [`MachineState`] and the pending fault events are
-    /// copied. The per-die data (cores, L2 strips, thermal model,
-    /// frequency and leakage models, configuration) and the installed
-    /// fault plan are identical on every clone of one machine, and
-    /// scratch buffers are overwritten before every read, so both are
-    /// left alone; the leakage memo is dropped, as
-    /// [`import_state`](Self::import_state) does. `src` must therefore
-    /// be this machine's origin or another clone of it, with the same
-    /// plan installed (debug-asserted).
-    pub fn copy_state_from(&mut self, src: &Machine) {
-        debug_assert!(
-            self.core_leak_models == src.core_leak_models
-                && self.l2_leak_models == src.l2_leak_models
-                && self.cores.iter().zip(&src.cores).all(|(a, b)| a.vf == b.vf)
-                && self.fault_plan == src.fault_plan,
-            "copy_state_from needs a clone of the same machine and fault plan"
-        );
-        self.state.copy_from(&src.state);
-        self.fault_events.clone_from(&src.fault_events);
-        // A cache, not state: memoized readings equal fresh ones.
-        self.leak_memo.get_mut().invalidate();
     }
 }
 
@@ -1644,100 +1719,59 @@ mod tests {
             .collect()
     }
 
-    /// A scratch copy reset by `copy_state_from` is indistinguishable
-    /// from a fresh clone, however far it drifted in between: same
-    /// state, same steps, same sensor readings and fault timeline.
+    /// What `probe_thread` stands in for: a copy of `m` that runs
+    /// `thread` alone on `core` at the core's top level for two 1 ms
+    /// steps, read through its sensors.
+    fn probe_on_a_copy(m: &Machine, thread: usize, core: usize) -> (f64, f64) {
+        let mut copy = m.clone();
+        let mut mapping = vec![None; copy.core_count()];
+        mapping[core] = Some(thread);
+        copy.assign(&mapping);
+        copy.set_level(core, copy.vf_table(core).max_level());
+        copy.step(0.001);
+        copy.step(0.001);
+        (copy.sensor_core_power(core), copy.sensor_core_ipc(core))
+    }
+
+    /// `probe_thread` reads what two steps of a copy read, bit for bit,
+    /// on every core of a warm machine whose hot cores DTM demotes,
+    /// whose UniFreq caps hold on cores already at their top level, and
+    /// whose cores carry stalls and sit below their top level; and it
+    /// leaves the machine as it found it.
     #[test]
-    fn copy_state_from_matches_a_fresh_clone() {
-        // DTM just above ambient, so throttle events accumulate too.
+    fn probe_thread_matches_two_steps_of_a_copy_on_every_core() {
         let (die, fp) = test_die();
         let config = MachineConfig {
-            dtm_limit_k: 318.2,
+            dtm_limit_k: 322.0,
             ..MachineConfig::paper_default()
         };
-        let mut src = Machine::new(&die, &fp, config);
-        let pool = app_pool(&src.config().dynamic);
-        let mut rng = SimRng::seed_from(5);
-        let w = Workload::draw(&pool, 9, &mut rng);
-        src.load_threads(w.spawn_threads(&mut rng));
-        src.assign(
-            &(0..src.core_count())
-                .map(|c| (c < 9).then_some(c))
-                .collect::<Vec<_>>(),
-        );
-        let plan = FaultPlan::none()
-            .with_seed(4)
-            .with_sensor_noise(0.03)
-            .with_stuck_sensor(2, 6.0)
-            .with_core_failure(5, 12.0)
-            .with_budget_drop(8.0, 30.0, 0.7);
-        src.install_faults(&plan).unwrap();
-        for _ in 0..4 {
-            src.step(0.001);
+        let mut m = Machine::new(&die, &fp, config);
+        let pool = app_pool(&m.config().dynamic);
+        let mut rng = SimRng::seed_from(23);
+        m.load_threads(Workload::draw(&pool, 12, &mut rng).spawn_threads(&mut rng));
+        m.assign(&(0..20).map(|c| (c < 12).then_some(c)).collect::<Vec<_>>());
+        m.set_uniform_frequency();
+        for _ in 0..30 {
+            m.step(0.001);
         }
-        src.set_level(1, 2);
-        src.charge_stall(3, 0.002);
-        src.predicted_core_power(0, 3); // fill the leakage memo
-
-        // Drift in every run-time field: new assignment, a capped
-        // frequency, a stall on an idle core (never drains), steps past
-        // all three fault events (left pending) and through DTM, a memo
-        // filled at other temperatures.
-        let mut scratch = src.clone();
-        let mut mapping = vec![None; scratch.core_count()];
-        mapping[7] = Some(0);
-        scratch.assign(&mapping);
-        scratch.set_uniform_frequency();
-        scratch.charge_stall(9, 0.05);
-        for _ in 0..12 {
-            scratch.step(0.001);
-        }
-        scratch.predicted_core_power(7, 1);
-        assert_eq!(
-            shared_fields(&scratch.state, &src.state),
-            Vec::<&str>::new(),
-            "the probe must differ from its source in every field"
-        );
-        assert_eq!(scratch.fault_events.len(), 3);
-        scratch.copy_state_from(&src);
-
-        let mut fresh = src.clone();
-        assert_eq!(scratch.export_state(), fresh.export_state());
-        for c in 0..fresh.core_count() {
-            for level in 0..fresh.vf_table(c).len() {
+        m.set_level(2, 0);
+        m.charge_stall(3, 0.0015);
+        m.charge_stall(15, 0.004);
+        let before = m.export_state();
+        let mut block_power = Vec::new();
+        for core in 0..m.core_count() {
+            for thread in [0, 5, 11] {
+                let probed = m.probe_thread(thread, core, &mut block_power);
+                let copied = probe_on_a_copy(&m, thread, core);
                 assert_eq!(
-                    fresh.predicted_core_power(c, level).map(f64::to_bits),
-                    scratch.predicted_core_power(c, level).map(f64::to_bits),
-                    "memoized reading of core {c} level {level} before any step"
+                    (probed.0.to_bits(), probed.1.to_bits()),
+                    (copied.0.to_bits(), copied.1.to_bits()),
+                    "thread {thread} on core {core}"
                 );
             }
         }
-        for tick in 0..15 {
-            let a = fresh.step(0.001);
-            let b = scratch.step(0.001);
-            assert_eq!(
-                a.total_power_w.to_bits(),
-                b.total_power_w.to_bits(),
-                "tick {tick}"
-            );
-            assert_eq!(
-                a.instructions.to_bits(),
-                b.instructions.to_bits(),
-                "tick {tick}"
-            );
-            assert_eq!(fresh.take_fault_events(), scratch.take_fault_events());
-            for c in 0..fresh.core_count() {
-                assert_eq!(
-                    fresh.sensor_core_power(c).to_bits(),
-                    scratch.sensor_core_power(c).to_bits()
-                );
-                assert_eq!(
-                    fresh.predicted_core_power(c, 4).map(f64::to_bits),
-                    scratch.predicted_core_power(c, 4).map(f64::to_bits)
-                );
-            }
-        }
-        assert_eq!(scratch.export_state(), fresh.export_state());
+        assert_eq!(m.export_state(), before, "a probe changes nothing");
+        assert!(m.dtm_events() > 0, "DTM never fired");
     }
 
     /// A checkpointed machine restored onto a fresh instance (same die,
@@ -1869,7 +1903,6 @@ mod tests {
             );
         }
         assert!(times.l2_occupancy_s > 0.0, "occupancy phase unattributed");
-        assert!(times.leakage_s > 0.0, "leakage phase unattributed");
         assert!(times.dispatch_s > 0.0, "dispatch phase unattributed");
         assert!(times.thermal_s > 0.0, "thermal phase unattributed");
     }

@@ -6,7 +6,7 @@
 //! machine and the profiling sensors need.
 
 use crate::apps::AppSpec;
-use powermodel::{ActivityVector, DynamicPower};
+use powermodel::DynamicPower;
 
 /// One running application instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -98,6 +98,13 @@ impl Thread {
         self.spec.phase_at(self.elapsed_ms)
     }
 
+    /// The phase multipliers [`Thread::phase_now`] would return after
+    /// [`Thread::run_at`] ran the thread for `run_s` seconds, without
+    /// running it: the clock advances by the same expression.
+    pub(crate) fn phase_after(&self, run_s: f64) -> (f64, f64) {
+        self.spec.phase_at(self.elapsed_ms + run_s * 1e3)
+    }
+
     /// Current share of the shared L2 (MB).
     pub fn l2_alloc_mb(&self) -> f64 {
         self.l2_alloc_mb
@@ -118,12 +125,7 @@ impl Thread {
     /// (includes the current phase's multiplier).
     pub fn dynamic_power_now(&self, model: &DynamicPower, v: f64, f_hz: f64) -> f64 {
         let (_, power_mult) = self.spec.phase_at(self.elapsed_ms);
-        model.power(self.activity_now(), v, f_hz) * power_mult
-    }
-
-    /// The thread's activity vector (phase-independent shape).
-    pub fn activity_now(&self) -> &ActivityVector {
-        self.spec.activity()
+        model.power(self.spec.activity(), v, f_hz) * power_mult
     }
 
     /// Advances the thread by `dt_s` seconds running at `f_hz`,

@@ -284,12 +284,51 @@ impl ThermalModel {
         if scratch.flow.len() != self.n {
             scratch.flow.resize(self.n, 0.0);
         }
+        self.with_operator(dt_s, |op| {
+            Self::apply_operator(op, self.n, temps, powers, &mut scratch.flow);
+        });
+    }
+
+    /// One node of [`transient_step_into`](Self::transient_step_into):
+    /// the temperature block `row` reaches after one step of `dt_s`
+    /// from `temps` under `powers`, without advancing the other nodes.
+    ///
+    /// Bit-identical to `temps[row]` after the full step: it reads the
+    /// same cached operator and adds the same terms in the same order,
+    /// `d`, then `M`'s row in ascending `j`, then `B`'s row in ascending
+    /// `j`. The full step's column passes vectorize across rows, never
+    /// across the terms of one row, so each of its rows is this sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if slice lengths mismatch, `row` is out of range or
+    /// `dt_s` is not positive.
+    pub fn transient_step_row(&self, temps: &[f64], powers: &[f64], dt_s: f64, row: usize) -> f64 {
+        assert_eq!(temps.len(), self.n, "temperature vector length mismatch");
+        assert_eq!(powers.len(), self.n, "power vector length mismatch");
+        assert!(row < self.n, "row {row} out of range");
+        assert!(dt_s > 0.0, "time step must be positive");
+        let n = self.n;
+        self.with_operator(dt_s, |op| {
+            let mut t = op.d[row];
+            for (j, &x) in temps.iter().enumerate() {
+                t += x * op.cols[n * j + row];
+            }
+            for (j, &x) in powers.iter().enumerate() {
+                t += x * op.cols[n * (n + j) + row];
+            }
+            t
+        })
+    }
+
+    /// Runs `apply` on the step operator for `dt_s`, building and
+    /// caching it on first use of that tick length.
+    fn with_operator<R>(&self, dt_s: f64, apply: impl FnOnce(&StepOperator) -> R) -> R {
         let bits = dt_s.to_bits();
         {
             let ops = self.step_ops.borrow();
             if let Some(op) = ops.iter().find(|o| o.dt_bits == bits) {
-                Self::apply_operator(op, self.n, temps, powers, &mut scratch.flow);
-                return;
+                return apply(op);
             }
         }
         let op = self.build_step_operator(dt_s);
@@ -298,8 +337,7 @@ impl ThermalModel {
             ops.remove(0);
         }
         ops.push(op);
-        let op = ops.last().expect("operator just pushed");
-        Self::apply_operator(op, self.n, temps, powers, &mut scratch.flow);
+        apply(ops.last().expect("operator just pushed"))
     }
 
     /// `temps ← M·temps + B·powers + d`, staged through `out`.
@@ -668,6 +706,48 @@ mod tests {
                         wrapper[i].to_bits(),
                         temps[i].to_bits(),
                         "wrapper and in-place disagree at node {i}, dt={dt}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// Every row of a step, applied alone, equals that node after the
+    /// full step bit for bit, whether the row apply finds the operator
+    /// cached or builds it (a fresh model), at tick lengths that take
+    /// one sub-step and many, with powers in a few blocks only.
+    #[test]
+    fn row_apply_matches_the_full_step_bit_for_bit() {
+        let (fp, m) = model();
+        let n = m.node_count();
+        let mut scratch = ThermalScratch::for_model(&m);
+        for seed in 0..4u64 {
+            let temps: Vec<f64> = (0..n)
+                .map(|i| 318.15 + ((i as u64 * 11 + seed * 5) % 17) as f64 * 0.7)
+                .collect();
+            let powers: Vec<f64> = (0..n)
+                .map(|i| {
+                    if (i as u64 + seed).is_multiple_of(3) {
+                        0.4 * ((i as u64 * 7 + seed) % 13) as f64
+                    } else {
+                        0.0
+                    }
+                })
+                .collect();
+            for &dt in &[1e-4, 1e-3, 0.0025, 0.1] {
+                let mut stepped = temps.clone();
+                m.transient_step_into(&mut stepped, &powers, dt, &mut scratch);
+                for row in 0..n {
+                    let fresh = ThermalModel::new(&fp, ThermalParams::paper_default());
+                    assert_eq!(
+                        fresh.transient_step_row(&temps, &powers, dt, row).to_bits(),
+                        stepped[row].to_bits(),
+                        "row {row} built, dt={dt}"
+                    );
+                    assert_eq!(
+                        m.transient_step_row(&temps, &powers, dt, row).to_bits(),
+                        stepped[row].to_bits(),
+                        "row {row} cached, dt={dt}"
                     );
                 }
             }

@@ -72,7 +72,7 @@ if [[ "$mode" == bench-smoke ]]; then
   # fresh case regressed >3x against its committed results/ copy.
   # The kernel bin's --gate additionally enforces the optimized-kernel
   # speedups against results/BENCH_kernel_baseline.json (>=8x on
-  # machine/step_1ms_20t, >=10x on the large-grid field cases, >=3x on
+  # machine/step_1ms_20t, >=10x on the large-grid field cases, >=15x on
   # profile/thread_profiles_20t, >=1.3x on solver/sann_20c, >=1.8x on
   # construct/machine_grid60), each raw speedup multiplied by the host
   # factor of the benchmark's host-reference kernel, timed just before
