@@ -1,9 +1,10 @@
 //! Kernel microbenches: the costs every experiment pays per tick.
 //!
 //! Measures the public kernel entry points (`Machine::step`, thread
-//! profiling, thermal stepping, field sampling, die and machine
-//! construction, LinOpt, Foxton*, SAnn and the exact solver) plus the
-//! in-place scratch-buffer APIs; writes
+//! profiling, the sensor view and one whole DVFS interval, thermal
+//! stepping, field sampling, die and machine construction, LinOpt,
+//! Foxton*, SAnn and the exact solver) plus the in-place scratch-buffer
+//! APIs; writes
 //! `results/BENCH_kernel.json`. The committed pre-optimization run is
 //! `results/BENCH_kernel_baseline.json`; `check_bench --baseline`
 //! diffs the two.
@@ -43,9 +44,12 @@ use vasched::manager::exhaustive::exhaustive_levels;
 use vasched::manager::foxton::foxton_star_levels;
 use vasched::manager::linopt::{linopt_levels, LinOpt};
 use vasched::manager::sann::sann_levels;
-use vasched::manager::{synthetic_core, PmView, PowerBudget, PowerManager};
+use vasched::manager::{
+    synthetic_core, HardenedManager, ManagerSpec, PmView, PowerBudget, PowerManager,
+};
 use vasched::obs::{parse_json, JsonValue};
 use vasched::profile::thread_profiles;
+use vasched::runtime::RuntimeConfig;
 use vasp_bench::json_report::BenchReport;
 use vasp_bench::timing::report_case;
 use vasp_benchmark::host;
@@ -187,13 +191,34 @@ fn bench_step(bench: &mut Bench) {
     }
 }
 
-fn bench_view(bench: &mut Bench) {
+/// The per-interval control path: the sensor view the manager
+/// refreshes in place every DVFS interval, and one whole 10 ms interval
+/// as the serving loop runs it.
+fn bench_control(bench: &mut Bench) {
     let mut machine = loaded_machine(20);
     for _ in 0..50 {
         machine.step(0.001);
     }
-    bench.case("machine", "pm_view_from_machine", || {
-        black_box(PmView::from_machine(&machine));
+    let mut view = PmView::default();
+    bench.case("machine", "pm_view_refresh_20t", || {
+        view.refresh(black_box(&machine));
+        black_box(&view);
+    });
+
+    // `HardenedManager::invoke` (view refresh, LinOpt levels, apply),
+    // then the interval's ten 1 ms steps. Reported, not gated: its
+    // spread across host phases is not measured yet.
+    let rt = RuntimeConfig::paper_default();
+    let mut manager = HardenedManager::new(ManagerSpec::LinOpt, machine.core_count(), false, &rt)
+        .expect("LinOpt builds");
+    let budget = PowerBudget::scaled(40.0, 20);
+    let mut rng = SimRng::seed_from(13);
+    let mut events = Vec::new();
+    bench.case("control", "interval_20c", || {
+        black_box(manager.invoke(&mut machine, &budget, &mut rng, &mut events));
+        for _ in 0..10 {
+            black_box(machine.step(0.001));
+        }
     });
 }
 
@@ -292,14 +317,22 @@ fn bench_solver(bench: &mut Bench) {
         }
     };
 
+    // Eight drifting views and their budgets, built once: the case
+    // times LinOpt's warm re-solve alone.
+    let drifting: Vec<(PmView, PowerBudget)> = (0..8)
+        .map(|step| {
+            let view = drifting_view(step);
+            let budget = budget_of(&view);
+            (view, budget)
+        })
+        .collect();
     let mut manager = LinOpt::new();
     let mut rng = SimRng::seed_from(9);
     let mut step = 0usize;
     bench.case("solver", "linopt_resolve_warm_20c", || {
-        let view = drifting_view(step % 8);
+        let (view, budget) = &drifting[step % drifting.len()];
         step += 1;
-        let budget = budget_of(&view);
-        black_box(manager.levels(&view, &budget, &mut rng));
+        black_box(manager.levels(view, budget, &mut rng));
     });
 
     let view = drifting_view(0);
@@ -478,7 +511,7 @@ fn main() {
         host_factors: gate_requested.then(Vec::new),
     };
     bench_step(&mut bench);
-    bench_view(&mut bench);
+    bench_control(&mut bench);
     bench_profile(&mut bench);
     bench_thermal(&mut bench);
     bench_field(&mut bench);

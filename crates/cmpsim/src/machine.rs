@@ -22,7 +22,6 @@ use crate::thread::Thread;
 use critpath::{FreqModel, TimingParams, VfTable};
 use floorplan::{BlockKind, Floorplan};
 use powermodel::{BlockLeakage, DynamicPower, LeakageParams, LeakagePower};
-use std::cell::RefCell;
 use thermal::{ThermalModel, ThermalParams, ThermalScratch};
 use varius::{CoreCells, Die};
 
@@ -189,45 +188,6 @@ struct L2Info {
     block_idx: usize,
 }
 
-/// Generation-stamped memo of the leakage term of the power sensors.
-///
-/// Managers sweep [`Machine::predicted_core_power`] over every level of
-/// every core — often several times within one DVFS interval. The
-/// leakage part of a reading depends only on the core, the level's
-/// voltage, and the core's temperature, and temperatures change only
-/// when the simulation advances — so the exact `block_static` result is
-/// cached per (core, level) under a generation that `step` and
-/// `load_threads` bump. The dynamic part tracks the thread's phase and
-/// is always recomputed. Entries are reused verbatim (no re-derivation),
-/// so memoized readings are bit-identical to fresh ones.
-#[derive(Debug, Clone)]
-struct LeakMemo {
-    /// Generation the cached entries belong to.
-    generation: u64,
-    /// Cached leakage (watts), indexed `core * levels + level`.
-    values: Vec<f64>,
-    /// Per-entry generation stamp; an entry is valid iff its stamp
-    /// equals `generation`.
-    stamp: Vec<u64>,
-}
-
-impl LeakMemo {
-    fn new() -> Self {
-        Self {
-            // Start above the zeroed stamps so nothing is spuriously
-            // valid before the first fill.
-            generation: 1,
-            values: Vec::new(),
-            stamp: Vec::new(),
-        }
-    }
-
-    /// Drops every cached entry (O(1): bumps the generation).
-    fn invalidate(&mut self) {
-        self.generation += 1;
-    }
-}
-
 /// The complete mutable state of a [`Machine`]: the machine keeps its
 /// run-time state in this struct, and a checkpoint stores it as it is
 /// ([`Machine::export_state`]).
@@ -236,9 +196,8 @@ impl LeakMemo {
 /// that is configuration (the die, the floorplan, the models, the
 /// installed [`FaultPlan`]) is not — a restore rebuilds the machine
 /// from the same configuration and then imports this state on top via
-/// [`Machine::import_state`]. Scratch buffers and the leakage memo are
-/// deliberately excluded: they are rebuilt lazily and never affect
-/// results bit-wise.
+/// [`Machine::import_state`]. Scratch buffers are deliberately
+/// excluded: they are rebuilt lazily and never affect results bit-wise.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineState {
     /// Per-block temperatures (kelvin).
@@ -423,10 +382,6 @@ pub struct Machine {
     l2_target: Vec<f64>,
     /// Scratch: occupancy fixed-point work buffer.
     l2_occupancy: OccupancyScratch,
-    /// Leakage memo for the power sensors (interior mutability: the
-    /// sensors are `&self`). Makes `Machine` non-`Sync`, which is fine —
-    /// each trial worker owns its machines outright.
-    leak_memo: RefCell<LeakMemo>,
 }
 
 impl Machine {
@@ -517,7 +472,6 @@ impl Machine {
             l2_current: Vec::new(),
             l2_target: Vec::new(),
             l2_occupancy: OccupancyScratch::new(),
-            leak_memo: RefCell::new(LeakMemo::new()),
         }
     }
 
@@ -598,7 +552,6 @@ impl Machine {
         );
         self.fault_plan = FaultPlan::none();
         self.fault_events.clear();
-        self.leak_memo.get_mut().invalidate();
     }
 
     /// Installs a [`FaultPlan`], starting its timeline at the current
@@ -952,8 +905,6 @@ impl Machine {
     fn step_inner<P: StepProbe>(&mut self, dt_s: f64, probe: &mut P) -> StepStats {
         assert!(dt_s > 0.0, "time step must be positive");
         let n = self.cores.len();
-        // Temperatures (and thus the sensor memo) change this step.
-        self.leak_memo.get_mut().invalidate();
         // Out of `self` while the cores tick (`tick_core` reads `self`);
         // put back before returning.
         let mut block_power = std::mem::take(&mut self.scratch_block_power);
@@ -1231,78 +1182,67 @@ impl Machine {
         }
     }
 
-    /// Sensor history: the total power (watts) the thread currently on
-    /// `core` would draw at table level `level`, evaluated at the core's
-    /// present temperature. Returns `None` for an idle core.
+    /// Sensor history of `core` in one read: fills `power_w` with the
+    /// total power (watts) the thread on `core` would draw at each table
+    /// level, at the core's present temperature, and returns the
+    /// thread's profiled IPC. Returns `None` for an idle core and leaves
+    /// `power_w` as it was.
     ///
     /// This models the paper's run-time power sensors (§5.2): IPC and
     /// power profiling "is on all the time", so the manager has recent
     /// power readings for the voltage levels it needs (LinOpt fits its
     /// line to readings at three levels; SAnn "computes the power at
-    /// each voltage level accurately").
+    /// each voltage level accurately"). The IPC is profiled at the
+    /// thread's current phase and L2 share and the core's current level;
+    /// the managers assume it is independent of frequency (§4.3.1).
     ///
-    /// # Panics
-    ///
-    /// Panics if `core` or `level` is out of range.
-    pub fn predicted_core_power(&self, core: usize, level: usize) -> Option<f64> {
-        let info = &self.cores[core];
-        assert!(level < info.vf.len(), "level out of range");
-        let tid = self.state.assignment[core]?;
-        let v = info.vf.voltage_at(level);
-        let f = info.freq(level, self.state.freq_caps[core]);
-        let temp = self.state.temps[info.block_idx];
-        let thread = &self.state.threads[tid];
-        let dyn_w = if f > 0.0 {
-            thread.dynamic_power_now(&self.config.dynamic, v, f)
-        } else {
-            0.0
-        };
-        let leak_w = {
-            let mut memo = self.leak_memo.borrow_mut();
-            let stride = self.config.voltages.len();
-            let len = self.cores.len() * stride;
-            if memo.values.len() != len {
-                memo.values.resize(len, 0.0);
-                memo.stamp.resize(len, 0);
-            }
-            let idx = core * stride + level;
-            if memo.stamp[idx] == memo.generation {
-                memo.values[idx]
-            } else {
-                let w = self.core_leak_models[core].static_power(v, temp);
-                let generation = memo.generation;
-                memo.values[idx] = w;
-                memo.stamp[idx] = generation;
-                w
-            }
-        };
-        let raw = dyn_w + leak_w;
-        Some(match &self.state.faults {
-            Some(fs) => fs.predicted_power_reading(&self.fault_plan, core, level, raw),
-            None => raw,
-        })
-    }
-
-    /// Sensor history: the IPC of the thread currently on `core`
-    /// (profiled at its current phase; the paper's algorithms assume IPC
-    /// is independent of frequency). Returns `None` for an idle core.
+    /// The thread's phase, its reference dynamic power and the core's
+    /// leakage temperature terms are read once; each level then pays
+    /// its voltage and frequency scaling and one `fast_exp`, in the
+    /// operand order of a one-level evaluation, so every reading keeps
+    /// its bits. An installed fault plan distorts each level's reading
+    /// on its own channel.
     ///
     /// # Panics
     ///
     /// Panics if `core` is out of range.
-    pub fn profiled_core_ipc(&self, core: usize) -> Option<f64> {
+    pub fn read_core_sensors(&self, core: usize, power_w: &mut Vec<f64>) -> Option<f64> {
         let tid = self.state.assignment[core]?;
         let info = &self.cores[core];
+        let thread = &self.state.threads[tid];
+        let (ipc_mult, power_mult) = thread.phase_now();
+        let dynamic = &self.config.dynamic;
+        let ref_w = dynamic.power_at_ref(thread.spec().activity());
+        let leak = self.core_leak_models[core].at_temperature(self.state.temps[info.block_idx]);
+        let cap = self.state.freq_caps[core];
+        let faults = self.state.faults.as_ref();
+        power_w.clear();
+        power_w.extend((0..info.vf.len()).map(|level| {
+            let v = info.vf.voltage_at(level);
+            let f = info.freq(level, cap);
+            let dyn_w = if f > 0.0 {
+                dynamic.power_from_ref(ref_w, v, f) * power_mult
+            } else {
+                0.0
+            };
+            let raw = dyn_w + leak.static_power(v);
+            match faults {
+                Some(fs) => fs.predicted_power_reading(&self.fault_plan, core, level, raw),
+                None => raw,
+            }
+        }));
+        // Profile at the current level; a zero-frequency level borrows
+        // the rated frequency.
         let f = info.vf.freq_at(self.state.levels[core]);
         let f = if f > 0.0 {
             f
         } else {
             info.vf.max_freq().max(1.0)
         };
-        let raw = self.state.threads[tid].ipc_now(f);
-        Some(match &self.state.faults {
-            Some(fs) => fs.ipc_reading(&self.fault_plan, core, raw),
-            None => raw,
+        let ipc = thread.spec().ipc_at_share(f, thread.l2_alloc_mb()) * ipc_mult;
+        Some(match faults {
+            Some(fs) => fs.ipc_reading(&self.fault_plan, core, ipc),
+            None => ipc,
         })
     }
 
@@ -1474,13 +1414,64 @@ impl Machine {
         }
         self.state.clone_from(state);
         self.fault_events.clear();
-        self.leak_memo.get_mut().invalidate();
         Ok(())
     }
 }
 
 #[cfg(test)]
 impl Machine {
+    /// One power reading of [`Machine::read_core_sensors`], evaluated on
+    /// its own: the total power (watts) the thread on `core` would draw
+    /// at table level `level`, with its phase, dynamic power and leakage
+    /// looked up from scratch. `None` for an idle core. The per-core
+    /// read is pinned against this bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` or `level` is out of range.
+    pub(crate) fn predicted_core_power(&self, core: usize, level: usize) -> Option<f64> {
+        let info = &self.cores[core];
+        assert!(level < info.vf.len(), "level out of range");
+        let tid = self.state.assignment[core]?;
+        let v = info.vf.voltage_at(level);
+        let f = info.freq(level, self.state.freq_caps[core]);
+        let temp = self.state.temps[info.block_idx];
+        let thread = &self.state.threads[tid];
+        let dyn_w = if f > 0.0 {
+            thread.dynamic_power_now(&self.config.dynamic, v, f)
+        } else {
+            0.0
+        };
+        let leak_w = self.core_leak_models[core].static_power(v, temp);
+        let raw = dyn_w + leak_w;
+        Some(match &self.state.faults {
+            Some(fs) => fs.predicted_power_reading(&self.fault_plan, core, level, raw),
+            None => raw,
+        })
+    }
+
+    /// The IPC reading of [`Machine::read_core_sensors`], evaluated on
+    /// its own through [`Thread::ipc_now`]. `None` for an idle core.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is out of range.
+    pub(crate) fn profiled_core_ipc(&self, core: usize) -> Option<f64> {
+        let tid = self.state.assignment[core]?;
+        let info = &self.cores[core];
+        let f = info.vf.freq_at(self.state.levels[core]);
+        let f = if f > 0.0 {
+            f
+        } else {
+            info.vf.max_freq().max(1.0)
+        };
+        let raw = self.state.threads[tid].ipc_now(f);
+        Some(match &self.state.faults {
+            Some(fs) => fs.ipc_reading(&self.fault_plan, core, raw),
+            None => raw,
+        })
+    }
+
     /// The pre-optimization `update_l2_shares`, retained verbatim for
     /// the `step` bit-identity test: fresh `Vec`s every call.
     fn update_l2_shares_reference(&mut self) {
@@ -2041,38 +2032,123 @@ mod tests {
         );
     }
 
-    /// The sensor memo must return the exact cached value within one
-    /// interval and must not survive a simulation step.
-    #[test]
-    fn predicted_power_memo_exact_and_invalidated_by_step() {
-        let mut m = loaded_machine(12, 7);
-        for _ in 0..30 {
-            m.step(0.001);
-        }
-        let fresh = m.clone(); // identical state, memo untouched
+    /// Asserts that [`Machine::read_core_sensors`] gives, on every core
+    /// of `m`, the IPC of `profiled_core_ipc` and at every level the
+    /// power of `predicted_core_power`, bit for bit, and that an idle
+    /// core leaves the buffer alone. Returns the number of busy cores.
+    fn assert_read_matches_oracle(m: &Machine, what: &str) -> usize {
+        let mut power_w = Vec::new();
+        let mut busy = 0;
         for core in 0..m.core_count() {
-            for level in 0..m.vf_table(core).len() {
-                let first = m.predicted_core_power(core, level);
-                let memoized = m.predicted_core_power(core, level);
-                let independent = fresh.predicted_core_power(core, level);
-                assert_eq!(first.map(f64::to_bits), memoized.map(f64::to_bits));
-                assert_eq!(first.map(f64::to_bits), independent.map(f64::to_bits));
+            // Stale contents from a core with another level count.
+            power_w.clear();
+            power_w.extend([f64::NAN; 3]);
+            let ipc = m.read_core_sensors(core, &mut power_w);
+            assert_eq!(
+                ipc.map(f64::to_bits),
+                m.profiled_core_ipc(core).map(f64::to_bits),
+                "{what}: IPC of core {core}"
+            );
+            if ipc.is_none() {
+                assert!(m.predicted_core_power(core, 0).is_none());
+                assert_eq!(power_w.len(), 3, "{what}: idle core {core} wrote");
+                continue;
+            }
+            busy += 1;
+            assert_eq!(power_w.len(), m.vf_table(core).len(), "{what}: core {core}");
+            for (level, &w) in power_w.iter().enumerate() {
+                let oracle = m.predicted_core_power(core, level).expect("core is busy");
+                assert_eq!(
+                    w.to_bits(),
+                    oracle.to_bits(),
+                    "{what}: core {core} level {level}"
+                );
             }
         }
-        // Advance the simulation: temperatures move, so a stale memo
-        // would now disagree with a memo-free evaluation.
-        for _ in 0..50 {
-            m.step(0.001);
+        busy
+    }
+
+    /// The one-pass per-core read equals one oracle call per level,
+    /// bit for bit, over seeded runs that churn threads through
+    /// `add_thread`/`remove_thread`, cap frequencies (UniFreq), let DTM
+    /// demote hot cores, leave stalls pending and levels moved since the
+    /// last step, and inject sensor noise, a stuck sensor and a core
+    /// failure; one variant has a shorter, lower voltage ladder.
+    #[test]
+    fn core_sensor_read_matches_per_level_oracle() {
+        let (die, fp) = test_die();
+        let (mut capped, mut demoted, mut stuck, mut dead, mut noisy) = (0, 0, 0, 0, 0);
+        for seed in 0..8u64 {
+            let mut config = MachineConfig {
+                dtm_limit_k: if seed % 2 == 0 { 322.0 } else { 378.15 },
+                ..MachineConfig::paper_default()
+            };
+            if seed == 5 {
+                config.voltages = (0..5).map(|i| 0.45 + 0.12 * i as f64).collect();
+            }
+            let mut m = Machine::new(&die, &fp, config);
+            let pool = app_pool(&m.config().dynamic);
+            let mut rng = SimRng::seed_from(100 + seed);
+            let threads = 6 + rng.index(10);
+            m.load_threads(Workload::draw(&pool, threads, &mut rng).spawn_threads(&mut rng));
+            let faulted = seed % 4 != 1;
+            if faulted {
+                let plan = FaultPlan::none()
+                    .with_seed(seed)
+                    .with_sensor_noise(0.02 * (1 + seed % 3) as f64)
+                    .with_stuck_sensor(1, 12.0)
+                    .with_core_failure(2, 25.0);
+                m.install_faults(&plan).unwrap();
+                noisy += 1;
+            }
+            // Threads on cores 0..threads, shifted by the seed.
+            let mut mapping = vec![None; m.core_count()];
+            for t in 0..threads {
+                mapping[(t + seed as usize) % m.core_count()] = Some(t);
+            }
+            m.assign(&mapping);
+            if seed % 3 == 0 {
+                m.set_uniform_frequency();
+            }
+            assert_read_matches_oracle(&m, &format!("seed {seed} before any step"));
+            for tick in 0..60 {
+                m.step(0.001);
+                m.take_fault_events();
+                if tick == 20 {
+                    // Churn: one thread leaves, one arrives on a free,
+                    // live core.
+                    m.remove_thread(rng.index(m.threads().len()));
+                    let spec = pool[rng.index(pool.len())].clone();
+                    let tid = m.add_thread(Thread::with_phase_offset(spec, 3.0));
+                    let mut mapping = m.assignment().to_vec();
+                    let free = (0..m.core_count())
+                        .find(|&c| mapping[c].is_none() && m.core_alive(c))
+                        .expect("a free core");
+                    mapping[free] = Some(tid);
+                    m.assign(&mapping);
+                }
+                if tick == 35 {
+                    // A level moved since the last step (the cap drops
+                    // with it) and a migration stall pending.
+                    let core = m.assignment().iter().position(Option::is_some).unwrap();
+                    m.set_level(core, 1);
+                    m.charge_stall(core, 0.003);
+                }
+                if tick % 5 == 0 || tick == 35 {
+                    let what = format!("seed {seed} tick {tick}");
+                    assert!(assert_read_matches_oracle(&m, &what) > 0);
+                }
+                capped += m.state.freq_caps.iter().flatten().count();
+                if let Some(fs) = &m.state.faults {
+                    stuck += fs.stuck.iter().flatten().count();
+                    dead += fs.alive.iter().filter(|&&a| !a).count();
+                }
+            }
+            demoted += m.dtm_events();
         }
-        let mut cleared = m.clone();
-        cleared.leak_memo.get_mut().invalidate();
-        for core in 0..m.core_count() {
-            assert_eq!(
-                m.predicted_core_power(core, 0).map(f64::to_bits),
-                cleared.predicted_core_power(core, 0).map(f64::to_bits),
-                "stale memo on core {core}"
-            );
-        }
+        assert!(capped > 0, "no UniFreq cap was read");
+        assert!(demoted > 0, "DTM never demoted a core");
+        assert!(stuck > 0 && dead > 0 && noisy > 0, "a fault never fired");
     }
 
     #[test]

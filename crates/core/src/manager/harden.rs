@@ -378,6 +378,9 @@ pub struct HardenedManager {
     conditioner: SensorConditioner,
     hardened: bool,
     last_report: Option<SolveReport>,
+    /// The raw sensor view, refreshed in place every invocation
+    /// ([`PmView::refresh`]): scratch, never state.
+    view: PmView,
 }
 
 impl HardenedManager {
@@ -398,6 +401,7 @@ impl HardenedManager {
             conditioner: SensorConditioner::new(cores),
             hardened,
             last_report: None,
+            view: PmView::default(),
         })
     }
 
@@ -428,31 +432,30 @@ impl HardenedManager {
     ) -> Option<Vec<usize>> {
         self.last_report = None;
         let pm = self.primary.as_deref_mut()?;
+        if self.hardened {
+            // Thread migrations invalidate per-core filter state even
+            // when no reschedule cleared it (belt for
+            // `note_reschedule`'s suspenders: today every migration
+            // follows a reschedule, but the filter must not rely on
+            // that coupling).
+            self.conditioner.note_assignment(machine.assignment());
+        }
+        self.view.refresh(machine);
+        if self.view.is_empty() {
+            return None;
+        }
         if !self.hardened {
             // The historical code path, bit for bit; the report is a
             // pure read-out and cannot perturb it.
-            let view = PmView::from_machine(machine);
-            if view.is_empty() {
-                return None;
-            }
-            let levels = pm.levels(&view, budget, rng);
-            view.apply(machine, &levels);
+            let levels = pm.levels(&self.view, budget, rng);
+            self.view.apply(machine, &levels);
             self.last_report = Some(
                 pm.last_solve()
                     .unwrap_or_else(|| SolveReport::heuristic(pm.name())),
             );
             return Some(levels);
         }
-        // Thread migrations invalidate per-core filter state even when
-        // no reschedule cleared it (belt for `note_reschedule`'s
-        // suspenders: today every migration follows a reschedule, but
-        // the filter must not rely on that coupling).
-        self.conditioner.note_assignment(machine.assignment());
-        let raw = PmView::from_machine(machine);
-        if raw.is_empty() {
-            return None;
-        }
-        let view = self.conditioner.condition(&raw);
+        let view = self.conditioner.condition(&self.view);
         let levels = match pm.try_levels(&view, budget, rng) {
             Ok(levels) => {
                 self.last_report = Some(

@@ -36,8 +36,8 @@ impl CoreView {
 }
 
 /// Snapshot of every active core, taken at the start of a manager
-/// invocation.
-#[derive(Debug, Clone, PartialEq)]
+/// invocation. The default view is empty.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct PmView {
     cores: Vec<CoreView>,
     /// Measured power of everything the manager cannot scale — the L2
@@ -48,46 +48,62 @@ pub struct PmView {
 
 impl PmView {
     /// Builds the snapshot from the machine's sensors. Only cores with
-    /// an assigned thread appear.
+    /// an assigned thread appear. The allocating form of
+    /// [`PmView::refresh`].
     pub fn from_machine(machine: &Machine) -> Self {
-        let mut cores = Vec::new();
+        let mut view = Self::default();
+        view.refresh(machine);
+        view
+    }
+
+    /// Re-reads the machine's sensors into this snapshot in place: one
+    /// [`Machine::read_core_sensors`] per active core. Entries are
+    /// reused position by position with their `Vec`s, so a controller
+    /// that keeps one view across DVFS intervals allocates only the
+    /// shared voltage ladder per refresh. The result equals
+    /// [`PmView::from_machine`] whatever the view held before.
+    pub fn refresh(&mut self, machine: &Machine) {
+        let mut n = 0;
         let mut ladder: Option<Arc<[f64]>> = None;
         for core in 0..machine.core_count() {
             if machine.thread_of(core).is_none() {
                 continue;
             }
+            if n == self.cores.len() {
+                self.cores.push(CoreView {
+                    core,
+                    ipc: 0.0,
+                    voltages: Arc::from([]),
+                    freqs: Vec::new(),
+                    power_w: Vec::new(),
+                });
+            }
+            let entry = &mut self.cores[n];
+            let Some(ipc) = machine.read_core_sensors(core, &mut entry.power_w) else {
+                continue;
+            };
             let vf = machine.vf_table(core);
-            let levels = vf.len();
-            let voltages: Arc<[f64]> = match &ladder {
+            entry.voltages = match &ladder {
                 // The machine builds one uniform voltage ladder; share
                 // the first core's allocation with the rest.
-                Some(l) if l.len() == levels => Arc::clone(l),
+                Some(l) if l.len() == vf.len() => Arc::clone(l),
                 _ => {
-                    let fresh: Arc<[f64]> = (0..levels).map(|l| vf.voltage_at(l)).collect();
+                    let fresh: Arc<[f64]> = vf.entries().iter().map(|&(v, _)| v).collect();
                     ladder = Some(Arc::clone(&fresh));
                     fresh
                 }
             };
-            let power_w = (0..levels)
-                .map(|l| {
-                    machine
-                        .predicted_core_power(core, l)
-                        .expect("core is active")
-                })
-                .collect();
-            cores.push(CoreView {
-                core,
-                ipc: machine.profiled_core_ipc(core).expect("core is active"),
-                voltages,
-                freqs: (0..levels).map(|l| vf.freq_at(l)).collect(),
-                power_w,
-            });
+            entry.core = core;
+            entry.ipc = ipc;
+            entry.freqs.clear();
+            entry.freqs.extend(vf.entries().iter().map(|&(_, f)| f));
+            n += 1;
         }
+        self.cores.truncate(n);
         let core_sum: f64 = (0..machine.core_count())
             .map(|c| machine.sensor_core_power(c))
             .sum();
-        let uncore_w = (machine.sensor_total_power() - core_sum).max(0.0);
-        Self { cores, uncore_w }
+        self.uncore_w = (machine.sensor_total_power() - core_sum).max(0.0);
     }
 
     /// Builds a view directly from core data (used by tests and by the
@@ -321,6 +337,124 @@ pub fn synthetic_core(core: usize, ipc: f64, levels: usize, power_scale: f64) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::ServingSite;
+    use cmpsim::{MachineConfig, Workload};
+    use vastats::SimRng;
+
+    /// A grid-24 machine under `config` on the die of `seed`, with
+    /// `threads` threads loaded and none placed.
+    fn machine_on(config: MachineConfig, seed: u64, threads: usize) -> Machine {
+        let site = ServingSite::at_grid(24);
+        let mut rng = SimRng::seed_from(seed);
+        let die = site.ctx().make_die(&mut rng);
+        let mut m = Machine::new(&die, site.ctx().floorplan(), config);
+        m.load_threads(Workload::draw(site.pool(), threads, &mut rng).spawn_threads(&mut rng));
+        m
+    }
+
+    /// Places thread `t` on `cores[t]`, then runs the machine for
+    /// `ticks` 1 ms steps.
+    fn place_and_run(m: &mut Machine, cores: &[usize], ticks: usize) {
+        let mut mapping = vec![None; m.core_count()];
+        for (t, &c) in cores.iter().enumerate() {
+            mapping[c] = Some(t);
+        }
+        m.assign(&mapping);
+        for _ in 0..ticks {
+            m.step(0.001);
+        }
+    }
+
+    /// Asserts that `a` and `b` hold the same cores, tables, readings
+    /// and uncore power, bit for bit.
+    fn assert_same_bits(a: &PmView, b: &PmView, what: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(a.len(), b.len(), "{what}: core count");
+        assert_eq!(a.uncore_w.to_bits(), b.uncore_w.to_bits(), "{what}: uncore");
+        for (x, y) in a.cores().iter().zip(b.cores()) {
+            assert_eq!(x.core, y.core, "{what}");
+            assert_eq!(x.ipc.to_bits(), y.ipc.to_bits(), "{what}: core {}", x.core);
+            assert_eq!(
+                bits(&x.voltages),
+                bits(&y.voltages),
+                "{what}: core {}",
+                x.core
+            );
+            assert_eq!(bits(&x.freqs), bits(&y.freqs), "{what}: core {}", x.core);
+            assert_eq!(
+                bits(&x.power_w),
+                bits(&y.power_w),
+                "{what}: core {}",
+                x.core
+            );
+        }
+    }
+
+    /// One view refreshed in place equals a fresh `from_machine` while
+    /// the active core set shrinks, grows and moves, across dies that
+    /// share core indices and machines whose ladders differ in length,
+    /// and down to no active core. All cores share one ladder, and an
+    /// unchanged active set with idle cores after its last reuses every
+    /// entry and per-core buffer.
+    #[test]
+    fn refreshed_view_equals_a_fresh_view_as_the_active_set_changes() {
+        let mut m = machine_on(MachineConfig::paper_default(), 3, 14);
+        let mut view = PmView::default();
+        let check = |view: &mut PmView, m: &Machine, what: &str| {
+            view.refresh(m);
+            assert_same_bits(view, &PmView::from_machine(m), what);
+            let ladders = view.cores().windows(2);
+            assert!(
+                ladders
+                    .into_iter()
+                    .all(|w| Arc::ptr_eq(&w[0].voltages, &w[1].voltages)),
+                "{what}: cores do not share one ladder"
+            );
+        };
+        // Threads on cores 0..14 of 20: the last six cores are idle.
+        // With the entries trimmed to fit, any entry a steady refresh
+        // pushed, even one it truncates again, would regrow them.
+        place_and_run(&mut m, &(0..14).collect::<Vec<_>>(), 5);
+        check(&mut view, &m, "14 cores");
+        view.cores.shrink_to_fit();
+        let buffers = |view: &PmView| {
+            let per_core = view.cores().iter();
+            let ptrs = per_core.map(|c| (c.power_w.as_ptr(), c.freqs.as_ptr()));
+            (view.cores.capacity(), ptrs.collect::<Vec<_>>())
+        };
+        let before = buffers(&view);
+        m.step(0.001);
+        check(&mut view, &m, "same set, one step on");
+        assert_eq!(before, buffers(&view), "an unchanged set reallocated");
+
+        place_and_run(&mut m, &[19, 3, 7, 0, 11], 3);
+        check(&mut view, &m, "shrunk to 5, moved");
+        place_and_run(&mut m, &(0..14).map(|t| 19 - t).collect::<Vec<_>>(), 3);
+        check(&mut view, &m, "grown to 14, reversed");
+        // Another die, threads on the same cores: every entry keeps its
+        // core index while its tables change.
+        let mut twin = machine_on(MachineConfig::paper_default(), 4, 14);
+        place_and_run(&mut twin, &(0..14).map(|t| 19 - t).collect::<Vec<_>>(), 3);
+        check(&mut view, &twin, "same cores on another die");
+        check(&mut view, &m, "back to the first die");
+
+        // Another die with a shorter ladder, straight from a full view,
+        // then back to nine levels.
+        let short = MachineConfig {
+            voltages: (0..5).map(|i| 0.6 + 0.1 * i as f64).collect(),
+            ..MachineConfig::paper_default()
+        };
+        let mut other = machine_on(short, 8, 9);
+        place_and_run(&mut other, &(2..11).collect::<Vec<_>>(), 4);
+        check(&mut view, &other, "five-level machine");
+        check(&mut view, &m, "back to the nine-level machine");
+
+        m.assign(&vec![None; m.core_count()]);
+        check(&mut view, &m, "no active core");
+        assert!(view.is_empty());
+        place_and_run(&mut m, &(0..12).collect::<Vec<_>>(), 2);
+        check(&mut view, &m, "nine-level machine again");
+    }
 
     #[test]
     fn synthetic_core_is_monotone() {

@@ -205,24 +205,37 @@ impl DynamicPower {
     ///
     /// Panics if `v` or `f_hz` is negative.
     pub fn power(&self, activity: &ActivityVector, v: f64, f_hz: f64) -> f64 {
+        self.power_from_ref(self.power_at_ref(activity), v, f_hz)
+    }
+
+    /// Dynamic power at the reference point for a given activity — the
+    /// "dynamic power at 4 GHz and 1 V" column of the paper's Table 5:
+    /// the activity-weighted sum of the structure powers.
+    pub fn power_at_ref(&self, activity: &ActivityVector) -> f64 {
+        self.watts_at_ref
+            .iter()
+            .zip(&activity.factors)
+            .map(|(w, a)| w * a)
+            .sum::<f64>()
+    }
+
+    /// [`DynamicPower::power`] of an application whose reference-point
+    /// power is `ref_w` ([`DynamicPower::power_at_ref`]), scaled to
+    /// supply `v` volts and frequency `f_hz`. A sweep over one core's
+    /// (V, f) levels computes `ref_w` once; every level keeps the bits
+    /// of `power`, which is this function over the same sum.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` or `f_hz` is negative.
+    pub fn power_from_ref(&self, ref_w: f64, v: f64, f_hz: f64) -> f64 {
         assert!(
             v >= 0.0 && f_hz >= 0.0,
             "operating point must be non-negative"
         );
         let v_scale = (v / self.v_ref).powi(2);
         let f_scale = f_hz / self.f_ref_hz;
-        ALL_STRUCTURES
-            .iter()
-            .map(|s| self.watts_at_ref[s.index()] * activity.get(*s))
-            .sum::<f64>()
-            * v_scale
-            * f_scale
-    }
-
-    /// Dynamic power at the reference point for a given activity — the
-    /// "dynamic power at 4 GHz and 1 V" column of the paper's Table 5.
-    pub fn power_at_ref(&self, activity: &ActivityVector) -> f64 {
-        self.power(activity, self.v_ref, self.f_ref_hz)
+        ref_w * v_scale * f_scale
     }
 
     /// Total power at full activity and the reference point (watts).
@@ -257,6 +270,40 @@ mod tests {
         let p4 = m.power(&a, 1.0, 4.0e9);
         let p2 = m.power(&a, 1.0, 2.0e9);
         assert!((p2 / p4 - 0.5).abs() < 1e-9);
+    }
+
+    /// `power` keeps the bits of its one-expression form (the
+    /// structure sum times the voltage scale times the frequency
+    /// scale) now that the sum is `power_at_ref` and the scaling
+    /// `power_from_ref`.
+    #[test]
+    fn split_power_keeps_the_bits_of_the_one_expression_form() {
+        let m = DynamicPower::paper_default();
+        for k in 0..12 {
+            let mut a = ActivityVector::uniform(0.05 + 0.07 * k as f64);
+            a.set(Structure::FpAlu, (0.9 - 0.06 * k as f64).max(0.0));
+            let ref_w = m.power_at_ref(&a);
+            for level in 0..9 {
+                let v = 0.6 + 0.05 * level as f64;
+                let f_hz = (1.7 + 0.3 * level as f64 + 0.01 * k as f64) * 1e9;
+                let one_expression = ALL_STRUCTURES
+                    .iter()
+                    .map(|s| m.watts_at_ref[s.index()] * a.get(*s))
+                    .sum::<f64>()
+                    * (v / m.v_ref).powi(2)
+                    * (f_hz / m.f_ref_hz);
+                assert_eq!(m.power(&a, v, f_hz).to_bits(), one_expression.to_bits());
+                assert_eq!(
+                    m.power_from_ref(ref_w, v, f_hz).to_bits(),
+                    one_expression.to_bits()
+                );
+            }
+            assert_eq!(
+                ref_w.to_bits(),
+                m.power(&a, m.v_ref, m.f_ref_hz).to_bits(),
+                "the reference point scales by exactly one"
+            );
+        }
     }
 
     #[test]

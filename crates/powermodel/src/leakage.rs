@@ -339,15 +339,23 @@ impl BlockLeakage {
     /// Panics if `v` is negative, or `temp_k` is outside the fitted
     /// −20 °C … 180 °C range.
     pub fn static_power(&self, v: f64, temp_k: f64) -> f64 {
-        assert!(v >= 0.0, "supply voltage must be non-negative");
+        self.at_temperature(temp_k).static_power(v)
+    }
+
+    /// The block's leakage at temperature `temp_k`: the terms of
+    /// [`BlockLeakage::static_power`] that depend on temperature alone
+    /// (β, the fitted ln M(β), the Vth shift and the (T/T_cal)² scale),
+    /// evaluated once for any number of supply voltages.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `temp_k` is outside the fitted −20 °C … 180 °C range.
+    pub fn at_temperature(&self, temp_k: f64) -> IsothermalLeakage {
         assert!(
             (TEMP_FIT_LO_K..=TEMP_FIT_HI_K).contains(&temp_k),
             "temperature {temp_k} K outside the fitted leakage range \
              [{TEMP_FIT_LO_K}, {TEMP_FIT_HI_K}]"
         );
-        if v == 0.0 {
-            return 0.0; // power-gated
-        }
         let p = &self.params;
         let beta = 1.0 / (p.n_factor * KB_OVER_Q * temp_k);
         // Estrin evaluation of the fitted ln M(β) in t = (β − mid)/half:
@@ -357,6 +365,81 @@ impl BlockLeakage {
         // block per step. Reassociation moves the result by ulps, far
         // inside the 1e-6 contract pinned against the per-cell
         // reference.
+        let t = (beta - self.beta_mid) / self.beta_half;
+        let c = &self.ln_m_poly;
+        let t2 = t * t;
+        let t4 = t2 * t2;
+        let t8 = t4 * t4;
+        let q0 = (c[0] + t * c[1]) + t2 * (c[2] + t * c[3]);
+        let q1 = (c[4] + t * c[5]) + t2 * (c[6] + t * c[7]);
+        let q2 = (c[8] + t * c[9]) + t2 * (c[10] + t * c[11]);
+        let q3 = (c[12] + t * c[13]) + t2 * (c[14] + t * c[15]);
+        IsothermalLeakage {
+            scale: self.area_mm2 * self.prefactor,
+            dibl: p.dibl,
+            beta,
+            ln_m: (q0 + t4 * q1) + t8 * (q2 + t4 * q3),
+            dvth: p.vth_temp_coeff * (temp_k - p.vth_ref_temp_k),
+            t_scale: (temp_k / p.calib_temp_k).powi(2),
+        }
+    }
+}
+
+/// A block's leakage at one temperature
+/// ([`BlockLeakage::at_temperature`]): what is left of
+/// [`BlockLeakage::static_power`] once the temperature is fixed — the
+/// DIBL term, one `fast_exp` and the scaling per voltage. The hoisted
+/// terms are the same expressions, combined with the per-voltage part
+/// in the same order, so every reading keeps the bits of
+/// `static_power(v, temp_k)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct IsothermalLeakage {
+    /// Block area times the calibration prefactor.
+    scale: f64,
+    /// DIBL coefficient `η`.
+    dibl: f64,
+    /// `β = 1/(n·kT/q)`.
+    beta: f64,
+    /// The fitted `ln M(β)`.
+    ln_m: f64,
+    /// Vth temperature shift (volts).
+    dvth: f64,
+    /// `(T/T_cal)²`.
+    t_scale: f64,
+}
+
+impl IsothermalLeakage {
+    /// Static power (watts) of the block at supply `v`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `v` is negative.
+    pub fn static_power(&self, v: f64) -> f64 {
+        assert!(v >= 0.0, "supply voltage must be non-negative");
+        if v == 0.0 {
+            return 0.0; // power-gated
+        }
+        let exponent = self.beta * (self.dibl * v + self.dvth) + self.ln_m;
+        self.scale * v * self.t_scale * fast_exp(exponent)
+    }
+}
+
+#[cfg(test)]
+impl BlockLeakage {
+    /// [`BlockLeakage::static_power`] as one expression, before its
+    /// temperature terms moved into [`BlockLeakage::at_temperature`]:
+    /// the oracle the split form is pinned against bit for bit.
+    fn static_power_reference(&self, v: f64, temp_k: f64) -> f64 {
+        assert!(v >= 0.0, "supply voltage must be non-negative");
+        assert!(
+            (TEMP_FIT_LO_K..=TEMP_FIT_HI_K).contains(&temp_k),
+            "temperature {temp_k} K outside the fitted leakage range"
+        );
+        if v == 0.0 {
+            return 0.0; // power-gated
+        }
+        let p = &self.params;
+        let beta = 1.0 / (p.n_factor * KB_OVER_Q * temp_k);
         let t = (beta - self.beta_mid) / self.beta_half;
         let c = &self.ln_m_poly;
         let t2 = t * t;
@@ -551,6 +634,36 @@ mod tests {
         for (j, &t) in cheb_cosines()[1].iter().enumerate() {
             let node = (std::f64::consts::PI * (j as f64 + 0.5) / CHEB_N as f64).cos();
             assert_eq!(t.to_bits(), node.to_bits(), "node {j}");
+        }
+    }
+
+    /// A sweep over voltages at one temperature keeps the bits of one
+    /// `static_power` call per voltage, before and after the split.
+    #[test]
+    fn isothermal_sweep_keeps_the_bits_of_one_call_per_voltage() {
+        for params in [LeakageParams::core_default(), LeakageParams::l2_default()] {
+            let m = LeakagePower::new(params);
+            for seed in 0..4u64 {
+                let vth: Vec<f64> = (0..30)
+                    .map(|i| 0.250 + 0.005 * (((i as u64 * 13 + seed * 5) % 17) as f64 - 8.0))
+                    .collect();
+                let leff = vec![1.0; vth.len()];
+                let model = m.block_model(&CoreCells { vth, leff }, 9.0 + seed as f64);
+                let mut temp_k = 253.15;
+                while temp_k <= 453.15 {
+                    let at = model.at_temperature(temp_k);
+                    for v in [0.0, 0.6, 0.65, 0.7, 0.75, 0.8, 0.85, 0.9, 0.95, 1.0] {
+                        let swept = at.static_power(v);
+                        assert_eq!(
+                            swept.to_bits(),
+                            model.static_power_reference(v, temp_k).to_bits(),
+                            "v={v} T={temp_k}"
+                        );
+                        assert_eq!(swept.to_bits(), model.static_power(v, temp_k).to_bits());
+                    }
+                    temp_k += 1.7;
+                }
+            }
         }
     }
 

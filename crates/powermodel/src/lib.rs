@@ -24,4 +24,4 @@ pub mod leakage;
 
 pub use dynamic::{ActivityVector, DynamicPower, Structure, STRUCTURE_COUNT};
 pub use fastexp::fast_exp;
-pub use leakage::{BlockLeakage, LeakageParams, LeakagePower};
+pub use leakage::{BlockLeakage, IsothermalLeakage, LeakageParams, LeakagePower};

@@ -152,8 +152,9 @@ pub struct ThermalModel {
     /// Step operators by tick length, built lazily on first use of a
     /// `dt` and reused for every later tick of the same length. Interior
     /// mutability keeps the hot stepping API `&self`; the model stops
-    /// being `Sync`, which matches how it is owned (one per `Machine`,
-    /// itself already non-`Sync` through its leakage memo).
+    /// being `Sync`, and with it its `Machine`, which matches how both
+    /// are owned (one model per machine, and each trial worker owns its
+    /// machines outright).
     step_ops: RefCell<Vec<StepOperator>>,
     /// Scratch reused by the allocating convenience wrappers
     /// ([`transient_step`](Self::transient_step)), so they pay one
