@@ -6,7 +6,7 @@
 //! manager spec before any worker starts, and that Exhaustive arms of
 //! any size run.
 
-use cmpsim::Mix;
+use cmpsim::{FaultPlan, Mix};
 use vasp::vasched::engine::{
     OnlineArm, OnlineTrialSpec, SeedPlan, TrialArm, TrialRunner, TrialSpec,
 };
@@ -199,4 +199,108 @@ fn exhaustive_arms_run_to_completion() {
     let served = &runner.run_online(&spec)[0].arms[0].outcome;
     assert!(served.arrived > 0 && served.completed > 0);
     assert!(served.chip.manager_runs > 0);
+}
+
+/// FNV-1a over `bytes`, continuing from `hash`.
+fn fnv(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// Pins what the runner returns for both arm kinds. The batch spec
+/// puts an unsalted arm after a salted one, so its outcome depends on
+/// the machine the first arm leaves behind and on the trial RNG
+/// continuing past the workload draw; the online spec's unsalted arm
+/// must still start from a cold clone of the trial's machine. Each
+/// outcome is folded through its `Debug` form, which prints every
+/// float in its shortest round-trip form, and each online event trace
+/// is folded as well. The values were captured before the batch and
+/// online specs shared one engine.
+#[test]
+fn trial_outcomes_are_pinned() {
+    let ctx = Context::new(Scale::smoke().grid);
+    let pool = app_pool(&ctx.machine_config().dynamic);
+    let runtime = RuntimeConfig::builder()
+        .duration_ms(60.0)
+        .os_interval_ms(30.0)
+        .freq_mode(FreqMode::NonUniform)
+        .build()
+        .unwrap();
+    let faults = FaultPlan::none()
+        .with_seed(0x5EED)
+        .with_sensor_noise(0.03)
+        .with_core_failure(5, 35.0);
+    let batch = TrialSpec::builder(&ctx, &pool)
+        .threads(6)
+        .trials(2)
+        .seed(2026)
+        .fault_plan(faults.clone())
+        .arm(TrialArm {
+            label: "Random+Foxton*".into(),
+            policy: SchedulerSpec::Random,
+            manager: ManagerSpec::FoxtonStar,
+            budget: PowerBudget::cost_performance(6),
+            runtime,
+            rng_salt: Some(0xA1),
+        })
+        .arm(TrialArm {
+            label: "VarF&AppIPC+LinOpt".into(),
+            policy: SchedulerSpec::VarFAppIpc,
+            manager: ManagerSpec::LinOpt,
+            budget: PowerBudget::cost_performance(6),
+            runtime,
+            rng_salt: None,
+        })
+        .build()
+        .unwrap();
+    let config = OnlineConfig {
+        runtime,
+        arrivals: ArrivalConfig::poisson(400.0, 20.0e6),
+        initial_jobs: 4,
+        ..OnlineConfig::paper_default()
+    };
+    let online = OnlineTrialSpec::builder(&ctx, &pool)
+        .trials(2)
+        .seed(2027)
+        .fault_plan(faults)
+        .arm(OnlineArm {
+            label: "VarF&AppIPC+Foxton*".into(),
+            policy: SchedulerSpec::VarFAppIpc,
+            manager: ManagerSpec::FoxtonStar,
+            budget: PowerBudget::cost_performance(20),
+            config,
+            rng_salt: Some(0xB2),
+        })
+        .arm(OnlineArm {
+            label: "VarF&AppIPC+LinOpt".into(),
+            policy: SchedulerSpec::VarFAppIpc,
+            manager: ManagerSpec::LinOpt,
+            budget: PowerBudget::cost_performance(20),
+            config,
+            rng_salt: None,
+        })
+        .build()
+        .unwrap();
+
+    let runner = TrialRunner::with_workers(2);
+    let mut batch_hash = 0xcbf2_9ce4_8422_2325;
+    for r in runner.run(&batch) {
+        let folded = format!("{} {} {:?}", r.trial, r.trial_seed, r.outcomes());
+        batch_hash = fnv(batch_hash, folded.as_bytes());
+    }
+    let mut online_hash = 0xcbf2_9ce4_8422_2325;
+    for r in runner.run_online(&online) {
+        let folded = format!("{} {}", r.trial, r.trial_seed);
+        online_hash = fnv(online_hash, folded.as_bytes());
+        for o in r.outcomes() {
+            online_hash = fnv(online_hash, format!("{o:?}").as_bytes());
+            online_hash = fnv(online_hash, o.trace().as_bytes());
+        }
+    }
+    assert_eq!(
+        (batch_hash, online_hash),
+        (0xc054_053d_bab3_7069, 0x8451_fe9c_c2a9_4a33),
+        "batch {batch_hash:#018x}, online {online_hash:#018x}"
+    );
 }
