@@ -2,12 +2,15 @@
 //!
 //! Every figure experiment in [`crate::experiments`] runs the same
 //! protocol: derive a per-trial seed, manufacture a die, build the
-//! machine, draw a workload, then run one or more *arms* — (scheduler,
-//! manager, budget, runtime) configurations — against that same (die,
-//! workload) pair and compare them. This module owns that protocol once:
+//! machine, then run one or more *arms* — (scheduler, manager, budget,
+//! timeline) configurations — against that same die and compare them.
+//! This module owns that protocol once, for batch and serving arms
+//! alike:
 //!
-//! * [`TrialSpec`] — the declarative description of a batch (context,
-//!   workload size, trial count, seed derivation, arms);
+//! * [`TrialSpec`] — the declarative description of a batch, checked
+//!   by one builder. Its arms are [`TrialArm`]s (batch) or
+//!   [`OnlineArm`]s (serving); the sealed [`Arm`] trait states where
+//!   the two differ;
 //! * [`TrialRunner`] — executes a spec, optionally across threads, with
 //!   results **bit-identical** to a sequential run (every trial derives
 //!   all of its randomness from its own seed);
@@ -21,9 +24,9 @@
 //!   experiment (figure)          crates/core/src/experiments/*.rs
 //!        │  builds
 //!        ▼
-//!   TrialSpec ──► TrialRunner ──► run_trial ──► OnlineSim ──► Machine
-//!                     │                   │
-//!                     │                   └──► TrialObserver (telemetry, timing)
+//!   TrialSpec ──► TrialRunner ──► Arm::run ──► run_trial / run_online ──► OnlineSim
+//!                     │               │
+//!                     │               └──► TrialObserver (telemetry, timing)
 //!                     └──► Vec<TrialResult> (ordered, deterministic)
 //! ```
 
@@ -35,6 +38,7 @@ use crate::runtime::{
 };
 use crate::sched::SchedulerSpec;
 use cmpsim::{FaultPlan, Machine, Mix, StepStats, Telemetry, Workload};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 use vastats::SimRng;
 
@@ -97,7 +101,8 @@ impl SeedPlan {
     }
 }
 
-/// One configuration run against each trial's (die, workload) pair.
+/// A batch configuration, run on the workload its trial draws once for
+/// every arm (see [`Arm`]).
 #[derive(Debug, Clone)]
 pub struct TrialArm {
     /// Label as it appears in the figure's legend.
@@ -118,8 +123,7 @@ pub struct TrialArm {
     pub rng_salt: Option<u64>,
 }
 
-/// One serving configuration run against each trial's die in an
-/// [`OnlineTrialSpec`] — the open-system counterpart of [`TrialArm`].
+/// A serving configuration, which draws its own jobs (see [`Arm`]).
 #[derive(Debug, Clone)]
 pub struct OnlineArm {
     /// Label as it appears in the figure's legend / CSV.
@@ -139,160 +143,160 @@ pub struct OnlineArm {
     pub rng_salt: Option<u64>,
 }
 
-/// A batch of independent online serving trials: each manufactures a
-/// fresh die from its own seed, then serves every arm's arrival
-/// process on that die. Seed derivation and parallel execution follow
-/// the batch [`TrialSpec`] exactly.
-#[derive(Debug, Clone)]
-#[non_exhaustive]
-pub struct OnlineTrialSpec<'a> {
-    /// Shared floorplan/die-generator/machine-config context.
-    pub ctx: &'a Context,
-    /// Application pool jobs are drawn from.
-    pub pool: &'a [cmpsim::AppSpec],
-    /// Which applications the draw admits.
-    pub mix: Mix,
-    /// Number of independent trials.
-    pub trials: usize,
-    /// Experiment seed.
-    pub seed: u64,
-    /// Per-trial seed derivation.
-    pub plan: SeedPlan,
-    /// The serving configurations compared within each trial.
-    pub arms: Vec<OnlineArm>,
-    /// Sensor/core faults injected into every trial ([`FaultPlan::none`]
-    /// disables injection entirely). Each trial re-seeds the plan with
-    /// `plan.seed ^ trial_seed`, and all arms of one trial share it, so
-    /// arm comparisons see identical fault timelines.
-    pub fault_plan: FaultPlan,
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::TrialArm {}
+    impl Sealed for super::OnlineArm {}
 }
 
-impl<'a> OnlineTrialSpec<'a> {
-    /// A builder over the required context and pool; remaining fields
-    /// start from the same defaults every experiment uses (balanced
-    /// mix, 1 trial, seed 0, default seed plan, no arms, no faults).
-    pub fn builder(ctx: &'a Context, pool: &'a [cmpsim::AppSpec]) -> OnlineTrialSpecBuilder<'a> {
-        OnlineTrialSpecBuilder {
-            inner: OnlineTrialSpec {
-                ctx,
-                pool,
-                mix: Mix::Balanced,
-                trials: 1,
-                seed: 0,
-                plan: SeedPlan::default(),
-                arms: Vec::new(),
-                fault_plan: FaultPlan::none(),
-            },
-        }
-    }
-}
-
-/// Builder for [`OnlineTrialSpec`].
-#[derive(Debug, Clone)]
-pub struct OnlineTrialSpecBuilder<'a> {
-    inner: OnlineTrialSpec<'a>,
-}
-
-impl<'a> OnlineTrialSpecBuilder<'a> {
-    /// Which applications the workload draw admits.
-    pub fn mix(mut self, mix: Mix) -> Self {
-        self.inner.mix = mix;
-        self
-    }
-
-    /// Number of independent trials.
-    pub fn trials(mut self, trials: usize) -> Self {
-        self.inner.trials = trials;
-        self
-    }
-
-    /// Experiment seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner.seed = seed;
-        self
-    }
-
-    /// Per-trial seed derivation.
-    pub fn plan(mut self, plan: SeedPlan) -> Self {
-        self.inner.plan = plan;
-        self
-    }
-
-    /// Appends one serving arm.
-    pub fn arm(mut self, arm: OnlineArm) -> Self {
-        self.inner.arms.push(arm);
-        self
-    }
-
-    /// Replaces the arm list.
-    pub fn arms(mut self, arms: Vec<OnlineArm>) -> Self {
-        self.inner.arms = arms;
-        self
-    }
-
-    /// Fault plan injected into every trial.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.inner.fault_plan = plan;
-        self
-    }
-
-    /// Validates every arm's configuration and manager spec and the
-    /// fault plan against the context's machine, and returns the spec.
-    pub fn build(self) -> Result<OnlineTrialSpec<'a>, TrialError> {
-        for arm in &self.inner.arms {
-            arm.config.validate()?;
-            arm.manager.validate(&arm.config.runtime)?;
-        }
-        self.inner
-            .fault_plan
-            .validate(self.inner.ctx.floorplan().core_count())?;
-        Ok(self.inner)
-    }
-}
-
-/// One online arm's result within one trial.
-#[derive(Debug, Clone)]
-pub struct OnlineArmRun {
-    /// The serving outcome.
-    pub outcome: OnlineOutcome,
-    /// Wall-clock seconds this arm took (host time, not simulated).
-    pub wall_s: f64,
-}
-
-/// All online arms of one trial, in spec order.
-#[derive(Debug, Clone)]
-pub struct OnlineTrialResult {
-    /// Trial index within the batch.
-    pub trial: usize,
-    /// The derived seed this trial ran from.
-    pub trial_seed: u64,
-    /// One entry per [`OnlineTrialSpec::arms`] element.
-    pub arms: Vec<OnlineArmRun>,
-}
-
-impl OnlineTrialResult {
-    /// The outcomes alone, in arm order (wall-clock stripped — this is
-    /// what determinism comparisons should use).
-    pub fn outcomes(&self) -> Vec<&OnlineOutcome> {
-        self.arms.iter().map(|a| &a.outcome).collect()
-    }
-}
-
-/// A batch of independent trials: each manufactures a fresh die and
-/// workload from its own seed, then runs every arm on that pair.
+/// The arm kinds a [`TrialSpec`] can hold: [`TrialArm`] and
+/// [`OnlineArm`]. Every trial runs the same protocol for both; this
+/// sealed trait states the two choices in which they differ.
 ///
-/// Machine state (thermal history in particular) carries over from arm
-/// to arm within a trial, as the figure experiments always ran them.
+/// * **Workload.** A batch trial draws one workload after building its
+///   machine and hands it to every arm; an online arm draws its
+///   residents and arrivals from its own RNG inside the run.
+/// * **Configuration.** The builder checks a batch arm's
+///   [`RuntimeConfig`] and an online arm's [`OnlineConfig`].
+///
+/// Both kinds run their arms one after another on the trial's machine.
+/// No arm inherits anything from the one before it: every run starts
+/// by loading its threads, which resets the machine's whole run-time
+/// state (temperatures included) to that of a cold machine.
+pub trait Arm: sealed::Sealed + Sync + Sized {
+    /// What one run of the arm returns.
+    type Outcome: Send;
+    /// What a trial draws once and shares with all of its arms.
+    type Workload;
+
+    /// Checks the spec's workload and every arm's configuration and
+    /// manager spec.
+    fn validate(spec: &TrialSpec<'_, Self>) -> Result<(), TrialError>;
+
+    /// Draws the trial's shared workload from the trial RNG.
+    fn draw(spec: &TrialSpec<'_, Self>, rng: &mut SimRng) -> Self::Workload;
+
+    /// The arm's RNG salt (see [`TrialArm::rng_salt`]).
+    fn rng_salt(&self) -> Option<u64>;
+
+    /// Runs the arm on the trial's machine.
+    fn run(
+        &self,
+        spec: &TrialSpec<'_, Self>,
+        workload: &Self::Workload,
+        machine: &mut Machine,
+        fault_plan: &FaultPlan,
+        rng: &mut SimRng,
+        observer: &mut dyn TrialObserver,
+    ) -> Result<Self::Outcome, TrialError>;
+}
+
+impl Arm for TrialArm {
+    type Outcome = TrialOutcome;
+    type Workload = Workload;
+
+    fn validate(spec: &TrialSpec<'_, Self>) -> Result<(), TrialError> {
+        if spec.threads == 0 {
+            return Err(TrialError::EmptyWorkload);
+        }
+        spec.check_draw(spec.threads, true)?;
+        for arm in &spec.arms {
+            arm.runtime.validate()?;
+            arm.manager.validate(&arm.runtime)?;
+        }
+        Ok(())
+    }
+
+    fn draw(spec: &TrialSpec<'_, Self>, rng: &mut SimRng) -> Workload {
+        Workload::draw_mix(spec.pool, spec.threads, spec.mix, rng)
+    }
+
+    fn rng_salt(&self) -> Option<u64> {
+        self.rng_salt
+    }
+
+    fn run(
+        &self,
+        _spec: &TrialSpec<'_, Self>,
+        workload: &Workload,
+        machine: &mut Machine,
+        fault_plan: &FaultPlan,
+        rng: &mut SimRng,
+        observer: &mut dyn TrialObserver,
+    ) -> Result<TrialOutcome, TrialError> {
+        run_trial(
+            machine,
+            workload,
+            self.policy,
+            self.manager,
+            self.budget,
+            &self.runtime,
+            fault_plan,
+            rng,
+            observer,
+        )
+    }
+}
+
+impl Arm for OnlineArm {
+    type Outcome = OnlineOutcome;
+    type Workload = ();
+
+    fn validate(spec: &TrialSpec<'_, Self>) -> Result<(), TrialError> {
+        for arm in &spec.arms {
+            let config = &arm.config;
+            config.validate()?;
+            arm.manager.validate(&config.runtime)?;
+            let draws = config.initial_jobs > 0 || config.arrivals.rate_per_s > 0.0;
+            spec.check_draw(config.initial_jobs, draws)?;
+        }
+        Ok(())
+    }
+
+    fn draw(_spec: &TrialSpec<'_, Self>, _rng: &mut SimRng) {}
+
+    fn rng_salt(&self) -> Option<u64> {
+        self.rng_salt
+    }
+
+    fn run(
+        &self,
+        spec: &TrialSpec<'_, Self>,
+        _workload: &(),
+        machine: &mut Machine,
+        fault_plan: &FaultPlan,
+        rng: &mut SimRng,
+        observer: &mut dyn TrialObserver,
+    ) -> Result<OnlineOutcome, TrialError> {
+        run_online(
+            machine,
+            spec.pool,
+            spec.mix,
+            self.policy,
+            self.manager,
+            self.budget,
+            &self.config,
+            fault_plan,
+            rng,
+            observer,
+        )
+    }
+}
+
+/// A batch of independent trials: each manufactures a fresh die from
+/// its own seed, then runs every arm on it ([`Arm`] says what differs
+/// between batch and serving arms).
 #[derive(Debug, Clone)]
 #[non_exhaustive]
-pub struct TrialSpec<'a> {
+pub struct TrialSpec<'a, A = TrialArm> {
     /// Shared floorplan/die-generator/machine-config context.
     pub ctx: &'a Context,
-    /// Application pool workloads are drawn from.
+    /// Application pool workloads and jobs are drawn from.
     pub pool: &'a [cmpsim::AppSpec],
-    /// Applications per workload.
+    /// Applications per batch workload. Online arms draw their own
+    /// jobs ([`OnlineConfig::initial_jobs`] and arrivals) and ignore it.
     pub threads: usize,
-    /// Which applications the draw admits.
+    /// Which applications the draws admit.
     pub mix: Mix,
     /// Number of independent trials.
     pub trials: usize,
@@ -301,7 +305,7 @@ pub struct TrialSpec<'a> {
     /// Per-trial seed derivation.
     pub plan: SeedPlan,
     /// The configurations compared within each trial.
-    pub arms: Vec<TrialArm>,
+    pub arms: Vec<A>,
     /// Sensor/core faults injected into every trial ([`FaultPlan::none`]
     /// disables injection entirely). Each trial re-seeds the plan with
     /// `plan.seed ^ trial_seed`, and all arms of one trial share it, so
@@ -309,12 +313,16 @@ pub struct TrialSpec<'a> {
     pub fault_plan: FaultPlan,
 }
 
-impl<'a> TrialSpec<'a> {
+/// The serving spec under its earlier name, kept for the repository
+/// benchmark crate.
+pub type OnlineTrialSpec<'a> = TrialSpec<'a, OnlineArm>;
+
+impl<'a, A: Arm> TrialSpec<'a, A> {
     /// A builder over the required context and pool; remaining fields
     /// start from the same defaults every experiment uses (1 thread,
     /// balanced mix, 1 trial, seed 0, default seed plan, no arms, no
     /// faults).
-    pub fn builder(ctx: &'a Context, pool: &'a [cmpsim::AppSpec]) -> TrialSpecBuilder<'a> {
+    pub fn builder(ctx: &'a Context, pool: &'a [cmpsim::AppSpec]) -> TrialSpecBuilder<'a, A> {
         TrialSpecBuilder {
             inner: TrialSpec {
                 ctx,
@@ -329,107 +337,108 @@ impl<'a> TrialSpec<'a> {
             },
         }
     }
+
+    /// Checks a draw of `threads` applications per trial: they must fit
+    /// on the machine, and when the trial draws from the pool at all
+    /// (`draws`), the mix must admit at least one application.
+    fn check_draw(&self, threads: usize, draws: bool) -> Result<(), TrialError> {
+        let cores = self.ctx.floorplan().core_count();
+        if threads > cores {
+            return Err(TrialError::WorkloadTooLarge { threads, cores });
+        }
+        if draws && !self.pool.iter().any(|app| self.mix.admits(app)) {
+            return Err(TrialError::EmptyMix(self.mix));
+        }
+        Ok(())
+    }
 }
 
 /// Builder for [`TrialSpec`].
 #[derive(Debug, Clone)]
-pub struct TrialSpecBuilder<'a> {
-    inner: TrialSpec<'a>,
+pub struct TrialSpecBuilder<'a, A> {
+    inner: TrialSpec<'a, A>,
 }
 
-impl<'a> TrialSpecBuilder<'a> {
-    /// Applications per workload.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.inner.threads = threads;
-        self
-    }
+/// Builder methods that each set the [`TrialSpec`] field of their name.
+macro_rules! setters {
+    ($($(#[$doc:meta])* $field:ident: $ty:ty;)*) => {$(
+        $(#[$doc])*
+        pub fn $field(mut self, $field: $ty) -> Self {
+            self.inner.$field = $field;
+            self
+        }
+    )*};
+}
 
-    /// Which applications the workload draw admits.
-    pub fn mix(mut self, mix: Mix) -> Self {
-        self.inner.mix = mix;
-        self
+impl TrialSpecBuilder<'_, TrialArm> {
+    setters! {
+        /// Applications per batch workload.
+        threads: usize;
     }
+}
 
-    /// Number of independent trials.
-    pub fn trials(mut self, trials: usize) -> Self {
-        self.inner.trials = trials;
-        self
-    }
-
-    /// Experiment seed.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.inner.seed = seed;
-        self
-    }
-
-    /// Per-trial seed derivation.
-    pub fn plan(mut self, plan: SeedPlan) -> Self {
-        self.inner.plan = plan;
-        self
+impl<'a, A: Arm> TrialSpecBuilder<'a, A> {
+    setters! {
+        /// Which applications the draws admit.
+        mix: Mix;
+        /// Number of independent trials.
+        trials: usize;
+        /// Experiment seed.
+        seed: u64;
+        /// Per-trial seed derivation.
+        plan: SeedPlan;
+        /// Replaces the arm list.
+        arms: Vec<A>;
+        /// Fault plan injected into every trial.
+        fault_plan: FaultPlan;
     }
 
     /// Appends one arm.
-    pub fn arm(mut self, arm: TrialArm) -> Self {
+    pub fn arm(mut self, arm: A) -> Self {
         self.inner.arms.push(arm);
         self
     }
 
-    /// Replaces the arm list.
-    pub fn arms(mut self, arms: Vec<TrialArm>) -> Self {
-        self.inner.arms = arms;
-        self
-    }
-
-    /// Fault plan injected into every trial.
-    pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.inner.fault_plan = plan;
-        self
-    }
-
-    /// Validates every arm's runtime configuration and manager spec, the
-    /// workload size, and the fault plan against the context's machine,
-    /// and returns the spec.
-    pub fn build(self) -> Result<TrialSpec<'a>, TrialError> {
-        let cores = self.inner.ctx.floorplan().core_count();
-        if self.inner.threads > cores {
-            return Err(TrialError::WorkloadTooLarge {
-                threads: self.inner.threads,
-                cores,
-            });
-        }
-        for arm in &self.inner.arms {
-            arm.runtime.validate()?;
-            arm.manager.validate(&arm.runtime)?;
-        }
-        self.inner.fault_plan.validate(cores)?;
+    /// Validates what every trial draws ([`Arm::validate`]), every
+    /// arm's configuration and manager spec, and the fault plan against
+    /// the context's machine, and returns the spec.
+    pub fn build(self) -> Result<TrialSpec<'a, A>, TrialError> {
+        A::validate(&self.inner)?;
+        self.inner
+            .fault_plan
+            .validate(self.inner.ctx.floorplan().core_count())?;
         Ok(self.inner)
     }
 }
 
 /// One arm's result within one trial.
 #[derive(Debug, Clone)]
-pub struct ArmRun {
-    /// The trial outcome.
-    pub outcome: TrialOutcome,
+pub struct ArmRun<O = TrialOutcome> {
+    /// The arm's outcome.
+    pub outcome: O,
     /// Wall-clock seconds this arm took (host time, not simulated).
     pub wall_s: f64,
 }
 
 /// All arms of one trial, in spec order.
 #[derive(Debug, Clone)]
-pub struct TrialResult {
+pub struct TrialResult<O = TrialOutcome> {
     /// Trial index within the batch.
     pub trial: usize,
     /// The derived seed this trial ran from.
     pub trial_seed: u64,
     /// One entry per [`TrialSpec::arms`] element.
-    pub arms: Vec<ArmRun>,
+    pub arms: Vec<ArmRun<O>>,
 }
 
-impl TrialResult {
+/// The serving result under its earlier name, kept for the repository
+/// benchmark crate.
+pub type OnlineTrialResult = TrialResult<OnlineOutcome>;
+
+impl<O> TrialResult<O> {
     /// The outcomes alone, in arm order (wall-clock stripped — this is
     /// what determinism comparisons should use).
-    pub fn outcomes(&self) -> Vec<&TrialOutcome> {
+    pub fn outcomes(&self) -> Vec<&O> {
         self.arms.iter().map(|a| &a.outcome).collect()
     }
 }
@@ -455,19 +464,19 @@ impl Default for TrialRunner {
 /// (0 = use `available_parallelism`). Lets CLI entry points expose a
 /// `--threads` flag without threading a runner through every
 /// experiment signature.
-static DEFAULT_WORKERS: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Sets the worker count [`TrialRunner::new`] uses from here on.
 /// Pass 0 to restore the default (`available_parallelism`).
 pub fn set_default_workers(workers: usize) {
-    DEFAULT_WORKERS.store(workers, std::sync::atomic::Ordering::Relaxed);
+    DEFAULT_WORKERS.store(workers, Ordering::Relaxed);
 }
 
 impl TrialRunner {
     /// A runner using the process-wide default: the count set by
     /// [`set_default_workers`], or every available core.
     pub fn new() -> Self {
-        let workers = match DEFAULT_WORKERS.load(std::sync::atomic::Ordering::Relaxed) {
+        let workers = match DEFAULT_WORKERS.load(Ordering::Relaxed) {
             0 => std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
@@ -501,7 +510,7 @@ impl TrialRunner {
     /// # Panics
     ///
     /// Propagates a panic from any trial.
-    pub fn run(&self, spec: &TrialSpec<'_>) -> Vec<TrialResult> {
+    pub fn run<A: Arm>(&self, spec: &TrialSpec<'_, A>) -> Vec<TrialResult<A::Outcome>> {
         self.map(spec.trials, |trial| {
             run_one(spec, trial, |_| NullObserver).0
         })
@@ -510,41 +519,28 @@ impl TrialRunner {
     /// Like [`TrialRunner::run`], but builds one observer per arm (via
     /// `make(arm_index)`) and returns them alongside each trial's
     /// result, in arm order.
-    pub fn run_observed<O, F>(&self, spec: &TrialSpec<'_>, make: F) -> Vec<(TrialResult, Vec<O>)>
-    where
-        O: TrialObserver + Send,
-        F: Fn(usize) -> O + Sync,
-    {
+    pub fn run_observed<A: Arm, O: TrialObserver + Send>(
+        &self,
+        spec: &TrialSpec<'_, A>,
+        make: impl Fn(usize) -> O + Sync,
+    ) -> Vec<(TrialResult<A::Outcome>, Vec<O>)> {
         self.map(spec.trials, |trial| run_one(spec, trial, &make))
     }
 
-    /// Runs every online serving trial of the spec, returning results
-    /// in trial order — bit-identical across worker counts, exactly as
-    /// [`TrialRunner::run`] is for batch trials.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any trial.
+    /// [`TrialRunner::run`] under its earlier serving name, kept for the
+    /// repository benchmark crate.
     pub fn run_online(&self, spec: &OnlineTrialSpec<'_>) -> Vec<OnlineTrialResult> {
-        self.map(spec.trials, |trial| {
-            run_one_online(spec, trial, |_| NullObserver).0
-        })
+        self.run(spec)
     }
 
-    /// Like [`TrialRunner::run_online`], but builds one observer per
-    /// arm (via `make(arm_index)`) and returns them alongside each
-    /// trial's result, in arm order — the open-system counterpart of
-    /// [`TrialRunner::run_observed`].
-    pub fn run_online_observed<O, F>(
+    /// [`TrialRunner::run_observed`] under its earlier serving name,
+    /// kept for the repository benchmark crate.
+    pub fn run_online_observed<O: TrialObserver + Send>(
         &self,
         spec: &OnlineTrialSpec<'_>,
-        make: F,
-    ) -> Vec<(OnlineTrialResult, Vec<O>)>
-    where
-        O: TrialObserver + Send,
-        F: Fn(usize) -> O + Sync,
-    {
-        self.map(spec.trials, |trial| run_one_online(spec, trial, &make))
+        make: impl Fn(usize) -> O + Sync,
+    ) -> Vec<(OnlineTrialResult, Vec<O>)> {
+        self.run_observed(spec, make)
     }
 
     /// Runs `count` independent jobs across the workers and returns
@@ -555,207 +551,85 @@ impl TrialRunner {
     /// # Panics
     ///
     /// Propagates a panic from any job.
-    pub fn map<T, F>(&self, count: usize, job: F) -> Vec<T>
-    where
-        T: Send,
-        F: Fn(usize) -> T + Sync,
-    {
+    pub fn map<T: Send>(&self, count: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
         let workers = self.workers.min(count.max(1));
         if workers <= 1 || count <= 1 {
             return (0..count).map(job).collect();
         }
-        let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let job_ref = &job;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for _ in 0..workers {
-                let next = &next;
-                handles.push(scope.spawn(move || {
-                    let mut produced: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= count {
-                            return produced;
-                        }
-                        produced.push((i, job_ref(i)));
+        // Workers claim job indices from one counter; sorting by index
+        // restores job order whatever the interleaving.
+        let next = AtomicUsize::new(0);
+        let mut produced: Vec<(usize, T)> = std::thread::scope(|scope| {
+            let worker = || {
+                let mut produced = Vec::new();
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= count {
+                        return produced;
                     }
-                }));
-            }
-            for handle in handles {
-                for (i, value) in handle.join().expect("trial job panicked") {
-                    slots[i] = Some(value);
+                    produced.push((i, job(i)));
                 }
-            }
+            };
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+            handles
+                .into_iter()
+                .flat_map(|handle| handle.join().expect("trial job panicked"))
+                .collect()
         });
-        slots
-            .into_iter()
-            .map(|s| s.expect("every slot filled"))
-            .collect()
+        produced.sort_unstable_by_key(|&(i, _)| i);
+        produced.into_iter().map(|(_, value)| value).collect()
     }
 }
 
-/// Runs one trial of a spec: seed → die → machine → workload → arms.
-fn run_one<O, F>(spec: &TrialSpec<'_>, trial: usize, make: F) -> (TrialResult, Vec<O>)
-where
-    O: TrialObserver,
-    F: Fn(usize) -> O,
-{
+/// Runs one trial of a spec: seed → die → machine → shared workload →
+/// arms, each arm with its salted RNG or the continued trial RNG.
+fn run_one<A: Arm, O: TrialObserver>(
+    spec: &TrialSpec<'_, A>,
+    trial: usize,
+    make: impl Fn(usize) -> O,
+) -> (TrialResult<A::Outcome>, Vec<O>) {
     let trial_seed = spec.plan.derive(spec.seed, trial);
     let mut rng = SimRng::seed_from(trial_seed);
     let die = spec.ctx.make_die(&mut rng);
     let mut machine = spec.ctx.make_machine(&die);
-    let workload = Workload::draw_mix(spec.pool, spec.threads, spec.mix, &mut rng);
+    let workload = A::draw(spec, &mut rng);
     // Every arm of this trial shares one fault timeline, re-seeded per
     // trial so trials see independent fault noise.
     let fault_plan = spec
         .fault_plan
         .clone()
         .with_seed(spec.fault_plan.seed ^ trial_seed);
-
-    let mut arms = Vec::with_capacity(spec.arms.len());
-    let mut observers = Vec::with_capacity(spec.arms.len());
-    for (ai, arm) in spec.arms.iter().enumerate() {
-        let mut observer = make(ai);
-        let start = Instant::now();
-        let result = match arm.rng_salt {
-            Some(salt) => run_trial(
-                &mut machine,
-                &workload,
-                arm.policy,
-                arm.manager,
-                arm.budget,
-                &arm.runtime,
-                &fault_plan,
-                &mut SimRng::seed_from(trial_seed ^ salt),
-                &mut observer,
-            ),
-            None => run_trial(
-                &mut machine,
-                &workload,
-                arm.policy,
-                arm.manager,
-                arm.budget,
-                &arm.runtime,
-                &fault_plan,
-                &mut rng,
-                &mut observer,
-            ),
-        };
-        let outcome = result.unwrap_or_else(|e| panic!("trial failed: {e}"));
-        arms.push(ArmRun {
-            outcome,
-            wall_s: start.elapsed().as_secs_f64(),
-        });
-        observers.push(observer);
-    }
-    (
-        TrialResult {
-            trial,
-            trial_seed,
-            arms,
-        },
-        observers,
-    )
-}
-
-/// Runs one online trial of a spec: seed → die → machine → arms. The
-/// workload (initial residents + arrival schedule) is drawn inside
-/// [`run_online`] from each arm's RNG, so salted arms replay the
-/// identical job stream.
-fn run_one_online<O, F>(
-    spec: &OnlineTrialSpec<'_>,
-    trial: usize,
-    make: F,
-) -> (OnlineTrialResult, Vec<O>)
-where
-    O: TrialObserver,
-    F: Fn(usize) -> O,
-{
-    let trial_seed = spec.plan.derive(spec.seed, trial);
-    let mut rng = SimRng::seed_from(trial_seed);
-    let die = spec.ctx.make_die(&mut rng);
-    let machine = spec.ctx.make_machine(&die);
-    // Every arm of this trial shares one fault timeline, re-seeded per
-    // trial so trials see independent fault noise.
-    let fault_plan = spec
-        .fault_plan
-        .clone()
-        .with_seed(spec.fault_plan.seed ^ trial_seed);
-
-    let mut arms = Vec::with_capacity(spec.arms.len());
-    let mut observers = Vec::with_capacity(spec.arms.len());
-    for (ai, arm) in spec.arms.iter().enumerate() {
-        let mut observer = make(ai);
-        let start = Instant::now();
-        // Unlike the batch path, every arm serves from the cold
-        // manufactured machine: the serving curves compare policies on
-        // identical initial conditions, and letting arm N inherit arm
-        // N−1's thermal state would tax later arms with the leakage of
-        // an already-hot chip — an ordering artifact, not policy.
-        let mut arm_machine = machine.clone();
-        let result = match arm.rng_salt {
-            Some(salt) => run_online(
-                &mut arm_machine,
-                spec.pool,
-                spec.mix,
-                arm.policy,
-                arm.manager,
-                arm.budget,
-                &arm.config,
-                &fault_plan,
-                &mut SimRng::seed_from(trial_seed ^ salt),
-                &mut observer,
-            ),
-            None => run_online(
-                &mut arm_machine,
-                spec.pool,
-                spec.mix,
-                arm.policy,
-                arm.manager,
-                arm.budget,
-                &arm.config,
-                &fault_plan,
-                &mut rng,
-                &mut observer,
-            ),
-        };
-        let outcome = result.unwrap_or_else(|e| panic!("online trial failed: {e}"));
-        arms.push(OnlineArmRun {
-            outcome,
-            wall_s: start.elapsed().as_secs_f64(),
-        });
-        observers.push(observer);
-    }
-    (
-        OnlineTrialResult {
-            trial,
-            trial_seed,
-            arms,
-        },
-        observers,
-    )
-}
-
-/// Per-arm mean over trials of `metric(outcome)` for online results,
-/// unnormalized — the open-system counterpart of [`mean_metric`].
-///
-/// # Panics
-///
-/// Panics if `results` is empty.
-pub fn mean_online_metric(
-    results: &[OnlineTrialResult],
-    metric: impl Fn(&OnlineOutcome) -> f64,
-) -> Vec<f64> {
-    assert!(!results.is_empty(), "no trials to average");
-    let arms = results[0].arms.len();
-    let mut sums = vec![0.0f64; arms];
-    for r in results {
-        for (ai, arm) in r.arms.iter().enumerate() {
-            sums[ai] += metric(&arm.outcome);
-        }
-    }
-    sums.iter().map(|s| s / results.len() as f64).collect()
+    let (arms, observers) = spec
+        .arms
+        .iter()
+        .enumerate()
+        .map(|(ai, arm)| {
+            let mut observer = make(ai);
+            let start = Instant::now();
+            let mut salted = arm
+                .rng_salt()
+                .map(|salt| SimRng::seed_from(trial_seed ^ salt));
+            let rng = salted.as_mut().unwrap_or(&mut rng);
+            let outcome = arm
+                .run(
+                    spec,
+                    &workload,
+                    &mut machine,
+                    &fault_plan,
+                    rng,
+                    &mut observer,
+                )
+                .unwrap_or_else(|e| panic!("trial failed: {e}"));
+            let wall_s = start.elapsed().as_secs_f64();
+            (ArmRun { outcome, wall_s }, observer)
+        })
+        .unzip();
+    let result = TrialResult {
+        trial,
+        trial_seed,
+        arms,
+    };
+    (result, observers)
 }
 
 /// Per-arm mean over trials of `metric(outcome) / metric(first arm)` —
@@ -765,7 +639,7 @@ pub fn mean_online_metric(
 /// # Panics
 ///
 /// Panics if `results` is empty or any trial has no arms.
-pub fn mean_relative(results: &[TrialResult], metric: impl Fn(&TrialOutcome) -> f64) -> Vec<f64> {
+pub fn mean_relative<O>(results: &[TrialResult<O>], metric: impl Fn(&O) -> f64) -> Vec<f64> {
     mean_relative_to(results, 0, metric)
 }
 
@@ -775,21 +649,12 @@ pub fn mean_relative(results: &[TrialResult], metric: impl Fn(&TrialOutcome) -> 
 /// # Panics
 ///
 /// Panics if `results` is empty or `baseline` is out of range.
-pub fn mean_relative_to(
-    results: &[TrialResult],
+pub fn mean_relative_to<O>(
+    results: &[TrialResult<O>],
     baseline: usize,
-    metric: impl Fn(&TrialOutcome) -> f64,
+    metric: impl Fn(&O) -> f64,
 ) -> Vec<f64> {
-    assert!(!results.is_empty(), "no trials to average");
-    let arms = results[0].arms.len();
-    let mut sums = vec![0.0f64; arms];
-    for r in results {
-        let base = metric(&r.arms[baseline].outcome);
-        for (ai, arm) in r.arms.iter().enumerate() {
-            sums[ai] += metric(&arm.outcome) / base;
-        }
-    }
-    sums.iter().map(|s| s / results.len() as f64).collect()
+    mean_over(results, |r| metric(&r.arms[baseline].outcome), &metric)
 }
 
 /// Per-arm mean over trials of `metric(outcome)`, unnormalized.
@@ -797,13 +662,23 @@ pub fn mean_relative_to(
 /// # Panics
 ///
 /// Panics if `results` is empty.
-pub fn mean_metric(results: &[TrialResult], metric: impl Fn(&TrialOutcome) -> f64) -> Vec<f64> {
+pub fn mean_metric<O>(results: &[TrialResult<O>], metric: impl Fn(&O) -> f64) -> Vec<f64> {
+    // Division by 1 is exact, so every sum keeps its bits.
+    mean_over(results, |_| 1.0, metric)
+}
+
+/// Per-arm mean over trials of `metric(outcome) / base(trial)`.
+fn mean_over<O>(
+    results: &[TrialResult<O>],
+    base: impl Fn(&TrialResult<O>) -> f64,
+    metric: impl Fn(&O) -> f64,
+) -> Vec<f64> {
     assert!(!results.is_empty(), "no trials to average");
-    let arms = results[0].arms.len();
-    let mut sums = vec![0.0f64; arms];
+    let mut sums = vec![0.0f64; results[0].arms.len()];
     for r in results {
+        let base = base(r);
         for (ai, arm) in r.arms.iter().enumerate() {
-            sums[ai] += metric(&arm.outcome);
+            sums[ai] += metric(&arm.outcome) / base;
         }
     }
     sums.iter().map(|s| s / results.len() as f64).collect()
@@ -1006,7 +881,7 @@ mod tests {
     fn online_spec_fixture<'a>(
         ctx: &'a Context,
         pool: &'a [cmpsim::AppSpec],
-    ) -> OnlineTrialSpec<'a> {
+    ) -> TrialSpec<'a, OnlineArm> {
         let config = OnlineConfig {
             runtime: RuntimeConfig {
                 duration_ms: 60.0,
@@ -1018,7 +893,7 @@ mod tests {
             migration_penalty_ms: 0.1,
             service: crate::online::ServicePolicy::default(),
         };
-        OnlineTrialSpec::builder(ctx, pool)
+        TrialSpec::builder(ctx, pool)
             .mix(Mix::Balanced)
             .trials(3)
             .seed(91)
@@ -1053,8 +928,8 @@ mod tests {
         let ctx = Context::new(scale.grid);
         let pool = app_pool(&ctx.machine_config().dynamic);
         let spec = online_spec_fixture(&ctx, &pool);
-        let sequential = TrialRunner::sequential().run_online(&spec);
-        let parallel = TrialRunner::with_workers(4).run_online(&spec);
+        let sequential = TrialRunner::sequential().run(&spec);
+        let parallel = TrialRunner::with_workers(4).run(&spec);
         assert_eq!(sequential.len(), 3);
         for (s, p) in sequential.iter().zip(&parallel) {
             assert_eq!(s.trial, p.trial);
@@ -1077,7 +952,7 @@ mod tests {
         let pool = app_pool(&ctx.machine_config().dynamic);
         let mut spec = online_spec_fixture(&ctx, &pool);
         spec.trials = 1;
-        let results = TrialRunner::sequential().run_online(&spec);
+        let results = TrialRunner::sequential().run(&spec);
         let [fox, lin] = &results[0].outcomes()[..] else {
             panic!("two arms expected");
         };

@@ -142,32 +142,32 @@ pub fn granularity(scale: &Scale, seed: u64) -> Series {
     };
     let budget = PowerBudget::cost_performance(20);
 
-    let spec = TrialSpec {
-        fault_plan: cmpsim::FaultPlan::none(),
-        ctx: &ctx,
-        pool: &pool,
-        threads: 20,
-        mix: Mix::Balanced,
-        trials: scale.trials,
-        seed,
-        plan: SeedPlan {
+    let spec = TrialSpec::builder(&ctx, &pool)
+        .threads(20)
+        .mix(Mix::Balanced)
+        .trials(scale.trials)
+        .seed(seed)
+        .plan(SeedPlan {
             mul: 6151,
             ..SeedPlan::default()
-        },
-        arms: sizes
-            .iter()
-            .map(|&size| TrialArm {
-                label: format!("{size} cores/domain"),
-                policy: SchedulerSpec::VarFAppIpc,
-                manager: ManagerSpec::DomainLinOpt {
-                    cores_per_domain: size,
-                },
-                budget,
-                runtime,
-                rng_salt: Some(0xD0),
-            })
-            .collect(),
-    };
+        })
+        .arms(
+            sizes
+                .iter()
+                .map(|&size| TrialArm {
+                    label: format!("{size} cores/domain"),
+                    policy: SchedulerSpec::VarFAppIpc,
+                    manager: ManagerSpec::DomainLinOpt {
+                        cores_per_domain: size,
+                    },
+                    budget,
+                    runtime,
+                    rng_salt: Some(0xD0),
+                })
+                .collect(),
+        )
+        .build()
+        .expect("ablation spec is valid");
     let results = TrialRunner::new().run(&spec);
     Series::new(
         "relative MIPS",
@@ -186,38 +186,38 @@ pub fn transition_cost(scale: &Scale, seed: u64, threads: usize) -> Series {
     let intervals = [1.0f64, 5.0, 10.0, 50.0];
     let budget = PowerBudget::cost_performance(threads);
 
-    let spec = TrialSpec {
-        fault_plan: cmpsim::FaultPlan::none(),
-        ctx: &ctx,
-        pool: &pool,
-        threads,
-        mix: Mix::Balanced,
-        trials: scale.trials,
-        seed,
-        plan: SeedPlan {
+    let spec = TrialSpec::builder(&ctx, &pool)
+        .threads(threads)
+        .mix(Mix::Balanced)
+        .trials(scale.trials)
+        .seed(seed)
+        .plan(SeedPlan {
             mul: 6301,
             ..SeedPlan::default()
-        },
-        arms: intervals
-            .iter()
-            .map(|&interval| {
-                let duration = scale.duration_ms.max(interval * 4.0).max(100.0);
-                TrialArm {
-                    label: format!("{interval} ms"),
-                    policy: SchedulerSpec::VarFAppIpc,
-                    manager: ManagerSpec::LinOpt,
-                    budget,
-                    runtime: RuntimeConfig {
-                        dvfs_interval_ms: interval,
-                        os_interval_ms: duration.min(100.0).max(interval),
-                        duration_ms: duration,
-                        ..RuntimeConfig::paper_default()
-                    },
-                    rng_salt: Some(0xD1),
-                }
-            })
-            .collect(),
-    };
+        })
+        .arms(
+            intervals
+                .iter()
+                .map(|&interval| {
+                    let duration = scale.duration_ms.max(interval * 4.0).max(100.0);
+                    TrialArm {
+                        label: format!("{interval} ms"),
+                        policy: SchedulerSpec::VarFAppIpc,
+                        manager: ManagerSpec::LinOpt,
+                        budget,
+                        runtime: RuntimeConfig {
+                            dvfs_interval_ms: interval,
+                            os_interval_ms: duration.min(100.0).max(interval),
+                            duration_ms: duration,
+                            ..RuntimeConfig::paper_default()
+                        },
+                        rng_salt: Some(0xD1),
+                    }
+                })
+                .collect(),
+        )
+        .build()
+        .expect("ablation spec is valid");
     let results = TrialRunner::new().run(&spec);
     Series::new(
         "relative MIPS",
@@ -263,19 +263,16 @@ pub fn mix_sensitivity(scale: &Scale, seed: u64) -> Vec<(String, f64)> {
                 runtime,
                 rng_salt: Some(0xA1),
             };
-            let spec = TrialSpec {
-                fault_plan: cmpsim::FaultPlan::none(),
-                ctx: &ctx,
-                pool: &pool,
-                threads,
-                mix,
-                trials: scale.trials,
-                seed,
-                plan: SeedPlan {
+            let spec = TrialSpec::builder(&ctx, &pool)
+                .threads(threads)
+                .mix(mix)
+                .trials(scale.trials)
+                .seed(seed)
+                .plan(SeedPlan {
                     mul: 6473,
                     ..SeedPlan::default()
-                },
-                arms: vec![
+                })
+                .arms(vec![
                     arm(
                         "Random+Foxton*",
                         SchedulerSpec::Random,
@@ -286,8 +283,9 @@ pub fn mix_sensitivity(scale: &Scale, seed: u64) -> Vec<(String, f64)> {
                         SchedulerSpec::VarFAppIpc,
                         ManagerSpec::LinOpt,
                     ),
-                ],
-            };
+                ])
+                .build()
+                .expect("ablation spec is valid");
             let results = runner.run(&spec);
             (name.to_string(), mean_relative(&results, |o| o.mips)[1])
         })
@@ -327,23 +325,21 @@ pub fn gain_vs_sigma(scale: &Scale, seed: u64, threads: usize) -> Series {
                 runtime,
                 rng_salt: Some(0xB2),
             };
-            let spec = TrialSpec {
-                fault_plan: cmpsim::FaultPlan::none(),
-                ctx: &ctx,
-                pool: &pool,
-                threads,
-                mix: Mix::Balanced,
-                trials: scale.trials,
-                seed,
-                plan: SeedPlan {
+            let spec = TrialSpec::builder(&ctx, &pool)
+                .threads(threads)
+                .mix(Mix::Balanced)
+                .trials(scale.trials)
+                .seed(seed)
+                .plan(SeedPlan {
                     mul: 6553,
                     ..SeedPlan::default()
-                },
-                arms: vec![
+                })
+                .arms(vec![
                     arm("Random", SchedulerSpec::Random),
                     arm("VarF&AppIPC", SchedulerSpec::VarFAppIpc),
-                ],
-            };
+                ])
+                .build()
+                .expect("ablation spec is valid");
             mean_relative(&runner.run(&spec), |o| o.mips)[1]
         })
         .collect();

@@ -78,31 +78,31 @@ fn dvfs_grid(
         .iter()
         .map(|&threads| {
             let budget = budget_of(threads);
-            let spec = TrialSpec {
-                fault_plan: cmpsim::FaultPlan::none(),
-                ctx: &ctx,
-                pool: &pool,
-                threads,
-                mix: Mix::Balanced,
-                trials: scale.trials,
-                seed,
-                plan: SeedPlan {
+            let spec = TrialSpec::builder(&ctx, &pool)
+                .threads(threads)
+                .mix(Mix::Balanced)
+                .trials(scale.trials)
+                .seed(seed)
+                .plan(SeedPlan {
                     mul: 1_000_033,
                     offset: (threads * 1000) as u64,
                     stride: 1,
-                },
-                arms: algos
-                    .iter()
-                    .map(|&(label, policy, manager)| TrialArm {
-                        label: label.to_string(),
-                        policy,
-                        manager,
-                        budget,
-                        runtime,
-                        rng_salt: Some(0x5EED),
-                    })
-                    .collect(),
-            };
+                })
+                .arms(
+                    algos
+                        .iter()
+                        .map(|&(label, policy, manager)| TrialArm {
+                            label: label.to_string(),
+                            policy,
+                            manager,
+                            budget,
+                            runtime,
+                            rng_salt: Some(0x5EED),
+                        })
+                        .collect(),
+                )
+                .build()
+                .expect("DVFS spec is valid");
             let results = runner.run(&spec);
             metrics.iter().map(|m| mean_relative(&results, m)).collect()
         })

@@ -47,20 +47,17 @@ pub fn fig14(scale: &Scale, seed: u64, thread_counts: &[usize]) -> Vec<Series> {
                     // independent variable. `rng_salt: None` keeps each
                     // trial on one unbroken random stream, as this
                     // experiment has always run.
-                    let spec = TrialSpec {
-                        fault_plan: cmpsim::FaultPlan::none(),
-                        ctx: &ctx,
-                        pool: &pool,
-                        threads,
-                        mix: Mix::Balanced,
-                        trials: scale.trials,
-                        seed,
-                        plan: SeedPlan {
+                    let spec = TrialSpec::builder(&ctx, &pool)
+                        .threads(threads)
+                        .mix(Mix::Balanced)
+                        .trials(scale.trials)
+                        .seed(seed)
+                        .plan(SeedPlan {
                             mul: 7919,
                             offset: (threads * 100) as u64,
                             stride: 1,
-                        },
-                        arms: vec![TrialArm {
+                        })
+                        .arms(vec![TrialArm {
                             label: format!("{interval_ms} ms"),
                             policy: SchedulerSpec::VarFAppIpc,
                             manager: ManagerSpec::LinOpt,
@@ -72,8 +69,9 @@ pub fn fig14(scale: &Scale, seed: u64, thread_counts: &[usize]) -> Vec<Series> {
                                 ..RuntimeConfig::paper_default()
                             },
                             rng_salt: None,
-                        }],
-                    };
+                        }])
+                        .build()
+                        .expect("granularity spec is valid");
                     let results = runner.run(&spec);
                     mean_metric(&results, |o| o.power_deviation_frac * 100.0)[0]
                 })

@@ -10,7 +10,7 @@
 //! jobs per second than Foxton\* once the chip saturates.
 
 use super::{Scale, Series, ServingSite};
-use crate::engine::{mean_online_metric, OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
+use crate::engine::{mean_metric, OnlineArm, SeedPlan, TrialRunner, TrialSpec};
 use crate::manager::{ManagerSpec, PowerBudget};
 use crate::online::{ArrivalConfig, OnlineConfig, ServicePolicy};
 use crate::runtime::RuntimeConfig;
@@ -106,37 +106,37 @@ pub fn arrival_sweep(scale: &Scale, seed: u64) -> ArrivalSweep {
         .iter()
         .enumerate()
         .map(|(ri, &rate)| {
-            let spec = OnlineTrialSpec {
-                fault_plan: cmpsim::FaultPlan::none(),
-                ctx: site.ctx(),
-                pool: site.pool(),
-                mix: Mix::Balanced,
-                trials: scale.trials,
-                seed,
-                plan: SeedPlan {
+            let spec = TrialSpec::builder(site.ctx(), site.pool())
+                .mix(Mix::Balanced)
+                .trials(scale.trials)
+                .seed(seed)
+                .plan(SeedPlan {
                     mul: 1_000_003,
                     offset: 90_000 + (ri * 1000) as u64,
                     stride: 1,
-                },
-                arms: MANAGERS
-                    .iter()
-                    .map(|&manager| OnlineArm {
-                        label: manager.name().to_string(),
-                        policy: SchedulerSpec::VarFAppIpc,
-                        manager,
-                        budget,
-                        config: sweep_config(scale, rate),
-                        rng_salt: Some(0x0911),
-                    })
-                    .collect(),
-            };
-            let results = runner.run_online(&spec);
+                })
+                .arms(
+                    MANAGERS
+                        .iter()
+                        .map(|&manager| OnlineArm {
+                            label: manager.name().to_string(),
+                            policy: SchedulerSpec::VarFAppIpc,
+                            manager,
+                            budget,
+                            config: sweep_config(scale, rate),
+                            rng_salt: Some(0x0911),
+                        })
+                        .collect(),
+                )
+                .build()
+                .expect("arrival sweep spec is valid");
+            let results = runner.run(&spec);
             vec![
-                mean_online_metric(&results, |o| o.jobs_per_s()),
-                mean_online_metric(&results, |o| o.latency.map_or(f64::NAN, |l| l.p95_ms)),
-                mean_online_metric(&results, |o| o.utilization),
-                mean_online_metric(&results, |o| o.chip.avg_power_w),
-                mean_online_metric(&results, |o| o.latency.map_or(0.0, |l| l.dropped as f64)),
+                mean_metric(&results, |o| o.jobs_per_s()),
+                mean_metric(&results, |o| o.latency.map_or(f64::NAN, |l| l.p95_ms)),
+                mean_metric(&results, |o| o.utilization),
+                mean_metric(&results, |o| o.chip.avg_power_w),
+                mean_metric(&results, |o| o.latency.map_or(0.0, |l| l.dropped as f64)),
             ]
         })
         .collect();

@@ -43,35 +43,35 @@ fn policy_grid(
     let rel: Vec<Vec<Vec<f64>>> = THREAD_COUNTS
         .iter()
         .map(|&threads| {
-            let spec = TrialSpec {
-                fault_plan: cmpsim::FaultPlan::none(),
-                ctx: &ctx,
-                pool: &pool,
-                threads,
-                mix: Mix::Balanced,
-                trials: scale.trials,
-                seed,
-                plan: SeedPlan {
+            let spec = TrialSpec::builder(&ctx, &pool)
+                .threads(threads)
+                .mix(Mix::Balanced)
+                .trials(scale.trials)
+                .seed(seed)
+                .plan(SeedPlan {
                     mul: 1_000_003,
                     offset: (threads * 1000) as u64,
                     stride: 1,
-                },
-                arms: policies
-                    .iter()
-                    .map(|&policy| TrialArm {
-                        label: policy.name().to_string(),
-                        policy,
-                        manager: ManagerSpec::None,
-                        // Budget is irrelevant without a manager but
-                        // required by the runtime signature.
-                        budget: PowerBudget::high_performance(threads),
-                        runtime,
-                        // Same RNG seed per policy so Random's choices are
-                        // the only stochastic difference.
-                        rng_salt: Some(0xABCD),
-                    })
-                    .collect(),
-            };
+                })
+                .arms(
+                    policies
+                        .iter()
+                        .map(|&policy| TrialArm {
+                            label: policy.name().to_string(),
+                            policy,
+                            manager: ManagerSpec::None,
+                            // Budget is irrelevant without a manager but
+                            // required by the runtime signature.
+                            budget: PowerBudget::high_performance(threads),
+                            runtime,
+                            // Same RNG seed per policy so Random's choices are
+                            // the only stochastic difference.
+                            rng_salt: Some(0xABCD),
+                        })
+                        .collect(),
+                )
+                .build()
+                .expect("scheduling spec is valid");
             let results = runner.run(&spec);
             metrics.iter().map(|m| mean_relative(&results, m)).collect()
         })

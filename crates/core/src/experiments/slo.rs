@@ -22,7 +22,7 @@
 
 use super::online::{serving_budget, MEAN_JOB_INSTRUCTIONS};
 use super::{Scale, Series, ServingSite};
-use crate::engine::{mean_online_metric, OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
+use crate::engine::{mean_metric, OnlineArm, SeedPlan, TrialRunner, TrialSpec};
 use crate::manager::ManagerSpec;
 use crate::online::{ArrivalConfig, OnlineConfig, ServicePolicy};
 use crate::runtime::RuntimeConfig;
@@ -123,27 +123,25 @@ pub fn window_sweep(scale: &Scale, seed: u64) -> SloSweep {
         });
     }
 
-    let spec = OnlineTrialSpec {
-        fault_plan: cmpsim::FaultPlan::none(),
-        ctx: site.ctx(),
-        pool: site.pool(),
-        mix: Mix::Balanced,
-        trials: scale.trials,
-        seed,
-        plan: SeedPlan {
+    let spec = TrialSpec::builder(site.ctx(), site.pool())
+        .mix(Mix::Balanced)
+        .trials(scale.trials)
+        .seed(seed)
+        .plan(SeedPlan {
             mul: 1_000_003,
             offset: 95_000,
             stride: 1,
-        },
-        arms,
-    };
-    let results = runner.run_online(&spec);
+        })
+        .arms(arms)
+        .build()
+        .expect("SLO sweep spec is valid");
+    let results = runner.run(&spec);
 
     let horizon_s = scale.duration_ms / 1e3;
-    let completed = mean_online_metric(&results, |o| o.jobs_per_s());
-    let p99 = mean_online_metric(&results, |o| o.latency.map_or(f64::NAN, |l| l.p99_ms));
-    let shed = mean_online_metric(&results, |o| o.shed as f64 / horizon_s);
-    let migrations = mean_online_metric(&results, |o| o.migrations as f64);
+    let completed = mean_metric(&results, |o| o.jobs_per_s());
+    let p99 = mean_metric(&results, |o| o.latency.map_or(f64::NAN, |l| l.p99_ms));
+    let shed = mean_metric(&results, |o| o.shed as f64 / horizon_s);
+    let migrations = mean_metric(&results, |o| o.migrations as f64);
 
     // Arm 0 is the baseline; repeat it across the x axis as a flat
     // reference line next to the per-window SLO series.

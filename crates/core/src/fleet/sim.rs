@@ -124,7 +124,6 @@ fn validate(spec: &FleetSpec<'_>) -> Result<(), TrialError> {
     if spec.chips == 0 || spec.chips_per_rack == 0 {
         return Err(TrialError::Config(ConfigError::BadFleet));
     }
-    spec.policy.build(&spec.config.runtime)?;
     spec.manager.validate(&spec.config.runtime)?;
     Ok(())
 }

@@ -25,7 +25,10 @@
 //!   `ED²` index used throughout the evaluation.
 //! * [`engine`] — the trial engine: declarative [`engine::TrialSpec`]
 //!   batches executed by a deterministic, optionally parallel
-//!   [`engine::TrialRunner`] with per-trial observability.
+//!   [`engine::TrialRunner`] with per-trial observability. One spec,
+//!   builder and runner serve batch ([`engine::TrialArm`]) and serving
+//!   ([`engine::OnlineArm`]) arms; the sealed [`engine::Arm`] trait
+//!   holds the two choices in which they differ.
 //! * [`online`] — the one tick loop: a deterministic discrete-event
 //!   simulation (job arrivals, FIFO admission, completions,
 //!   migration-aware rescheduling) over the scheduler and
@@ -99,10 +102,7 @@ pub mod sched;
 
 /// Convenient re-exports for end-to-end use.
 pub mod prelude {
-    pub use crate::engine::{
-        OnlineArm, OnlineTrialResult, OnlineTrialSpec, SeedPlan, TrialArm, TrialResult,
-        TrialRunner, TrialSpec,
-    };
+    pub use crate::engine::{OnlineArm, SeedPlan, TrialArm, TrialResult, TrialRunner, TrialSpec};
     pub use crate::extensions::{run_thermal_trial, MigrationConfig, ThermalOutcome};
     pub use crate::fleet::{
         run_fleet, BudgetHierarchy, ChipSummary, DispatchPolicy, Dispatcher, FleetConfig,

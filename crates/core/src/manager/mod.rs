@@ -131,17 +131,15 @@ impl SolveReport {
     }
 }
 
-/// The cross-interval state of one control-plane component (a
-/// [`PowerManager`] or a [`crate::sched::Scheduler`]), captured for a
-/// checkpoint.
+/// The cross-interval state of a [`PowerManager`], captured for a
+/// checkpoint (schedulers keep none).
 ///
-/// Control components are rebuilt from their serializable spec
-/// ([`ManagerSpec`], [`crate::sched::SchedulerSpec`]) on restore; this
-/// enum carries only what the spec cannot: the mutable state a live
-/// instance accumulated across intervals. Every shipped component's
-/// state is one of these small shapes, so the snapshot codec stays
-/// closed over a fixed vocabulary instead of growing a per-algorithm
-/// serialization surface.
+/// Managers are rebuilt from their serializable [`ManagerSpec`] on
+/// restore; this enum carries only what the spec cannot: the mutable
+/// state a live instance accumulated across intervals. Every shipped
+/// manager's state is one of these small shapes, so the snapshot codec
+/// stays closed over a fixed vocabulary instead of growing a
+/// per-algorithm serialization surface.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum ControlState {
     /// No cross-interval state (stateless algorithms).

@@ -19,10 +19,10 @@
 //! The mapper reads temperatures and geometry through the
 //! [`Scheduler::observe`] hook every execution path calls right before
 //! [`Scheduler::assign`]; it draws no RNG and keeps no cross-interval
-//! state, so it snapshots as [`ControlState::Stateless`] and resumes
-//! byte-identically from checkpoints.
+//! state (the observation cache is refreshed right before every
+//! assignment), so a run resumed from a checkpoint with a fresh mapper
+//! continues byte-identically.
 
-use crate::manager::ControlState;
 use crate::profile::{CoreProfile, ThreadProfile};
 use crate::sched::Scheduler;
 use cmpsim::Machine;
@@ -170,12 +170,6 @@ impl Scheduler for ThermalMapper {
             mapping[pos] = Some(thread_pos);
         }
         mapping
-    }
-
-    fn snapshot(&self) -> ControlState {
-        // The observation cache is refreshed by `observe` right before
-        // every `assign`, so there is no cross-interval state to carry.
-        ControlState::Stateless
     }
 }
 

@@ -376,9 +376,8 @@ impl<'a> OnlineSim<'a> {
                 cores: machine.core_count(),
             });
         }
-        // Build the scheduler (and validate the manager spec) before
-        // touching the machine, so degenerate specs fail cleanly.
-        let scheduler = policy.build(&rt)?;
+        // Validate the manager spec before touching the machine, so a
+        // degenerate spec fails cleanly.
         manager.validate(&rt)?;
 
         machine.load_threads(residents.map_or_else(Vec::new, |w| w.spawn_threads(&mut rng)));
@@ -452,7 +451,7 @@ impl<'a> OnlineSim<'a> {
             queue,
             thread_job: (0..initial_count).collect(),
             jobs,
-            scheduler,
+            scheduler: policy.build(),
             power_manager: HardenedManager::new(manager, core_count, hardened, &rt)?,
             degradations: Vec::new(),
             fault_dirty: false,
@@ -581,8 +580,6 @@ impl<'a> OnlineSim<'a> {
             .map_err(|e| TrialError::SnapshotMismatch(SnapshotGuard::Machine(e)))?;
         let hardened = machine.has_active_faults();
 
-        let mut scheduler = policy.build(&rt)?;
-        scheduler.restore(&snapshot.scheduler);
         let mut power_manager = HardenedManager::new(manager, machine.core_count(), hardened, &rt)?;
         power_manager
             .import_state(&snapshot.manager)
@@ -613,7 +610,7 @@ impl<'a> OnlineSim<'a> {
             queue: EventQueue::import(snapshot.queue_events.clone(), snapshot.queue_next_seq),
             jobs: snapshot.jobs.clone(),
             thread_job: snapshot.thread_job.clone(),
-            scheduler,
+            scheduler: policy.build(),
             power_manager,
             degradations: Vec::new(),
             fault_dirty: snapshot.fault_dirty,
@@ -735,7 +732,6 @@ impl<'a> OnlineSim<'a> {
             machine: self.machine.export_state(),
             rng: self.rng.state(),
             arrival_rng: self.arrival_rng,
-            scheduler: self.scheduler.snapshot(),
             manager: self.power_manager.export_state(),
             queue_events,
             queue_next_seq,

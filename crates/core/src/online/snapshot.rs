@@ -12,7 +12,7 @@
 //! configuration to [`super::OnlineSim::resume`], exactly as it would
 //! re-supply the binary itself.
 //!
-//! The wire format (`vasp.snapshot.v1`) is stated once: a private
+//! The wire format (`vasp.snapshot.v2`) is stated once: a private
 //! `Wire` trait, implemented once per type, maps a value to and from a
 //! [`JsonValue`], and plain structs list their keys once for both
 //! directions. [`JsonValue::write`] renders the text and
@@ -40,7 +40,7 @@ use cmpsim::{AppSpec, FaultState, MachineState, StateMismatch, Thread};
 use std::fmt;
 
 /// Schema tag written into every serialized snapshot.
-pub const SNAPSHOT_SCHEMA: &str = "vasp.snapshot.v1";
+pub const SNAPSHOT_SCHEMA: &str = "vasp.snapshot.v2";
 
 /// The scalar accumulators of one online run (sums, counts, peaks the
 /// final [`super::OnlineOutcome`] is assembled from).
@@ -91,8 +91,6 @@ pub struct Snapshot {
     /// schedule was drawn (`None` for a closed system). Restore
     /// regenerates the identical schedule instead of serializing it.
     pub arrival_rng: Option<[u64; 4]>,
-    /// The scheduler's cross-interval state.
-    pub scheduler: ControlState,
     /// The hardened power manager's cross-interval state.
     pub manager: HardenedState,
     /// Pending event-queue entries as `(tick, seq, kind)` triples.
@@ -635,7 +633,6 @@ impl Wire for Snapshot {
             ("machine", self.machine.to_value()),
             ("rng", self.rng.to_value()),
             ("arrival_rng", self.arrival_rng.to_value()),
-            ("scheduler", self.scheduler.to_value()),
             ("manager", self.manager.to_value()),
             (
                 "queue",
@@ -656,7 +653,7 @@ impl Wire for Snapshot {
     }
     fn from_value(v: &JsonValue, pool: &[AppSpec]) -> Result<Self, SnapshotError> {
         if v.get("schema").and_then(JsonValue::as_str) != Some(SNAPSHOT_SCHEMA) {
-            return Err(schema_err("schema", "\"vasp.snapshot.v1\""));
+            return Err(schema_err("schema", SNAPSHOT_SCHEMA));
         }
         let queue = at(v, "queue")?;
         Ok(Snapshot {
@@ -667,7 +664,6 @@ impl Wire for Snapshot {
             machine: field(v, "machine", pool)?,
             rng: field(v, "rng", pool)?,
             arrival_rng: field(v, "arrival_rng", pool)?,
-            scheduler: field(v, "scheduler", pool)?,
             manager: field(v, "manager", pool)?,
             queue_next_seq: field(queue, "next_seq", pool).map_err(|e| within("queue", e))?,
             queue_events: field(queue, "events", pool).map_err(|e| within("queue", e))?,
@@ -724,7 +720,8 @@ mod tests {
 
     #[test]
     fn garbage_is_rejected_with_a_field_path() {
-        let err = Snapshot::from_json("{\"schema\":\"vasp.snapshot.v1\"}", &[]).unwrap_err();
+        let doc = format!("{{\"schema\":\"{SNAPSHOT_SCHEMA}\"}}");
+        let err = Snapshot::from_json(&doc, &[]).unwrap_err();
         assert!(matches!(err, SnapshotError::Schema { .. }));
         assert!(Snapshot::from_json("not json", &[]).is_err());
         let err = Snapshot::from_json("{\"schema\":\"other.v9\"}", &[]).unwrap_err();
@@ -732,7 +729,7 @@ mod tests {
             err,
             SnapshotError::Schema {
                 field: "schema".into(),
-                expected: "\"vasp.snapshot.v1\"",
+                expected: SNAPSHOT_SCHEMA,
             }
         );
     }

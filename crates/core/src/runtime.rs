@@ -16,7 +16,7 @@ use crate::manager::{DegradationEvent, HardenedManager, ManagerSpec, PowerBudget
 use crate::online::{OnlineSim, SnapshotGuard};
 use crate::profile::{thread_profiles, CoreProfile};
 use crate::sched::{Scheduler, SchedulerSpec};
-use cmpsim::{FaultConfigError, FaultPlan, Machine, StepStats, Workload};
+use cmpsim::{FaultConfigError, FaultPlan, Machine, Mix, StepStats, Workload};
 use std::fmt;
 use vastats::SimRng;
 
@@ -216,6 +216,10 @@ pub enum TrialError {
         /// Cores on the machine.
         cores: usize,
     },
+    /// A batch workload of zero threads.
+    EmptyWorkload,
+    /// The mix admits no application from the pool a trial draws from.
+    EmptyMix(Mix),
     /// A checkpoint does not fit the machine or configuration it was
     /// resumed on.
     SnapshotMismatch(SnapshotGuard),
@@ -232,6 +236,8 @@ impl fmt::Display for TrialError {
                     "workload has {threads} threads but machine has {cores} cores"
                 )
             }
+            Self::EmptyWorkload => f.write_str("workload needs at least one thread"),
+            Self::EmptyMix(mix) => write!(f, "mix {mix:?} admits no application from the pool"),
             Self::SnapshotMismatch(guard) => write!(f, "snapshot fails its {guard:?} guard"),
         }
     }
@@ -242,7 +248,10 @@ impl std::error::Error for TrialError {
         match self {
             Self::Config(e) => Some(e),
             Self::Fault(e) => Some(e),
-            Self::WorkloadTooLarge { .. } | Self::SnapshotMismatch(_) => None,
+            Self::WorkloadTooLarge { .. }
+            | Self::EmptyWorkload
+            | Self::EmptyMix(_)
+            | Self::SnapshotMismatch(_) => None,
         }
     }
 }

@@ -15,9 +15,7 @@
 //! [`SchedulerSpec`] names these five and the thermal-aware mapper;
 //! [`SchedulerSpec::build`] turns a name into a [`Scheduler`].
 
-use crate::manager::ControlState;
 use crate::profile::{CoreProfile, ThreadProfile};
-use crate::runtime::{ConfigError, RuntimeConfig};
 use cmpsim::Machine;
 use vastats::SimRng;
 
@@ -65,16 +63,14 @@ impl SchedulerSpec {
     }
 
     /// The single registry from spec to instance: constructs the boxed
-    /// [`Scheduler`] this spec describes, mirroring
-    /// [`crate::manager::ManagerSpec::build`]. Infallible today (no
-    /// shipped scheduler has degenerate parameters), but the signature
-    /// reserves [`ConfigError::BadManager`] for ones that will.
+    /// [`Scheduler`] this spec describes. Unlike
+    /// [`crate::manager::ManagerSpec::build`] it cannot fail: no
+    /// scheduler has parameters to reject.
     ///
     /// # Example
     ///
     /// ```
     /// use vasched::profile::{CoreProfile, ThreadProfile};
-    /// use vasched::runtime::RuntimeConfig;
     /// use vasched::sched::SchedulerSpec;
     /// use vastats::SimRng;
     ///
@@ -89,14 +85,11 @@ impl SchedulerSpec {
     ///     ipc: 1.1,
     ///     profiled_on: 0,
     /// }];
-    /// let mut scheduler = SchedulerSpec::VarFAppIpc
-    ///     .build(&RuntimeConfig::paper_default())
-    ///     .unwrap();
+    /// let mut scheduler = SchedulerSpec::VarFAppIpc.build();
     /// let mapping = scheduler.assign(&cores, &threads, &mut SimRng::seed_from(1));
     /// assert_eq!(mapping[1], Some(0), "the thread lands on the fast core");
     /// ```
-    pub fn build(&self, rt: &RuntimeConfig) -> Result<Box<dyn Scheduler>, ConfigError> {
-        let _ = rt;
+    pub fn build(&self) -> Box<dyn Scheduler> {
         let table1 = |cores, order| -> Box<dyn Scheduler> {
             Box::new(Table1 {
                 name: self.name(),
@@ -104,7 +97,7 @@ impl SchedulerSpec {
                 order,
             })
         };
-        Ok(match self {
+        match self {
             SchedulerSpec::Random => table1(CoreChoice::Random, ThreadOrder::Random),
             SchedulerSpec::VarP => table1(CoreChoice::LowestStaticPower, ThreadOrder::Random),
             SchedulerSpec::VarPAppP => table1(
@@ -116,7 +109,7 @@ impl SchedulerSpec {
                 table1(CoreChoice::HighestFrequency, ThreadOrder::HighestIpc)
             }
             SchedulerSpec::ThermalMap => Box::new(crate::manager::ThermalMapper::new()),
-        })
+        }
     }
 }
 
@@ -124,8 +117,9 @@ impl SchedulerSpec {
 /// interval to produce a thread→core mapping from profile data.
 ///
 /// Like [`crate::manager::PowerManager`], schedulers are built once per
-/// trial and may carry state across intervals; the paper's Table 1
-/// policies are stateless.
+/// trial. None keeps state from one interval to the next, so a
+/// checkpoint stores no scheduler state and a resumed run builds a
+/// fresh scheduler.
 pub trait Scheduler: Send {
     /// Name as used in the paper's figures.
     fn name(&self) -> &'static str;
@@ -155,18 +149,6 @@ pub trait Scheduler: Send {
         threads: &[ThreadProfile],
         rng: &mut SimRng,
     ) -> Vec<Option<usize>>;
-
-    /// Captures the scheduler's cross-interval state for a checkpoint.
-    /// The paper's Table 1 policies are stateless; history-keeping
-    /// schedulers override this (mirroring
-    /// [`crate::manager::PowerManager::snapshot`]).
-    fn snapshot(&self) -> ControlState {
-        ControlState::Stateless
-    }
-
-    /// Restores state captured by [`Scheduler::snapshot`] onto a fresh
-    /// instance of the same policy.
-    fn restore(&mut self, _state: &ControlState) {}
 }
 
 /// Which N cores a Table 1 policy uses (the table's second column;
@@ -276,9 +258,7 @@ mod tests {
         threads: &[ThreadProfile],
         rng: &mut SimRng,
     ) -> Vec<Option<usize>> {
-        spec.build(&RuntimeConfig::paper_default())
-            .expect("valid spec")
-            .assign(cores, threads, rng)
+        spec.build().assign(cores, threads, rng)
     }
 
     fn fake_cores(n: usize) -> Vec<CoreProfile> {
@@ -423,9 +403,8 @@ mod tests {
     fn policy_names_match_paper() {
         assert_eq!(SchedulerSpec::VarPAppP.name(), "VarP&AppP");
         assert_eq!(SchedulerSpec::VarFAppIpc.name(), "VarF&AppIPC");
-        let rt = RuntimeConfig::paper_default();
         for spec in TABLE1.into_iter().chain([SchedulerSpec::ThermalMap]) {
-            assert_eq!(spec.build(&rt).expect("valid spec").name(), spec.name());
+            assert_eq!(spec.build().name(), spec.name());
         }
     }
 }

@@ -14,7 +14,6 @@ use vasp::floorplan::paper_20_core;
 use vasp::varius::{DieGenerator, VariationConfig};
 use vasp::vasched::manager::{linopt::LinOpt, PmView, PowerBudget, PowerManager};
 use vasp::vasched::profile::{core_profiles, thread_profiles};
-use vasp::vasched::runtime::RuntimeConfig;
 use vasp::vasched::sched::SchedulerSpec;
 use vasp::vastats::SimRng;
 
@@ -42,8 +41,7 @@ fn main() {
     let cores = core_profiles(&machine);
     let threads = thread_profiles(&machine, &mut rng);
     let mapping = SchedulerSpec::VarFAppIpc
-        .build(&RuntimeConfig::paper_default())
-        .expect("valid spec")
+        .build()
         .assign(&cores, &threads, &mut rng);
     machine.assign(&mapping);
 

@@ -26,7 +26,11 @@
 # The golden replay, fleet and tournament scenarios (byte-compared
 # against tests/golden/ and across worker counts) are tier-1 tests in
 # tests/obs.rs, tests/fleet.rs and tests/tournament.rs, so every mode
-# checks them in its cargo test step.
+# checks them in its cargo test step. Every mode also runs each
+# repository-benchmark workload once at its default seed, right after
+# the workspace build, and compares the round digest it prints (a hash
+# of every simulated outcome of the round) with the value listed
+# below: a change that keeps every simulated value keeps all four.
 #   scripts/ci.sh results-check additionally rebuilds every committed
 #                               results/*.csv with the bin that writes
 #                               it (all, slo, fleet, tournament) at
@@ -52,6 +56,23 @@ esac
 
 cargo fmt --check
 cargo build --release --offline --workspace
+
+# Default-seed round digests of the repository benchmark, one
+# workload=hex pair each. A change that alters simulated values on
+# purpose updates them here.
+for expected in dvfs_linopt=2d41134a7615d503 dvfs_sann=89954806aa6e3237 \
+  online_slo=342f08f3552550a8 fleet_va=67562a796f222392; do
+  workload="${expected%%=*}"
+  out="$(target/release/benchmark --workload "$workload" --seconds 0 --trace 0)"
+  if ! grep -qx "$workload digest ${expected#*=} hex" <<< "$out"; then
+    echo "digest gate: $workload printed" >&2
+    grep "^$workload digest " <<< "$out" >&2 || echo "(no digest line)" >&2
+    echo "expected $workload digest ${expected#*=} hex" >&2
+    exit 1
+  fi
+done
+echo "digest gate: all four default-seed digests match"
+
 cargo test -q --offline --workspace
 cargo clippy --offline --workspace --all-targets -- -D warnings
 RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace

@@ -2,14 +2,12 @@
 //! results bit-identical to a sequential run. Every trial derives all
 //! of its randomness from its own seed, so thread scheduling can never
 //! leak into outcomes — this test is the regression gate for that
-//! property. It also checks that the spec builders reject a degenerate
-//! manager spec before any worker starts, and that Exhaustive arms of
-//! any size run.
+//! property. It also checks that the spec builder rejects a degenerate
+//! manager spec or workload before any worker starts, that Exhaustive
+//! arms of any size run, and pins what both arm kinds return.
 
-use cmpsim::{FaultPlan, Mix};
-use vasp::vasched::engine::{
-    OnlineArm, OnlineTrialSpec, SeedPlan, TrialArm, TrialRunner, TrialSpec,
-};
+use cmpsim::{AppClass, FaultPlan, Mix};
+use vasp::vasched::engine::{OnlineArm, SeedPlan, TrialArm, TrialRunner, TrialSpec};
 use vasp::vasched::experiments::{Context, Scale};
 use vasp::vasched::manager::{ManagerSpec, PowerBudget};
 use vasp::vasched::online::{ArrivalConfig, OnlineConfig};
@@ -156,7 +154,7 @@ fn arms_with(manager: ManagerSpec) -> (TrialArm, OnlineArm) {
 const BAD_MANAGER: TrialError = TrialError::Config(ConfigError::BadManager);
 
 /// A zero-evaluation SAnn arm used to build and then panic in the
-/// runner's worker; both builders now reject it.
+/// runner's worker; the builder rejects it for both arm kinds.
 #[test]
 fn builders_reject_zero_evaluation_sann() {
     let ctx = Context::new(Scale::smoke().grid);
@@ -167,7 +165,7 @@ fn builders_reject_zero_evaluation_sann() {
         .arm(batch)
         .build();
     assert_eq!(built.err(), Some(BAD_MANAGER));
-    let built = OnlineTrialSpec::builder(&ctx, &pool).arm(online).build();
+    let built = TrialSpec::builder(&ctx, &pool).arm(online).build();
     assert_eq!(built.err(), Some(BAD_MANAGER));
 }
 
@@ -192,13 +190,85 @@ fn exhaustive_arms_run_to_completion() {
     assert_eq!(trial.per_thread_mips.len(), 12);
     assert!(trial.mips > 0.0);
 
-    let spec = OnlineTrialSpec::builder(&ctx, &pool)
+    let spec = TrialSpec::builder(&ctx, &pool)
         .arm(online)
         .build()
         .expect("valid spec");
-    let served = &runner.run_online(&spec)[0].arms[0].outcome;
+    let served = &runner.run(&spec)[0].arms[0].outcome;
     assert!(served.arrived > 0 && served.completed > 0);
     assert!(served.chip.manager_runs > 0);
+}
+
+/// A zero-thread batch spec used to build and then panic in the
+/// worker's workload draw; the builder rejects it.
+#[test]
+fn builder_rejects_an_empty_batch_workload() {
+    let ctx = Context::new(Scale::smoke().grid);
+    let pool = app_pool(&ctx.machine_config().dynamic);
+    let (batch, _) = arms_with(ManagerSpec::LinOpt);
+    let built = TrialSpec::builder(&ctx, &pool)
+        .threads(0)
+        .arm(batch)
+        .build();
+    assert_eq!(built.err(), Some(TrialError::EmptyWorkload));
+}
+
+/// An online arm with more initial residents than cores used to build
+/// and then panic in the worker; the builder rejects it.
+#[test]
+fn builder_rejects_more_residents_than_cores() {
+    let ctx = Context::new(Scale::smoke().grid);
+    let pool = app_pool(&ctx.machine_config().dynamic);
+    let (_, mut online) = arms_with(ManagerSpec::LinOpt);
+    online.config.initial_jobs = 21;
+    let built = TrialSpec::builder(&ctx, &pool).arm(online.clone()).build();
+    let too_large = TrialError::WorkloadTooLarge {
+        threads: 21,
+        cores: 20,
+    };
+    assert_eq!(built.err(), Some(too_large));
+    online.config.initial_jobs = 20;
+    assert!(TrialSpec::builder(&ctx, &pool).arm(online).build().is_ok());
+}
+
+/// A mix that admits no application from the pool used to build and
+/// then panic in the worker's draw. The builder rejects it whenever
+/// the trial, an arm's residents or an arm's arrivals draw from the
+/// pool, and accepts a serving arm that draws nothing.
+#[test]
+fn builder_rejects_a_mix_that_admits_nothing() {
+    let ctx = Context::new(Scale::smoke().grid);
+    let pool = app_pool(&ctx.machine_config().dynamic);
+    let ints: Vec<_> = pool
+        .iter()
+        .filter(|app| app.class == AppClass::Int)
+        .cloned()
+        .collect();
+    let empty = Some(TrialError::EmptyMix(Mix::FpOnly));
+    let (batch, closed) = arms_with(ManagerSpec::LinOpt);
+    let built = TrialSpec::builder(&ctx, &ints)
+        .threads(4)
+        .mix(Mix::FpOnly)
+        .arm(batch)
+        .build();
+    assert_eq!(built.err(), empty);
+
+    let mut residents = closed.clone();
+    residents.config.initial_jobs = 4;
+    let mut arrivals = closed.clone();
+    arrivals.config.arrivals = ArrivalConfig::poisson(100.0, 1e7);
+    for arm in [residents, arrivals] {
+        let built = TrialSpec::builder(&ctx, &ints)
+            .mix(Mix::FpOnly)
+            .arm(arm)
+            .build();
+        assert_eq!(built.err(), empty);
+    }
+    let built = TrialSpec::builder(&ctx, &ints)
+        .mix(Mix::FpOnly)
+        .arm(closed)
+        .build();
+    assert!(built.is_ok(), "an arm that draws nothing needs no mix");
 }
 
 /// FNV-1a over `bytes`, continuing from `hash`.
@@ -208,15 +278,14 @@ fn fnv(hash: u64, bytes: &[u8]) -> u64 {
     })
 }
 
-/// Pins what the runner returns for both arm kinds. The batch spec
-/// puts an unsalted arm after a salted one, so its outcome depends on
-/// the machine the first arm leaves behind and on the trial RNG
-/// continuing past the workload draw; the online spec's unsalted arm
-/// must still start from a cold clone of the trial's machine. Each
-/// outcome is folded through its `Debug` form, which prints every
-/// float in its shortest round-trip form, and each online event trace
-/// is folded as well. The values were captured before the batch and
-/// online specs shared one engine.
+/// Pins what the runner returns for both arm kinds. In each spec an
+/// unsalted arm follows a salted one on the same machine, so its
+/// outcome depends on the trial RNG continuing past the trial's draws,
+/// and it must start as cold as the first arm. Each outcome is folded
+/// through its `Debug` form, which prints every float in its shortest
+/// round-trip form, and each online event trace is folded as well.
+/// The values were captured before the batch and online specs shared
+/// one engine.
 #[test]
 fn trial_outcomes_are_pinned() {
     let ctx = Context::new(Scale::smoke().grid);
@@ -260,7 +329,7 @@ fn trial_outcomes_are_pinned() {
         initial_jobs: 4,
         ..OnlineConfig::paper_default()
     };
-    let online = OnlineTrialSpec::builder(&ctx, &pool)
+    let online = TrialSpec::builder(&ctx, &pool)
         .trials(2)
         .seed(2027)
         .fault_plan(faults)
@@ -290,7 +359,7 @@ fn trial_outcomes_are_pinned() {
         batch_hash = fnv(batch_hash, folded.as_bytes());
     }
     let mut online_hash = 0xcbf2_9ce4_8422_2325;
-    for r in runner.run_online(&online) {
+    for r in runner.run(&online) {
         let folded = format!("{} {}", r.trial, r.trial_seed);
         online_hash = fnv(online_hash, folded.as_bytes());
         for o in r.outcomes() {

@@ -4,9 +4,7 @@
 //! (solver fallback, thread parking) observed through the public API.
 
 use vasp::cmpsim::{app_pool, FaultPlan, Mix, Workload};
-use vasp::vasched::engine::{
-    OnlineArm, OnlineTrialSpec, SeedPlan, TrialArm, TrialRunner, TrialSpec,
-};
+use vasp::vasched::engine::{OnlineArm, SeedPlan, TrialArm, TrialRunner, TrialSpec};
 use vasp::vasched::experiments::{Context, Scale};
 use vasp::vasched::manager::{DegradationEvent, ManagerSpec, PowerBudget};
 use vasp::vasched::online::{run_online, ArrivalConfig, OnlineConfig, OnlineEvent, ServicePolicy};
@@ -101,7 +99,7 @@ fn faulted_online_trials_are_bit_identical_across_worker_counts() {
         migration_penalty_ms: 0.1,
         service: ServicePolicy::default(),
     };
-    let spec = OnlineTrialSpec::builder(&ctx, &pool)
+    let spec = TrialSpec::builder(&ctx, &pool)
         .mix(Mix::Balanced)
         .trials(3)
         .seed(4242)
@@ -116,8 +114,8 @@ fn faulted_online_trials_are_bit_identical_across_worker_counts() {
         })
         .build()
         .unwrap();
-    let sequential = TrialRunner::sequential().run_online(&spec);
-    let parallel = TrialRunner::with_workers(4).run_online(&spec);
+    let sequential = TrialRunner::sequential().run(&spec);
+    let parallel = TrialRunner::with_workers(4).run(&spec);
     for (s, p) in sequential.iter().zip(&parallel) {
         for (sa, pa) in s.arms.iter().zip(&p.arms) {
             assert_eq!(sa.outcome, pa.outcome);

@@ -9,7 +9,7 @@ mod common;
 
 use common::check_golden;
 use vasp::cmpsim::{app_pool, BudgetDrop, CoreFailure, FaultPlan, Mix, StuckSensor};
-use vasp::vasched::engine::{OnlineArm, OnlineTrialSpec, SeedPlan, TrialRunner};
+use vasp::vasched::engine::{OnlineArm, SeedPlan, TrialRunner, TrialSpec};
 use vasp::vasched::experiments::{Context, Scale};
 use vasp::vasched::manager::{ManagerSpec, PowerBudget};
 use vasp::vasched::obs::{parse_json, JsonValue};
@@ -89,7 +89,7 @@ fn online_trials_are_bit_identical_across_worker_counts() {
             rng_salt: Some(0x51),
         })
         .collect();
-    let spec = OnlineTrialSpec::builder(&ctx, &pool)
+    let spec = TrialSpec::builder(&ctx, &pool)
         .mix(Mix::Balanced)
         .trials(3)
         .seed(777)
@@ -101,8 +101,8 @@ fn online_trials_are_bit_identical_across_worker_counts() {
         .arms(arms)
         .build()
         .unwrap();
-    let sequential = TrialRunner::with_workers(1).run_online(&spec);
-    let parallel = TrialRunner::with_workers(4).run_online(&spec);
+    let sequential = TrialRunner::with_workers(1).run(&spec);
+    let parallel = TrialRunner::with_workers(4).run(&spec);
     assert_eq!(sequential.len(), parallel.len());
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_eq!(s.trial, p.trial);

@@ -41,8 +41,7 @@ fn var_f_app_ipc(
     rng: &mut SimRng,
 ) -> Vec<Option<usize>> {
     SchedulerSpec::VarFAppIpc
-        .build(&RuntimeConfig::paper_default())
-        .expect("valid spec")
+        .build()
         .assign(cores, threads, rng)
 }
 

@@ -50,7 +50,6 @@ fn simplex_solution_is_feasible() {
 /// Schedulers: every policy maps each thread to exactly one core.
 #[test]
 fn schedulers_produce_valid_assignments() {
-    let rt = vasp::vasched::runtime::RuntimeConfig::paper_default();
     let policies = [
         SchedulerSpec::Random,
         SchedulerSpec::VarP,
@@ -77,10 +76,7 @@ fn schedulers_produce_valid_assignments() {
                     profiled_on: 0,
                 })
                 .collect();
-            let mapping = policy
-                .build(&rt)
-                .expect("valid spec")
-                .assign(&cores, &threads, &mut rng);
+            let mapping = policy.build().assign(&cores, &threads, &mut rng);
             let mut seen = vec![false; n_threads];
             for t in mapping.iter().flatten() {
                 assert!(*t < n_threads, "seed {seed} {policy:?}");
